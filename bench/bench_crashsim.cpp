@@ -3,7 +3,8 @@
 // using the harness in CI), and the distribution of *simulated* recovery time across crash
 // points (what a real power cycle would cost at each point in the workload's history).
 //
-// Each scenario runs twice: write-through (clean/torn/corrupt points only) and behind the
+// Each scenario — every VLD scenario ctest sweeps, the VLFS script, and both 2-member array
+// scenarios — runs twice: write-through (clean/torn/corrupt points only) and behind the
 // volatile write-back cache (adding destage-reordering points). The --json=PATH summary
 // ("vlog-crash-sweep/1": points, violations, seeds per row) is the CI artifact that documents
 // exactly which crash states each run covered; --seed=N replays a failing randomized sweep.
@@ -133,6 +134,7 @@ int main(int argc, char** argv) {
         cached ? crashsim::CrashSimCachedDiskParams() : crashsim::CrashSimDiskParams();
     for (const auto scenario :
          {crashsim::VldScenario::kUfsOnVld, crashsim::VldScenario::kCompactorActive,
+          crashsim::VldScenario::kCompactionUnderLoad,
           crashsim::VldScenario::kCheckpointInterrupted,
           crashsim::VldScenario::kQueuedGroupCommit,
           crashsim::VldScenario::kQueuedMixedReadWrite,
@@ -148,6 +150,18 @@ int main(int argc, char** argv) {
       bench::Check(sim.Record(crashsim::VlfsScenarioScript()), "record");
       return sim.Sweep(options);
     });
+    for (const auto scenario : {crashsim::ArrayScenario::kStripedGroupCommit,
+                                crashsim::ArrayScenario::kMirroredResync}) {
+      run(crashsim::ArrayScenarioName(scenario), cached, [&] {
+        crashsim::ArrayCrashSim sim(params, crashsim::CrashSimVldConfig(),
+                                    scenario == crashsim::ArrayScenario::kStripedGroupCommit
+                                        ? crashsim::CrashSimStripedArrayConfig()
+                                        : crashsim::CrashSimMirroredArrayConfig(),
+                                    /*member_count=*/2);
+        bench::Check(crashsim::RecordArrayScenario(scenario, sim), "record");
+        return sim.Sweep(options);
+      });
+    }
   }
 
   if (!json_path.empty()) {

@@ -47,6 +47,14 @@ if [ -x build/tests/crashsim_test ]; then
   ./build/tests/crashsim_test --gtest_filter='NvmStagedSweepTest.*'
 fi
 
+# Crash sweep: every standing VLD, VLFS and array scenario, write-through and behind the
+# write-back cache; exits nonzero on any invariant violation and writes the
+# vlog-crash-sweep/1 summary CI uploads.
+if [ -x build/bench/bench_crashsim ]; then
+  echo "=== bench smoke: crash sweep ==="
+  ./build/bench/bench_crashsim --smoke --json=BENCH_crash_sweep.json
+fi
+
 # Array smoke: striped N=1..8 scaling with the N=1-equals-bare-VLD identity, monotone-IOPS,
 # and mirrored degraded-read payload gates.
 if [ -x build/bench/bench_array ]; then

@@ -74,6 +74,7 @@ class ArrayCrashSim {
   const WriteTrace& trace() const { return trace_; }
 
  private:
+  class Target;  // The sweep driver's view of this harness (array_harness.cc).
   // The blocks of one array op that live on one member, with their array-level before/after
   // images. Striped ops have one group per touched member; mirrored ops have one identical
   // group per healthy member (each replica commits the whole op).
@@ -87,11 +88,6 @@ class ArrayCrashSim {
     uint64_t end_writes = 0;  // Global trace length when the array acknowledged the op.
     std::vector<Group> groups;
   };
-
-  // The serial sweep over points[begin, end): rebuilds its rolling per-member images from the
-  // trace bases, so contiguous ordinal ranges run independently on worker threads.
-  CrashSweepReport SweepRange(const std::vector<CrashPoint>& points, size_t begin, size_t end,
-                              const CrashSweepOptions& options) const;
 
   // Member indexes that hold array block `block`.
   std::vector<uint32_t> MembersOfBlock(uint32_t block) const;

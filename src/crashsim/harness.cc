@@ -1,18 +1,16 @@
 #include "src/crashsim/harness.h"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
-#include <iterator>
 #include <memory>
 #include <optional>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "src/common/bytes.h"
+#include "src/crashsim/sweep_driver.h"
 #include "src/simdisk/host_model.h"
 #include "src/ufs/layout.h"
 
@@ -35,50 +33,7 @@ std::string CrashPointName(const CrashPoint& point) {
   return os.str();
 }
 
-// Regular prefix/torn points plus (for write-back traces) reorder points, merged into one list
-// ordered by writes_applied, with stable per-sweep ordinals for failure messages.
-std::vector<CrashPoint> AllCrashPoints(const WriteTrace& trace, uint32_t sector_bytes,
-                                       const CrashSweepOptions& options) {
-  // (Shared with the array sweep in array_harness.cc, which replays the same ordinals.)
-  std::vector<CrashPoint> points = EnumerateCrashPoints(trace, sector_bytes, options.enumerate);
-  std::vector<CrashPoint> reorder = EnumerateReorderPoints(trace, options.reorder);
-  points.insert(points.end(), std::make_move_iterator(reorder.begin()),
-                std::make_move_iterator(reorder.end()));
-  std::stable_sort(points.begin(), points.end(), [](const CrashPoint& a, const CrashPoint& b) {
-    return a.writes_applied < b.writes_applied;
-  });
-  for (size_t i = 0; i < points.size(); ++i) {
-    points[i].ordinal = i;
-  }
-  return points;
-}
-
 namespace {
-
-// Chunked memcmp against a static zero block: the sweep compares every logical block at every
-// crash point and most blocks are never written, so this is the hottest loop in a sweep.
-bool IsZero(std::span<const std::byte> bytes) {
-  static constexpr size_t kChunk = 4096;
-  static const std::array<std::byte, kChunk> kZeros{};
-  size_t off = 0;
-  while (off < bytes.size()) {
-    const size_t n = std::min(kChunk, bytes.size() - off);
-    if (std::memcmp(bytes.data() + off, kZeros.data(), n) != 0) {
-      return false;
-    }
-    off += n;
-  }
-  return true;
-}
-
-// Does `got` equal `expect`, where an empty `expect` means all zeros?
-bool ContentMatches(std::span<const std::byte> got, const std::vector<std::byte>& expect) {
-  if (expect.empty()) {
-    return IsZero(got);
-  }
-  return got.size() == expect.size() &&
-         std::memcmp(got.data(), expect.data(), expect.size()) == 0;
-}
 
 common::Duration Percentile(std::vector<common::Duration> sorted, double p) {
   if (sorted.empty()) {
@@ -87,6 +42,24 @@ common::Duration Percentile(std::vector<common::Duration> sorted, double p) {
   const size_t idx = std::min(sorted.size() - 1,
                               static_cast<size_t>(p * static_cast<double>(sorted.size())));
   return sorted[idx];
+}
+
+// The ops a crash at `point` may leave partially persisted, when ops[0, next) are committed.
+// A prefix/torn point cuts inside at most the next unfinished op; a reorder point's extras
+// can touch every op whose commit lies inside its epoch (a packed group commit flips them
+// together).
+template <typename Op>
+std::vector<const Op*> InflightOps(const std::vector<Op>& ops, size_t next,
+                                   const CrashPoint& point) {
+  std::vector<const Op*> inflight;
+  if (point.kind == CrashKind::kReorder) {
+    for (size_t i = next; i < ops.size() && ops[i].end_writes <= point.epoch_end; ++i) {
+      inflight.push_back(&ops[i]);
+    }
+  } else if (next < ops.size()) {
+    inflight.push_back(&ops[next]);
+  }
+  return inflight;
 }
 
 }  // namespace
@@ -135,81 +108,6 @@ std::string CrashSweepReport::Summary() const {
   return os.str();
 }
 
-uint32_t ResolveSweepWorkers(uint32_t requested, size_t points) {
-  uint32_t workers = requested != 0 ? requested : std::thread::hardware_concurrency();
-  if (workers == 0) {
-    workers = 1;
-  }
-  if (points > 0 && workers > points) {
-    workers = static_cast<uint32_t>(points);
-  }
-  return workers;
-}
-
-CrashSweepReport RunShardedSweep(
-    size_t points, uint64_t seed, const CrashSweepOptions& options,
-    const std::function<CrashSweepReport(size_t, size_t)>& sweep_range) {
-  const uint32_t workers = ResolveSweepWorkers(options.workers, points);
-  std::vector<CrashSweepReport> shards(workers);
-  if (workers <= 1) {
-    shards[0] = sweep_range(0, points);
-  } else {
-    // Contiguous ascending ordinal ranges, sizes within one point of each other. Shard w
-    // catches its rolling state up from the trace base (one pass over the write records), so
-    // the only cross-thread state is the read-only trace and point list.
-    const size_t base = points / workers;
-    const size_t rem = points % workers;
-    std::vector<std::pair<size_t, size_t>> ranges(workers);
-    size_t begin = 0;
-    for (uint32_t w = 0; w < workers; ++w) {
-      const size_t size = base + (w < rem ? 1 : 0);
-      ranges[w] = {begin, begin + size};
-      begin += size;
-    }
-    std::vector<std::thread> threads;
-    threads.reserve(workers - 1);
-    for (uint32_t w = 1; w < workers; ++w) {
-      threads.emplace_back(
-          [&shards, &sweep_range, &ranges, w] { shards[w] = sweep_range(ranges[w].first, ranges[w].second); });
-    }
-    shards[0] = sweep_range(ranges[0].first, ranges[0].second);
-    for (std::thread& t : threads) {
-      t.join();
-    }
-  }
-  // Merge in shard (= ordinal) order: counters sum, details/recovery times concatenate, and
-  // the first shard reporting a violation owns first_violation_ordinal — exactly what the
-  // serial loop would have produced.
-  CrashSweepReport merged;
-  merged.points = points;
-  merged.seed = seed;
-  for (CrashSweepReport& s : shards) {
-    merged.clean_points += s.clean_points;
-    merged.torn_points += s.torn_points;
-    merged.corrupt_points += s.corrupt_points;
-    merged.reorder_points += s.reorder_points;
-    merged.nvm_points += s.nvm_points;
-    merged.nvm_torn_points += s.nvm_torn_points;
-    merged.violations += s.violations;
-    if (merged.first_violation_ordinal < 0) {
-      merged.first_violation_ordinal = s.first_violation_ordinal;
-    }
-    for (std::string& detail : s.violation_details) {
-      if (merged.violation_details.size() < options.max_violation_details) {
-        merged.violation_details.push_back(std::move(detail));
-      }
-    }
-    merged.park_recoveries += s.park_recoveries;
-    merged.scan_recoveries += s.scan_recoveries;
-    merged.checkpoint_recoveries += s.checkpoint_recoveries;
-    merged.rolled_back_recoveries += s.rolled_back_recoveries;
-    merged.repaired_pieces += s.repaired_pieces;
-    merged.recovery_times.insert(merged.recovery_times.end(), s.recovery_times.begin(),
-                                 s.recovery_times.end());
-  }
-  return merged;
-}
-
 // --- VldCrashSim ---
 
 VldCrashSim::VldCrashSim(simdisk::DiskParams params, core::VldConfig config)
@@ -232,11 +130,7 @@ common::Status VldCrashSim::Record(
   block_bytes_ = vld.block_sectors() * disk.SectorBytes();
   // Recording starts after Format: the base image is the freshly formatted device, and every
   // later media write (data, map sectors, checkpoints, park) lands in the trace.
-  trace_.set_base(SnapshotMedia(disk));
-  trace_.set_write_back(params_.cache.capacity_sectors > 0);
-  disk.set_write_observer([this](simdisk::Lba lba, std::span<const std::byte> data,
-                                 bool durable) { trace_.Append(lba, data, durable); });
-  disk.set_flush_observer([this] { trace_.AppendBarrier(); });
+  trace_.set_base(StartRecording(trace_, disk));
   std::unique_ptr<simdisk::NvmDevice> nvm;
   std::unique_ptr<core::NvmStage> stage;
   if (staged_) {
@@ -256,151 +150,61 @@ common::Status VldCrashSim::Record(
     shadow.AttachStage(stage.get(), &nvm_trace_);
   }
   common::Status status = workload(shadow);
-  disk.set_write_observer(nullptr);
-  disk.set_flush_observer(nullptr);
-  if (nvm != nullptr) {
-    nvm->set_write_observer(nullptr);
-  }
   ops_ = shadow.TakeOps();
   return status;
 }
 
-CrashSweepReport VldCrashSim::Sweep(const CrashSweepOptions& options) const {
-  const std::vector<CrashPoint> points =
-      AllCrashPoints(trace_, params_.geometry.sector_bytes, options);
-  return RunShardedSweep(points.size(), options.enumerate.seed, options,
-                         [&](size_t begin, size_t end) {
-                           return SweepRange(points, begin, end, options);
-                         });
-}
+// The VLD target: the committed contents of every logical block (plus, when staged, the
+// rolling NVM image), checked against one recovered Vld — read through the recovered stage
+// when staged, with the torn-NVM-tail matrix on top.
+class VldCrashSim::Target final : public CrashTarget {
+ public:
+  Target(const VldCrashSim& sim, const CrashSweepOptions& options)
+      : sim_(sim),
+        options_(options),
+        committed_(sim.logical_blocks_),
+        nvm_image_(sim.nvm_trace_.base()),
+        probe_block_(sim.block_bytes_, std::byte{0xA5}),
+        readback_(sim.block_bytes_) {}
 
-CrashSweepReport VldCrashSim::SweepRange(const std::vector<CrashPoint>& points, size_t begin,
-                                         size_t end, const CrashSweepOptions& options) const {
-  CrashSweepReport report;
-  const uint32_t sector_bytes = params_.geometry.sector_bytes;
-  const uint32_t block_sectors = block_bytes_ / sector_bytes;
-
-  // Rolling state, advanced monotonically since points are ordered by writes_applied: the
-  // reconstructed image and the committed shadow (contents after every fully-persisted op).
-  // A range that starts mid-sweep catches up via the first iteration's replay loop.
-  std::vector<std::byte> image = trace_.base();
-  uint64_t applied = 0;
-  size_t op_idx = 0;
-  std::vector<std::vector<std::byte>> committed(logical_blocks_);
-
-  // Staged sweeps: the rolling NVM image (NVM is non-volatile, so every write tagged <= the
-  // disk cut is present) plus the pre-write bytes of the last applied NVM record — the undo
-  // buffer torn-NVM-tail variants are synthesized from.
-  size_t nvm_applied = 0;
-  std::vector<std::byte> nvm_image;
-  std::vector<std::byte> nvm_undo;
-  if (staged_) {
-    nvm_image = nvm_trace_.base();
-  }
-
-  std::vector<std::byte> probe_block(block_bytes_, std::byte{0xA5});
-  std::vector<std::byte> readback(block_bytes_);
-  // The crashed image, recycled through each point's SimDisk (media-adopting constructor +
-  // TakeMedia). It is kept in sync with the rolling image by *difference*: trace records are
-  // applied to both copies, and the only places the two diverge — the point's crash-variant
-  // bytes plus every write the recovered instance made (tracked via the disk's write
-  // observer) — are listed in `dirty` and restored from `image` before the next point. The
-  // dirty footprint is a few KB against a media image ~500x that, so this replaces the
-  // full-media copy per point that used to dominate sweep wall time.
-  std::vector<std::byte> scratch;
-  std::vector<std::pair<size_t, size_t>> dirty;  // (byte offset, length) of divergences.
-
-  for (size_t pi = begin; pi < end; ++pi) {
-    const CrashPoint& point = points[pi];
-    while (applied < point.writes_applied) {
-      ApplyWrite(image, trace_[applied], sector_bytes);
-      if (!scratch.empty()) {
-        ApplyWrite(scratch, trace_[applied], sector_bytes);
-      }
-      ++applied;
-    }
-    while (op_idx < ops_.size() && ops_[op_idx].end_writes <= applied) {
-      const ShadowVld::Op& op = ops_[op_idx];
+  void Fold(uint64_t applied) override {
+    const std::vector<ShadowVld::Op>& ops = sim_.ops_;
+    while (op_idx_ < ops.size() && ops[op_idx_].end_writes <= applied) {
+      const ShadowVld::Op& op = ops[op_idx_];
       for (size_t i = 0; i < op.blocks.size(); ++i) {
-        committed[op.blocks[i]] = op.after[i];
+        committed_[op.blocks[i]] = op.after[i];
       }
-      ++op_idx;
+      ++op_idx_;
     }
     // An NVM write tagged T happened before disk write #T was issued, so it is persisted at
-    // every cut with applied >= T — the same fold rule ops use for end_writes.
-    while (staged_ && nvm_applied < nvm_trace_.size() &&
-           nvm_trace_[nvm_applied].disk_writes <= applied) {
-      const NvmWriteRecord& rec = nvm_trace_[nvm_applied];
-      nvm_undo.assign(nvm_image.begin() + static_cast<ptrdiff_t>(rec.offset),
-                      nvm_image.begin() + static_cast<ptrdiff_t>(rec.offset + rec.data.size()));
-      ApplyNvmWrite(nvm_image, rec);
-      ++nvm_applied;
+    // every cut with applied >= T — the same fold rule ops use for end_writes. Unstaged
+    // recordings have an empty NVM trace.
+    const NvmTrace& nvm_trace = sim_.nvm_trace_;
+    while (nvm_applied_ < nvm_trace.size() && nvm_trace[nvm_applied_].disk_writes <= applied) {
+      const NvmWriteRecord& rec = nvm_trace[nvm_applied_];
+      nvm_undo_.assign(nvm_image_.begin() + static_cast<ptrdiff_t>(rec.offset),
+                       nvm_image_.begin() + static_cast<ptrdiff_t>(rec.offset + rec.data.size()));
+      ApplyNvmWrite(nvm_image_, rec);
+      ++nvm_applied_;
     }
-    // Which acknowledged ops may be partially persisted at this point. A prefix/torn point cuts
-    // inside at most the next unfinished op; a reorder point's extras can touch every op whose
-    // commit lies inside its epoch (a packed group commit flips them together).
-    std::vector<const ShadowVld::Op*> inflight_ops;
-    if (point.kind == CrashKind::kReorder) {
-      for (size_t i = op_idx; i < ops_.size() && ops_[i].end_writes <= point.epoch_end; ++i) {
-        inflight_ops.push_back(&ops_[i]);
-      }
-    } else if (op_idx < ops_.size()) {
-      inflight_ops.push_back(&ops_[op_idx]);
-    }
+  }
 
-    switch (point.kind) {
-      case CrashKind::kClean:
-        ++report.clean_points;
-        break;
-      case CrashKind::kCorruptTail:
-        ++report.corrupt_points;
-        break;
-      case CrashKind::kReorder:
-        ++report.reorder_points;
-        break;
-      default:
-        ++report.torn_points;
-    }
-    if (options.only_ordinal >= 0 &&
-        static_cast<int64_t>(point.ordinal) != options.only_ordinal) {
-      continue;  // Replay mode: count every point but recover/check only the requested one.
-    }
+  void Check(const CrashPoint& point, std::span<simdisk::SimDisk* const> disks,
+             CrashSweepReport& report, const Fail& fail) override {
+    const std::vector<ShadowVld::Op>& ops = sim_.ops_;
+    const bool staged = sim_.staged_;
+    const uint32_t block_sectors = sim_.block_bytes_ / sim_.params_.geometry.sector_bytes;
+    const std::vector<const ShadowVld::Op*> inflight_ops = InflightOps(ops, op_idx_, point);
 
-    // Reconstruct the crashed media and recover a fresh instance over it. The scratch buffer
-    // becomes the disk's media directly; TakeMedia reclaims it at the end of the point.
-    if (scratch.empty()) {
-      scratch = image;  // First recovered point in this range: the one full media copy.
-    } else {
-      for (const auto& [off, len] : dirty) {
-        std::memcpy(scratch.data() + off, image.data() + off, len);
-      }
-    }
-    dirty.clear();
-    if (point.kind == CrashKind::kReorder) {
-      for (const uint64_t idx : point.extra) {
-        ApplyWrite(scratch, trace_[idx], sector_bytes);
-        dirty.emplace_back(trace_[idx].lba * sector_bytes, trace_[idx].data.size());
-      }
-    } else if (point.kind != CrashKind::kClean) {
-      // Every crash variant mutates only bytes inside the record's own range.
-      ApplyCrashedWrite(scratch, trace_[applied], sector_bytes, point);
-      dirty.emplace_back(trace_[applied].lba * sector_bytes, trace_[applied].data.size());
-    }
-    common::Clock clock;
-    simdisk::SimDisk disk(params_, &clock, std::move(scratch));
-    disk.set_write_observer(
-        [&](simdisk::Lba lba, std::span<const std::byte> data, bool /*durable*/) {
-          dirty.emplace_back(lba * sector_bytes, data.size());
-        });
-    core::Vld vld(&disk, config_);
+    simdisk::SimDisk& disk = *disks[0];
+    common::Clock& clock = *disk.clock();
+    core::Vld vld(&disk, sim_.config_);
     const common::Time start = clock.Now();
     auto info = vld.Recover();
     report.recovery_times.push_back(clock.Now() - start);
     if (!info.ok()) {
-      report.AddViolation(point, "recovery failed: " + info.status().ToString(),
-                          options.max_violation_details);
-      scratch = std::move(disk).TakeMedia();
-      continue;
+      fail("recovery failed: " + info.status().ToString());
+      return;
     }
     (info->used_scan ? report.scan_recoveries : report.park_recoveries) += 1;
     report.checkpoint_recoveries += info->from_checkpoint ? 1 : 0;
@@ -415,26 +219,22 @@ CrashSweepReport VldCrashSim::SweepRange(const std::vector<CrashPoint>& points, 
     // an acked-in-NVM write must be served from the replayed overlay.
     std::optional<simdisk::NvmDevice> nvm_dev;
     std::optional<core::NvmStage> stage;
-    if (staged_) {
-      nvm_dev.emplace(nvm_params_, &clock, nvm_image);
-      stage.emplace(&*nvm_dev, &vld, stage_config_);
+    if (staged) {
+      nvm_dev.emplace(sim_.nvm_params_, &clock, nvm_image_);
+      stage.emplace(&*nvm_dev, &vld, sim_.stage_config_);
       auto stage_info = stage->Recover();
       if (!stage_info.ok()) {
-        report.AddViolation(point,
-                            "nvm stage recovery failed: " + stage_info.status().ToString(),
-                            options.max_violation_details);
-        scratch = std::move(disk).TakeMedia();
-        continue;
+        fail("nvm stage recovery failed: " + stage_info.status().ToString());
+        return;
       }
       ++report.nvm_points;
       if (stage_info->torn_tail_dropped) {
-        report.AddViolation(point, "intact NVM image replayed with a torn tail",
-                            options.max_violation_details);
+        fail("intact NVM image replayed with a torn tail");
       }
     }
     const auto read_block = [&](uint32_t b, std::span<std::byte> out) {
       const simdisk::Lba lba = static_cast<simdisk::Lba>(b) * block_sectors;
-      return staged_ ? stage->Read(lba, out) : vld.Read(lba, out);
+      return staged ? stage->Read(lba, out) : vld.Read(lba, out);
     };
 
     // Invariant 2: committed contents exact; in-flight blocks all-old or all-new. When several
@@ -458,74 +258,29 @@ CrashSweepReport VldCrashSim::SweepRange(const std::vector<CrashPoint>& points, 
     bool all_old = true;
     bool all_new = true;
     bool content_ok = true;
-    for (uint32_t b = 0; b < logical_blocks_ && content_ok; ++b) {
-      if (!read_block(b, readback).ok()) {
-        report.AddViolation(point, "read of logical block " + std::to_string(b) + " failed",
-                            options.max_violation_details);
+    for (uint32_t b = 0; b < sim_.logical_blocks_ && content_ok; ++b) {
+      if (!read_block(b, readback_).ok()) {
+        fail("read of logical block " + std::to_string(b) + " failed");
         content_ok = false;
         break;
       }
       const auto it = inflight_index.find(b);
       if (it == inflight_index.end()) {
-        if (!ContentMatches(readback, committed[b])) {
-          report.AddViolation(point,
-                              "committed logical block " + std::to_string(b) +
-                                  " has wrong contents after recovery",
-                              options.max_violation_details);
+        if (!ContentMatches(readback_, committed_[b])) {
+          fail("committed logical block " + std::to_string(b) +
+                   " has wrong contents after recovery");
           content_ok = false;
         }
         continue;
       }
-      all_old = all_old && ContentMatches(readback, *it->second.before);
-      all_new = all_new && ContentMatches(readback, *it->second.after);
+      all_old = all_old && ContentMatches(readback_, *it->second.before);
+      all_new = all_new && ContentMatches(readback_, *it->second.after);
     }
     if (content_ok && !(all_old || all_new)) {
-      report.AddViolation(point, "in-flight command partially applied (atomicity violated)",
-                          options.max_violation_details);
+      fail("in-flight command partially applied (atomicity violated)");
     }
 
-    // Invariant 3: the recovered map is injective over physical blocks.
-    const std::vector<uint32_t>& map = vld.logical_map();
-    std::unordered_set<uint32_t> phys_seen;
-    uint64_t mapped = 0;
-    for (uint32_t b = 0; b < map.size(); ++b) {
-      if (map[b] == core::kUnmappedBlock) {
-        continue;
-      }
-      ++mapped;
-      if (!phys_seen.insert(map[b]).second) {
-        report.AddViolation(point,
-                            "two logical blocks map to physical block " + std::to_string(map[b]),
-                            options.max_violation_details);
-        break;
-      }
-      if (vld.space().state(map[b]) != core::BlockState::kLive) {
-        report.AddViolation(point,
-                            "mapped physical block " + std::to_string(map[b]) +
-                                " not marked live in the free-space map",
-                            options.max_violation_details);
-        break;
-      }
-    }
-
-    // Invariant 4: free-space accounting equals mapped data + live map pieces + pinned blocks.
-    std::unordered_set<uint32_t> map_blocks;
-    for (uint32_t k = 0; k < vld.vlog().config().pieces; ++k) {
-      if (const auto block = vld.vlog().LiveBlockOfPiece(k)) {
-        map_blocks.insert(*block);
-      }
-    }
-    for (const uint32_t block : vld.vlog().PinnedBlocks()) {
-      map_blocks.insert(block);
-    }
-    if (mapped + map_blocks.size() != vld.space().live_blocks()) {
-      report.AddViolation(point,
-                          "free-space accounting mismatch: " + std::to_string(mapped) +
-                              " mapped + " + std::to_string(map_blocks.size()) +
-                              " map blocks != " + std::to_string(vld.space().live_blocks()) +
-                              " live",
-                          options.max_violation_details);
-    }
+    CheckMapInvariants(vld, fail);
 
     // Torn-NVM-tail matrix: a crash during an NVM append keeps a line-aligned prefix of it. A
     // tear is only physically admissible at a clean point whose last persisted NVM write is
@@ -535,16 +290,17 @@ CrashSweepReport VldCrashSim::SweepRange(const std::vector<CrashPoint>& points, 
     // record CRCs must drop exactly the torn record, so the op that owns the append reads back
     // all-old-or-all-new and earlier committed staged ops keep their exact contents. These
     // checks run before the probe, which mutates block 0.
-    if (staged_ && point.kind == CrashKind::kClean && nvm_applied > 0 &&
-        nvm_trace_[nvm_applied - 1].disk_writes == applied &&
-        nvm_trace_[nvm_applied - 1].offset != 0) {
-      const NvmWriteRecord& last = nvm_trace_[nvm_applied - 1];
+    const NvmTrace& nvm_trace = sim_.nvm_trace_;
+    if (staged && point.kind == CrashKind::kClean && nvm_applied_ > 0 &&
+        nvm_trace[nvm_applied_ - 1].disk_writes == point.writes_applied &&
+        nvm_trace[nvm_applied_ - 1].offset != 0) {
+      const NvmWriteRecord& last = nvm_trace[nvm_applied_ - 1];
       // The op whose acknowledgement covers the torn append — the in-flight op for these
       // variants. Ops record the NVM trace length at ack, monotonically.
       const auto owner_it =
-          std::lower_bound(ops_.begin(), ops_.end(), nvm_applied,
+          std::lower_bound(ops.begin(), ops.end(), nvm_applied_,
                            [](const ShadowVld::Op& op, size_t n) { return op.nvm_end < n; });
-      const ShadowVld::Op* owner = owner_it != ops_.end() ? &*owner_it : nullptr;
+      const ShadowVld::Op* owner = owner_it != ops.end() ? &*owner_it : nullptr;
       std::unordered_set<uint32_t> owner_blocks;
       if (owner != nullptr) {
         owner_blocks.insert(owner->blocks.begin(), owner->blocks.end());
@@ -552,29 +308,27 @@ CrashSweepReport VldCrashSim::SweepRange(const std::vector<CrashPoint>& points, 
       // Recently committed ops are collateral-damage sentinels: their records precede the torn
       // append, so the tear must leave their contents untouched.
       std::vector<const ShadowVld::Op*> sentinels;
-      for (auto it = owner_it; it != ops_.begin() && sentinels.size() < 6;) {
+      for (auto it = owner_it; it != ops.begin() && sentinels.size() < 6;) {
         --it;
-        if (it->end_writes <= applied && !it->blocks.empty()) {
+        if (it->end_writes <= point.writes_applied && !it->blocks.empty()) {
           sentinels.push_back(&*it);
         }
       }
-      const uint32_t line = nvm_params_.cache_line_bytes;
+      const uint32_t line = sim_.nvm_params_.cache_line_bytes;
       const uint64_t lines = last.data.size() / line;
       const uint64_t step = std::max<uint64_t>(1, lines / 4);
       for (uint64_t cl = 0; cl < lines; cl += step) {
         const uint64_t cut = cl * line;
-        std::vector<std::byte> torn = nvm_image;
-        std::memcpy(torn.data() + last.offset + cut, nvm_undo.data() + cut,
+        std::vector<std::byte> torn = nvm_image_;
+        std::memcpy(torn.data() + last.offset + cut, nvm_undo_.data() + cut,
                     last.data.size() - cut);
-        simdisk::NvmDevice torn_nvm(nvm_params_, &clock, std::move(torn));
-        core::NvmStage torn_stage(&torn_nvm, &vld, stage_config_);
+        simdisk::NvmDevice torn_nvm(sim_.nvm_params_, &clock, std::move(torn));
+        core::NvmStage torn_stage(&torn_nvm, &vld, sim_.stage_config_);
         ++report.nvm_torn_points;
         auto torn_info = torn_stage.Recover();
         if (!torn_info.ok()) {
-          report.AddViolation(point,
-                              "nvm tear at line " + std::to_string(cl) +
-                                  ": stage recovery failed: " + torn_info.status().ToString(),
-                              options.max_violation_details);
+          fail("nvm tear at line " + std::to_string(cl) + ": stage recovery failed: " +
+                   torn_info.status().ToString());
           continue;
         }
         bool t_ok = true;
@@ -583,23 +337,18 @@ CrashSweepReport VldCrashSim::SweepRange(const std::vector<CrashPoint>& points, 
           bool t_all_new = true;
           for (size_t i = 0; i < owner->blocks.size() && t_ok; ++i) {
             if (!torn_stage.Read(static_cast<simdisk::Lba>(owner->blocks[i]) * block_sectors,
-                                 readback)
+                                 readback_)
                      .ok()) {
-              report.AddViolation(point,
-                                  "nvm tear at line " + std::to_string(cl) +
-                                      ": read of owning op's block failed",
-                                  options.max_violation_details);
+              fail("nvm tear at line " + std::to_string(cl) + ": read of owning op's block failed");
               t_ok = false;
               break;
             }
-            t_all_old = t_all_old && ContentMatches(readback, owner->before[i]);
-            t_all_new = t_all_new && ContentMatches(readback, owner->after[i]);
+            t_all_old = t_all_old && ContentMatches(readback_, owner->before[i]);
+            t_all_new = t_all_new && ContentMatches(readback_, owner->after[i]);
           }
           if (t_ok && !(t_all_old || t_all_new)) {
-            report.AddViolation(point,
-                                "nvm tear at line " + std::to_string(cl) +
-                                    ": op owning the torn append partially applied",
-                                options.max_violation_details);
+            fail("nvm tear at line " + std::to_string(cl) +
+                     ": op owning the torn append partially applied");
           }
         }
         for (const ShadowVld::Op* op : sentinels) {
@@ -608,12 +357,10 @@ CrashSweepReport VldCrashSim::SweepRange(const std::vector<CrashPoint>& points, 
             if (owner_blocks.count(b) != 0 || inflight_index.count(b) != 0) {
               continue;  // Covered by the all-old-or-all-new checks instead.
             }
-            if (!torn_stage.Read(static_cast<simdisk::Lba>(b) * block_sectors, readback).ok() ||
-                !ContentMatches(readback, committed[b])) {
-              report.AddViolation(point,
-                                  "nvm tear at line " + std::to_string(cl) +
-                                      ": committed block " + std::to_string(b) + " disturbed",
-                                  options.max_violation_details);
+            if (!torn_stage.Read(static_cast<simdisk::Lba>(b) * block_sectors, readback_).ok() ||
+                !ContentMatches(readback_, committed_[b])) {
+              fail("nvm tear at line " + std::to_string(cl) + ": committed block " +
+                       std::to_string(b) + " disturbed");
               t_ok = false;
             }
           }
@@ -623,22 +370,38 @@ CrashSweepReport VldCrashSim::SweepRange(const std::vector<CrashPoint>& points, 
 
     // Invariant 5: the recovered device still accepts and serves writes. Staged runs push the
     // probe through the stage and a full drain, exercising destage + allocator in one go.
-    if (options.probe_after_recovery) {
-      common::Status st = staged_ ? stage->Write(0, probe_block) : vld.Write(0, probe_block);
-      if (st.ok() && staged_) {
+    if (options_.probe_after_recovery) {
+      common::Status st = staged ? stage->Write(0, probe_block_) : vld.Write(0, probe_block_);
+      if (st.ok() && staged) {
         st = stage->Drain();
       }
       if (st.ok()) {
-        st = staged_ ? stage->Read(0, readback) : vld.Read(0, readback);
+        st = staged ? stage->Read(0, readback_) : vld.Read(0, readback_);
       }
-      if (!st.ok() || !ContentMatches(readback, probe_block)) {
-        report.AddViolation(point, "post-recovery probe write/read failed",
-                            options.max_violation_details);
+      if (!st.ok() || !ContentMatches(readback_, probe_block_)) {
+        fail("post-recovery probe write/read failed");
       }
     }
-    scratch = std::move(disk).TakeMedia();
   }
-  return report;
+
+ private:
+  const VldCrashSim& sim_;
+  const CrashSweepOptions& options_;
+  size_t op_idx_ = 0;
+  std::vector<std::vector<std::byte>> committed_;  // Contents after every fully-persisted op.
+  // Staged sweeps: the rolling NVM image (NVM is non-volatile, so every write tagged <= the
+  // disk cut is present) plus the pre-write bytes of the last applied NVM record — the undo
+  // buffer torn-NVM-tail variants are synthesized from.
+  size_t nvm_applied_ = 0;
+  std::vector<std::byte> nvm_image_;
+  std::vector<std::byte> nvm_undo_;
+  std::vector<std::byte> probe_block_;
+  std::vector<std::byte> readback_;
+};
+
+CrashSweepReport VldCrashSim::Sweep(const CrashSweepOptions& options) const {
+  return RunCrashSweep(trace_, {&trace_.base(), 1}, params_, options,
+                       [&] { return std::make_unique<Target>(*this, options); });
 }
 
 // --- VlfsCrashSim ---
@@ -652,11 +415,7 @@ common::Status VlfsCrashSim::Record(const std::vector<VlfsOp>& script) {
   simdisk::HostModel host(simdisk::ZeroCostHost(), &clock);
   vlfs::Vlfs fs(&disk, &host, config_);
   RETURN_IF_ERROR(fs.Format());
-  trace_.set_base(SnapshotMedia(disk));
-  trace_.set_write_back(params_.cache.capacity_sectors > 0);
-  disk.set_write_observer([this](simdisk::Lba lba, std::span<const std::byte> data,
-                                 bool durable) { trace_.Append(lba, data, durable); });
-  disk.set_flush_observer([this] { trace_.AppendBarrier(); });
+  trace_.set_base(StartRecording(trace_, disk));
 
   // The expected-state model is maintained here, not read back from the fs: a divergence shows
   // up in the sweep (including at the final clean point, which is the uncrashed state).
@@ -716,95 +475,35 @@ common::Status VlfsCrashSim::Record(const std::vector<VlfsOp>& script) {
     }
     ops_.push_back(std::move(rec));
   }
-  disk.set_write_observer(nullptr);
-  disk.set_flush_observer(nullptr);
   return common::OkStatus();
 }
 
-CrashSweepReport VlfsCrashSim::Sweep(const CrashSweepOptions& options) const {
-  const std::vector<CrashPoint> points =
-      AllCrashPoints(trace_, params_.geometry.sector_bytes, options);
-  return RunShardedSweep(points.size(), options.enumerate.seed, options,
-                         [&](size_t begin, size_t end) {
-                           return SweepRange(points, begin, end, options);
-                         });
-}
+// The VLFS target: the committed path -> (type, contents) namespace, checked against one
+// recovered Vlfs, plus an allocator cross-check against the crashed media.
+class VlfsCrashSim::Target final : public CrashTarget {
+ public:
+  Target(const VlfsCrashSim& sim, const CrashSweepOptions& options)
+      : sim_(sim), options_(options) {}
 
-CrashSweepReport VlfsCrashSim::SweepRange(const std::vector<CrashPoint>& points, size_t begin,
-                                          size_t end, const CrashSweepOptions& options) const {
-  CrashSweepReport report;
-  const uint32_t sector_bytes = params_.geometry.sector_bytes;
-
-  std::vector<std::byte> image = trace_.base();
-  uint64_t applied = 0;
-  size_t op_idx = 0;
-  std::unordered_map<std::string, FileState> committed;
-  // Recycled through each point's SimDisk and synced by dirty-range restore; see
-  // VldCrashSim::SweepRange.
-  std::vector<std::byte> scratch;
-  std::vector<std::pair<size_t, size_t>> dirty;
-
-  // Checks one path against an expected state (nullopt = absent). Returns a description of the
-  // mismatch, or an empty string.
-  auto check_path = [](vlfs::Vlfs& fs, const std::string& path,
-                       const std::optional<FileState>& expect) -> std::string {
-    auto stat = fs.Stat(path);
-    if (!expect.has_value()) {
-      return stat.ok() ? "path '" + path + "' resurrected after recovery" : "";
-    }
-    if (!stat.ok()) {
-      return "path '" + path + "' missing after recovery";
-    }
-    if (stat->is_directory != expect->is_dir) {
-      return "path '" + path + "' changed type after recovery";
-    }
-    if (expect->is_dir) {
-      return "";
-    }
-    if (stat->size != expect->content.size()) {
-      return "file '" + path + "' has wrong size after recovery";
-    }
-    std::vector<std::byte> data(expect->content.size());
-    if (!data.empty()) {
-      auto read = fs.Read(path, 0, data);
-      if (!read.ok() || *read != data.size() ||
-          std::memcmp(data.data(), expect->content.data(), data.size()) != 0) {
-        return "file '" + path + "' has wrong contents after recovery";
-      }
-    }
-    return "";
-  };
-
-  for (size_t pi = begin; pi < end; ++pi) {
-    const CrashPoint& point = points[pi];
-    while (applied < point.writes_applied) {
-      ApplyWrite(image, trace_[applied], sector_bytes);
-      if (!scratch.empty()) {
-        ApplyWrite(scratch, trace_[applied], sector_bytes);
-      }
-      ++applied;
-    }
-    while (op_idx < ops_.size() && ops_[op_idx].end_writes <= applied) {
-      const FsOpRecord& op = ops_[op_idx];
+  void Fold(uint64_t applied) override {
+    const std::vector<FsOpRecord>& ops = sim_.ops_;
+    while (op_idx_ < ops.size() && ops[op_idx_].end_writes <= applied) {
+      const FsOpRecord& op = ops[op_idx_];
       if (!op.path.empty()) {
         if (op.after.has_value()) {
-          committed[op.path] = *op.after;
+          committed_[op.path] = *op.after;
         } else {
-          committed.erase(op.path);
+          committed_.erase(op.path);
         }
       }
-      ++op_idx;
+      ++op_idx_;
     }
-    // In-flight ops (see VldCrashSim::Sweep): for reorder points every op committed inside the
-    // epoch may be partially persisted; otherwise just the next unfinished one.
-    std::vector<const FsOpRecord*> inflight_ops;
-    if (point.kind == CrashKind::kReorder) {
-      for (size_t i = op_idx; i < ops_.size() && ops_[i].end_writes <= point.epoch_end; ++i) {
-        inflight_ops.push_back(&ops_[i]);
-      }
-    } else if (op_idx < ops_.size()) {
-      inflight_ops.push_back(&ops_[op_idx]);
-    }
+  }
+
+  void Check(const CrashPoint& point, std::span<simdisk::SimDisk* const> disks,
+             CrashSweepReport& report, const Fail& fail) override {
+    const uint32_t sector_bytes = sim_.params_.geometry.sector_bytes;
+    const std::vector<const FsOpRecord*> inflight_ops = InflightOps(sim_.ops_, op_idx_, point);
     // Per path, the first toucher's before-image and last toucher's after-image.
     std::unordered_map<std::string, std::pair<const FsOpRecord*, const FsOpRecord*>>
         inflight_paths;
@@ -818,84 +517,40 @@ CrashSweepReport VlfsCrashSim::SweepRange(const std::vector<CrashPoint>& points,
       }
     }
 
-    switch (point.kind) {
-      case CrashKind::kClean:
-        ++report.clean_points;
-        break;
-      case CrashKind::kCorruptTail:
-        ++report.corrupt_points;
-        break;
-      case CrashKind::kReorder:
-        ++report.reorder_points;
-        break;
-      default:
-        ++report.torn_points;
-    }
-    if (options.only_ordinal >= 0 &&
-        static_cast<int64_t>(point.ordinal) != options.only_ordinal) {
-      continue;  // Replay mode: count every point but recover/check only the requested one.
-    }
-
-    if (scratch.empty()) {
-      scratch = image;  // First recovered point in this range: the one full media copy.
-    } else {
-      for (const auto& [off, len] : dirty) {
-        std::memcpy(scratch.data() + off, image.data() + off, len);
-      }
-    }
-    dirty.clear();
-    if (point.kind == CrashKind::kReorder) {
-      for (const uint64_t idx : point.extra) {
-        ApplyWrite(scratch, trace_[idx], sector_bytes);
-        dirty.emplace_back(trace_[idx].lba * sector_bytes, trace_[idx].data.size());
-      }
-    } else if (point.kind != CrashKind::kClean) {
-      // Every crash variant mutates only bytes inside the record's own range.
-      ApplyCrashedWrite(scratch, trace_[applied], sector_bytes, point);
-      dirty.emplace_back(trace_[applied].lba * sector_bytes, trace_[applied].data.size());
-    }
-    common::Clock clock;
-    simdisk::SimDisk disk(params_, &clock, std::move(scratch));
-    disk.set_write_observer(
-        [&](simdisk::Lba lba, std::span<const std::byte> data, bool /*durable*/) {
-          dirty.emplace_back(lba * sector_bytes, data.size());
-        });
+    simdisk::SimDisk& disk = *disks[0];
+    common::Clock& clock = *disk.clock();
     simdisk::HostModel host(simdisk::ZeroCostHost(), &clock);
-    vlfs::Vlfs fs(&disk, &host, config_);
+    vlfs::Vlfs fs(&disk, &host, sim_.config_);
     const common::Time start = clock.Now();
     auto info = fs.Recover();
     report.recovery_times.push_back(clock.Now() - start);
     if (!info.ok()) {
-      report.AddViolation(point, "recovery failed: " + info.status().ToString(),
-                          options.max_violation_details);
-      scratch = std::move(disk).TakeMedia();
-      continue;
+      fail("recovery failed: " + info.status().ToString());
+      return;
     }
     (info->used_scan ? report.scan_recoveries : report.park_recoveries) += 1;
     report.checkpoint_recoveries += info->from_checkpoint ? 1 : 0;
     report.rolled_back_recoveries += info->discarded_txn_sectors > 0 ? 1 : 0;
 
-    for (const std::string& path : all_paths_) {
+    for (const std::string& path : sim_.all_paths_) {
       const auto infl = inflight_paths.find(path);
       if (infl != inflight_paths.end()) {
         // The in-flight operation(s) must be all-or-nothing at the file level.
-        const std::string as_old = check_path(fs, path, infl->second.first->before);
+        const std::string as_old = CheckPath(fs, path, infl->second.first->before);
         if (!as_old.empty()) {
-          const std::string as_new = check_path(fs, path, infl->second.second->after);
+          const std::string as_new = CheckPath(fs, path, infl->second.second->after);
           if (!as_new.empty()) {
-            report.AddViolation(
-                point, "in-flight op on '" + path + "' neither old nor new state (" + as_old +
-                           " / " + as_new + ")",
-                options.max_violation_details);
+            fail("in-flight op on '" + path + "' neither old nor new state (" + as_old + " / " +
+                     as_new + ")");
           }
         }
         continue;
       }
-      const auto it = committed.find(path);
-      const std::string err = check_path(
-          fs, path, it == committed.end() ? std::nullopt : std::optional<FileState>(it->second));
+      const auto it = committed_.find(path);
+      const std::string err = CheckPath(
+          fs, path, it == committed_.end() ? std::nullopt : std::optional<FileState>(it->second));
       if (!err.empty()) {
-        report.AddViolation(point, err, options.max_violation_details);
+        fail(err);
       }
     }
 
@@ -958,24 +613,19 @@ CrashSweepReport VlfsCrashSim::SweepRange(const std::vector<CrashPoint>& points,
       bool shadow_ok = true;
       for (const uint32_t block : shadow) {
         if (fs.space().state(block) != core::BlockState::kLive) {
-          report.AddViolation(point,
-                              "allocator disagrees with shadow: block " +
-                                  std::to_string(block) + " reachable but not live",
-                              options.max_violation_details);
+          fail("allocator disagrees with shadow: block " + std::to_string(block) +
+                   " reachable but not live");
           shadow_ok = false;
           break;
         }
       }
       if (shadow_ok && fs.space().live_blocks() != shadow.size()) {
-        report.AddViolation(point,
-                            "allocator live-block count " +
-                                std::to_string(fs.space().live_blocks()) +
-                                " != shadow reachable count " + std::to_string(shadow.size()),
-                            options.max_violation_details);
+        fail("allocator live-block count " + std::to_string(fs.space().live_blocks()) +
+                 " != shadow reachable count " + std::to_string(shadow.size()));
       }
     }
 
-    if (options.probe_after_recovery) {
+    if (options_.probe_after_recovery) {
       const std::string probe = "/crashsim-probe";
       std::vector<std::byte> payload(1024, std::byte{0x5A});
       std::vector<std::byte> back(payload.size());
@@ -991,13 +641,52 @@ CrashSweepReport VlfsCrashSim::SweepRange(const std::vector<CrashPoint>& points,
         }
       }
       if (!st.ok()) {
-        report.AddViolation(point, "post-recovery probe failed: " + st.ToString(),
-                            options.max_violation_details);
+        fail("post-recovery probe failed: " + st.ToString());
       }
     }
-    scratch = std::move(disk).TakeMedia();
   }
-  return report;
+
+ private:
+  // Checks one path against an expected state (nullopt = absent). Returns a description of the
+  // mismatch, or an empty string.
+  static std::string CheckPath(vlfs::Vlfs& fs, const std::string& path,
+                               const std::optional<FileState>& expect) {
+    auto stat = fs.Stat(path);
+    if (!expect.has_value()) {
+      return stat.ok() ? "path '" + path + "' resurrected after recovery" : "";
+    }
+    if (!stat.ok()) {
+      return "path '" + path + "' missing after recovery";
+    }
+    if (stat->is_directory != expect->is_dir) {
+      return "path '" + path + "' changed type after recovery";
+    }
+    if (expect->is_dir) {
+      return "";
+    }
+    if (stat->size != expect->content.size()) {
+      return "file '" + path + "' has wrong size after recovery";
+    }
+    std::vector<std::byte> data(expect->content.size());
+    if (!data.empty()) {
+      auto read = fs.Read(path, 0, data);
+      if (!read.ok() || *read != data.size() ||
+          std::memcmp(data.data(), expect->content.data(), data.size()) != 0) {
+        return "file '" + path + "' has wrong contents after recovery";
+      }
+    }
+    return "";
+  }
+
+  const VlfsCrashSim& sim_;
+  const CrashSweepOptions& options_;
+  size_t op_idx_ = 0;
+  std::unordered_map<std::string, FileState> committed_;
+};
+
+CrashSweepReport VlfsCrashSim::Sweep(const CrashSweepOptions& options) const {
+  return RunCrashSweep(trace_, {&trace_.base(), 1}, params_, options,
+                       [&] { return std::make_unique<Target>(*this, options); });
 }
 
 }  // namespace vlog::crashsim

@@ -84,27 +84,8 @@ struct CrashSweepReport {
   std::string Summary() const;
 };
 
-// Shared by every sweep implementation (single-disk, VLFS, array): regular prefix/torn points
-// plus (for write-back traces) reorder points, merged into one list ordered by writes_applied,
-// with stable per-sweep ordinals — the ordinal a replay names via --point=.
-std::vector<CrashPoint> AllCrashPoints(const WriteTrace& trace, uint32_t sector_bytes,
-                                       const CrashSweepOptions& options);
 // "crash point #<ordinal> n=<writes> kind=..." — the prefix AddViolation puts on details.
 std::string CrashPointName(const CrashPoint& point);
-
-// Resolves CrashSweepOptions.workers: 0 means hardware concurrency, and the result is clamped
-// to [1, points] (a shard with no points would be pure overhead).
-uint32_t ResolveSweepWorkers(uint32_t requested, size_t points);
-
-// Runs `sweep_range(begin, end)` over `workers` contiguous ordinal ranges covering
-// [0, points), one range per thread, and merges the per-range reports in range order. Every
-// crash point's variant seed, ordinal, and image are fixed at enumeration time and each range
-// rebuilds its own rolling state from the trace base, so the merged report — counters,
-// violation details, recovery times, Summary() text — is byte-identical to a single serial
-// range at any worker count.
-CrashSweepReport RunShardedSweep(
-    size_t points, uint64_t seed, const CrashSweepOptions& options,
-    const std::function<CrashSweepReport(size_t, size_t)>& sweep_range);
 
 // Device-level harness: a workload drives a ShadowVld; the sweep replays its media history.
 class VldCrashSim {
@@ -129,10 +110,7 @@ class VldCrashSim {
   const std::vector<ShadowVld::Op>& ops() const { return ops_; }
 
  private:
-  // The serial sweep over points[begin, end): rebuilds its rolling state from the trace base
-  // (the first iteration's catch-up loop), so ranges are independent and thread-safe.
-  CrashSweepReport SweepRange(const std::vector<CrashPoint>& points, size_t begin, size_t end,
-                              const CrashSweepOptions& options) const;
+  class Target;  // The sweep driver's view of this harness (harness.cc).
 
   simdisk::DiskParams params_;
   core::VldConfig config_;
@@ -170,13 +148,11 @@ class VlfsCrashSim {
   const WriteTrace& trace() const { return trace_; }
 
  private:
+  class Target;  // The sweep driver's view of this harness (harness.cc).
   struct FileState {
     bool is_dir = false;
     std::vector<std::byte> content;
   };
-
-  CrashSweepReport SweepRange(const std::vector<CrashPoint>& points, size_t begin, size_t end,
-                              const CrashSweepOptions& options) const;
   // One committed namespace transition: `path` went from `before` to `after` (nullopt =
   // absent) at trace position end_writes. Ops with no namespace effect have an empty path.
   struct FsOpRecord {

@@ -1,6 +1,7 @@
 #include "src/crashsim/scenarios.h"
 
 #include <algorithm>
+#include <deque>
 #include <string>
 
 #include "src/common/rng.h"
@@ -24,6 +25,27 @@ std::vector<std::byte> Pattern(uint32_t block, uint32_t version, size_t bytes = 
   }
   return data;
 }
+
+// Synchronous single-block writes of blocks [first, end), each at `version`.
+common::Status WriteBlocks(ShadowVld& dev, uint32_t first, uint32_t end, uint32_t version) {
+  for (uint32_t b = first; b < end; ++b) {
+    RETURN_IF_ERROR(dev.Write(static_cast<simdisk::Lba>(b) * kBlockSectors, Pattern(b, version)));
+  }
+  return common::OkStatus();
+}
+
+// A batch of whole-block writes under construction. The payloads sit in a deque, so adding
+// one never moves the bytes earlier writes point at.
+struct Batch {
+  void Add(uint32_t block, uint32_t version, uint32_t block_sectors = kBlockSectors) {
+    payloads.push_back(Pattern(block, version));
+    writes.push_back(core::Vld::AtomicWrite{static_cast<simdisk::Lba>(block) * block_sectors,
+                                            payloads.back()});
+  }
+
+  std::deque<std::vector<std::byte>> payloads;
+  std::vector<core::Vld::AtomicWrite> writes;
+};
 
 common::Status UfsOnVldWorkload(ShadowVld& dev) {
   simdisk::HostModel host(simdisk::ZeroCostHost(), dev.vld().disk().clock());
@@ -51,10 +73,7 @@ common::Status CompactorActiveWorkload(ShadowVld& dev) {
   const uint32_t blocks = dev.vld().logical_blocks();
   const uint32_t used = blocks * 2 / 5;
   // Fill a contiguous region so trims punch holes the compactor wants to squeeze out.
-  for (uint32_t b = 0; b < used; ++b) {
-    RETURN_IF_ERROR(
-        dev.Write(static_cast<simdisk::Lba>(b) * kBlockSectors, Pattern(b, 1)));
-  }
+  RETURN_IF_ERROR(WriteBlocks(dev, 0, used, 1));
   RETURN_IF_ERROR(dev.Trim(0, static_cast<uint64_t>(used / 3) * kBlockSectors));
   dev.RunIdle(common::Milliseconds(150));
 
@@ -64,25 +83,18 @@ common::Status CompactorActiveWorkload(ShadowVld& dev) {
     const uint32_t a = static_cast<uint32_t>(rng.Below(used));
     const uint32_t b = static_cast<uint32_t>(rng.Below(used));
     const uint32_t c = used + static_cast<uint32_t>(rng.Below(blocks - used));
-    const auto da = Pattern(a, 10 + static_cast<uint32_t>(round));
-    const auto db = Pattern(b, 20 + static_cast<uint32_t>(round));
-    const auto dc = Pattern(c, 30 + static_cast<uint32_t>(round));
-    const core::Vld::AtomicWrite writes[] = {
-        {static_cast<simdisk::Lba>(a) * kBlockSectors, da},
-        {static_cast<simdisk::Lba>(b) * kBlockSectors, db},
-        {static_cast<simdisk::Lba>(c) * kBlockSectors, dc},
-    };
-    RETURN_IF_ERROR(dev.WriteAtomic(writes));
+    Batch batch;
+    batch.Add(a, 10 + static_cast<uint32_t>(round));
+    batch.Add(b, 20 + static_cast<uint32_t>(round));
+    batch.Add(c, 30 + static_cast<uint32_t>(round));
+    RETURN_IF_ERROR(dev.WriteAtomic(batch.writes));
     // Interleave trims with the atomic traffic, sometimes hitting just-written blocks.
     if (round % 2 == 0) {
       RETURN_IF_ERROR(dev.Trim(static_cast<simdisk::Lba>(a) * kBlockSectors, kBlockSectors));
     }
   }
   dev.RunIdle(common::Milliseconds(150));
-  for (uint32_t b = used / 3; b < used / 3 + 8; ++b) {
-    RETURN_IF_ERROR(
-        dev.Write(static_cast<simdisk::Lba>(b) * kBlockSectors, Pattern(b, 99)));
-  }
+  RETURN_IF_ERROR(WriteBlocks(dev, used / 3, used / 3 + 8, 99));
   return common::OkStatus();  // No park: every recovery takes the scan path.
 }
 
@@ -94,9 +106,7 @@ common::Status CompactorActiveWorkload(ShadowVld& dev) {
 common::Status CompactionUnderLoadWorkload(ShadowVld& dev) {
   const uint32_t blocks = dev.vld().logical_blocks();
   const uint32_t used = blocks * 3 / 5;
-  for (uint32_t b = 0; b < used; ++b) {
-    RETURN_IF_ERROR(dev.Write(static_cast<simdisk::Lba>(b) * kBlockSectors, Pattern(b, 1)));
-  }
+  RETURN_IF_ERROR(WriteBlocks(dev, 0, used, 1));
   // Trims punch holes so the governor has real compaction debt from the first grant.
   RETURN_IF_ERROR(dev.Trim(0, static_cast<uint64_t>(used / 3) * kBlockSectors));
   core::GovernorConfig config;
@@ -111,17 +121,11 @@ common::Status CompactionUnderLoadWorkload(ShadowVld& dev) {
   uint32_t version = 2;
   for (int round = 0; round < 6; ++round) {
     const size_t depth = 1 + rng.Below(6);
-    std::vector<std::vector<std::byte>> payloads;
-    payloads.reserve(depth);
-    std::vector<core::Vld::AtomicWrite> writes;
-    writes.reserve(depth);
+    Batch batch;
     for (size_t i = 0; i < depth; ++i) {
-      const uint32_t b = static_cast<uint32_t>(rng.Below(blocks));
-      payloads.push_back(Pattern(b, version));
-      writes.push_back(core::Vld::AtomicWrite{static_cast<simdisk::Lba>(b) * kBlockSectors,
-                                              payloads.back()});
+      batch.Add(static_cast<uint32_t>(rng.Below(blocks)), version);
     }
-    RETURN_IF_ERROR(dev.WriteQueuedBatch(writes));
+    RETURN_IF_ERROR(dev.WriteQueuedBatch(batch.writes));
     ++version;
     // Alternate trough-shaped grants (idle hint: the whole gap) with credit-shaped ones, the
     // two grant paths the governor exposes; route the burst through the shadow so its media
@@ -158,24 +162,15 @@ common::Status CompactionUnderLoadWorkload(ShadowVld& dev) {
 common::Status CheckpointInterruptedWorkload(ShadowVld& dev) {
   const uint32_t blocks = dev.vld().logical_blocks();
   uint32_t version = 1;
-  for (uint32_t b = 0; b < 30; ++b) {
-    RETURN_IF_ERROR(
-        dev.Write(static_cast<simdisk::Lba>(b) * kBlockSectors, Pattern(b, version)));
-  }
+  RETURN_IF_ERROR(WriteBlocks(dev, 0, 30, version));
   RETURN_IF_ERROR(dev.Checkpoint());
   ++version;
-  for (uint32_t b = 10; b < 25; ++b) {
-    RETURN_IF_ERROR(
-        dev.Write(static_cast<simdisk::Lba>(b) * kBlockSectors, Pattern(b, version)));
-  }
+  RETURN_IF_ERROR(WriteBlocks(dev, 10, 25, version));
   RETURN_IF_ERROR(dev.Checkpoint());
   RETURN_IF_ERROR(dev.Trim(0, static_cast<uint64_t>(8) * kBlockSectors));
   RETURN_IF_ERROR(dev.Checkpoint());
   ++version;
-  for (uint32_t b = blocks - 6; b < blocks; ++b) {
-    RETURN_IF_ERROR(
-        dev.Write(static_cast<simdisk::Lba>(b) * kBlockSectors, Pattern(b, version)));
-  }
+  RETURN_IF_ERROR(WriteBlocks(dev, blocks - 6, blocks, version));
   return dev.Park();
 }
 
@@ -183,55 +178,39 @@ common::Status QueuedGroupCommitWorkload(ShadowVld& dev) {
   const uint32_t blocks = dev.vld().logical_blocks();
   // Base content so the queued updates overwrite live blocks (the recovery-relevant case:
   // all-old must expose the previous version, not zeros).
-  for (uint32_t b = 0; b < 24; ++b) {
-    RETURN_IF_ERROR(dev.Write(static_cast<simdisk::Lba>(b) * kBlockSectors, Pattern(b, 1)));
-  }
+  RETURN_IF_ERROR(WriteBlocks(dev, 0, 24, 1));
   // Batches of random-update queued writes at varying depths: each batch's map entries commit
   // in one packed multi-sector transaction, so crash points land inside packed map writes.
   common::Rng rng(11);
   uint32_t version = 2;
   for (int round = 0; round < 6; ++round) {
     const size_t depth = 1 + rng.Below(8);
-    std::vector<std::vector<std::byte>> payloads;
-    payloads.reserve(depth);
-    std::vector<core::Vld::AtomicWrite> writes;
-    writes.reserve(depth);
+    Batch batch;
     for (size_t i = 0; i < depth; ++i) {
       // Random updates over the whole logical space so one batch's map entries usually span
       // several pieces — that is what makes the packed commit a multi-sector (tearable) write.
-      const uint32_t b = static_cast<uint32_t>(rng.Below(blocks));
-      payloads.push_back(Pattern(b, version));
-      writes.push_back(core::Vld::AtomicWrite{static_cast<simdisk::Lba>(b) * kBlockSectors,
-                                              payloads.back()});
+      batch.Add(static_cast<uint32_t>(rng.Below(blocks)), version);
     }
-    RETURN_IF_ERROR(dev.WriteQueuedBatch(writes));
+    RETURN_IF_ERROR(dev.WriteQueuedBatch(batch.writes));
     ++version;
   }
   // A trim and one more deep batch, then park so the sweep also covers tail recoveries over
   // packed blocks.
   RETURN_IF_ERROR(dev.Trim(0, static_cast<uint64_t>(4) * kBlockSectors));
-  {
-    std::vector<std::vector<std::byte>> payloads;
-    std::vector<core::Vld::AtomicWrite> writes;
-    for (uint32_t i = 0; i < 12; ++i) {
-      // Stride the deep batch across the logical space: 12 updates in 12 different pieces,
-      // guaranteeing the packed commit spans multiple physical blocks.
-      const uint32_t b = (i * (blocks / 12)) % blocks;
-      payloads.push_back(Pattern(b, version));
-      writes.push_back(core::Vld::AtomicWrite{static_cast<simdisk::Lba>(b) * kBlockSectors,
-                                              payloads.back()});
-    }
-    RETURN_IF_ERROR(dev.WriteQueuedBatch(writes));
+  Batch deep;
+  for (uint32_t i = 0; i < 12; ++i) {
+    // Stride the deep batch across the logical space: 12 updates in 12 different pieces,
+    // guaranteeing the packed commit spans multiple physical blocks.
+    deep.Add((i * (blocks / 12)) % blocks, version);
   }
+  RETURN_IF_ERROR(dev.WriteQueuedBatch(deep.writes));
   return dev.Park();
 }
 
 common::Status QueuedMixedReadWriteWorkload(ShadowVld& dev) {
   const uint32_t blocks = dev.vld().logical_blocks();
   // Base content: reads of mapped blocks must see real prior versions, not zeros.
-  for (uint32_t b = 0; b < 24; ++b) {
-    RETURN_IF_ERROR(dev.Write(static_cast<simdisk::Lba>(b) * kBlockSectors, Pattern(b, 1)));
-  }
+  RETURN_IF_ERROR(WriteBlocks(dev, 0, 24, 1));
   common::Rng rng(13);
   uint32_t version = 2;
   for (int round = 0; round < 6; ++round) {
@@ -239,20 +218,15 @@ common::Status QueuedMixedReadWriteWorkload(ShadowVld& dev) {
     // every other slot (a guaranteed same-batch RAW that must be served from the pending
     // payload), otherwise a random block — occasionally unmapped, which must read as zeros.
     const size_t depth = 2 + rng.Below(6);  // depth writes + depth reads <= queue_depth 16.
-    std::vector<std::vector<std::byte>> payloads;
-    payloads.reserve(depth);
-    std::vector<core::Vld::AtomicWrite> writes;
-    writes.reserve(depth);
+    Batch batch;
     std::vector<uint32_t> read_blocks;
     read_blocks.reserve(depth);
     for (size_t i = 0; i < depth; ++i) {
       const uint32_t b = static_cast<uint32_t>(rng.Below(blocks));
-      payloads.push_back(Pattern(b, version));
-      writes.push_back(core::Vld::AtomicWrite{static_cast<simdisk::Lba>(b) * kBlockSectors,
-                                              payloads.back()});
+      batch.Add(b, version);
       read_blocks.push_back(i % 2 == 0 ? b : static_cast<uint32_t>(rng.Below(blocks)));
     }
-    RETURN_IF_ERROR(dev.QueuedMixedBatch(writes, read_blocks));
+    RETURN_IF_ERROR(dev.QueuedMixedBatch(batch.writes, read_blocks));
     ++version;
   }
   // A read-only batch: commits nothing, and QueuedMixedBatch fails the recording if it emits
@@ -268,17 +242,14 @@ common::Status QueuedMixedReadWriteWorkload(ShadowVld& dev) {
   // the sweep covers tail recoveries too.
   RETURN_IF_ERROR(dev.Trim(0, static_cast<uint64_t>(4) * kBlockSectors));
   {
-    std::vector<std::vector<std::byte>> payloads;
-    std::vector<core::Vld::AtomicWrite> writes;
+    Batch batch;
     std::vector<uint32_t> read_blocks;
     for (uint32_t i = 0; i < 6; ++i) {
       const uint32_t b = 8 + i * (blocks / 8) % (blocks - 8);
-      payloads.push_back(Pattern(b, version));
-      writes.push_back(core::Vld::AtomicWrite{static_cast<simdisk::Lba>(b) * kBlockSectors,
-                                              payloads.back()});
+      batch.Add(b, version);
       read_blocks.push_back(i < 4 ? i : b);  // Blocks 0..3 were just trimmed: expect zeros.
     }
-    RETURN_IF_ERROR(dev.QueuedMixedBatch(writes, read_blocks));
+    RETURN_IF_ERROR(dev.QueuedMixedBatch(batch.writes, read_blocks));
   }
   return dev.Park();
 }
@@ -297,10 +268,7 @@ common::Status StripedArrayWorkload(ArrayCrashSim::Workload& w) {
   for (int round = 0; round < 4; ++round) {
     const size_t depth = 2 + rng.Below(5);
     std::vector<uint32_t> chosen;
-    std::vector<std::vector<std::byte>> payloads;
-    std::vector<core::Vld::AtomicWrite> writes;
-    payloads.reserve(depth);
-    writes.reserve(depth);
+    Batch batch;
     while (chosen.size() < depth) {
       // Unique random blocks over the whole array space, so one batch usually lands runs on
       // both members and on several map pieces per member.
@@ -309,11 +277,9 @@ common::Status StripedArrayWorkload(ArrayCrashSim::Workload& w) {
         continue;
       }
       chosen.push_back(b);
-      payloads.push_back(Pattern(b, version));
-      writes.push_back(core::Vld::AtomicWrite{static_cast<simdisk::Lba>(b) * block_sectors,
-                                              payloads.back()});
+      batch.Add(b, version, block_sectors);
     }
-    RETURN_IF_ERROR(w.QueuedBatch(writes));
+    RETURN_IF_ERROR(w.QueuedBatch(batch.writes));
     ++version;
   }
   RETURN_IF_ERROR(w.WriteBlock(3, Pattern(3, 90)));
@@ -334,21 +300,16 @@ common::Status MirroredArrayWorkload(ArrayCrashSim::Workload& w) {
   for (int round = 0; round < 3; ++round) {
     const size_t depth = 2 + rng.Below(3);
     std::vector<uint32_t> chosen;
-    std::vector<std::vector<std::byte>> payloads;
-    std::vector<core::Vld::AtomicWrite> writes;
-    payloads.reserve(depth);
-    writes.reserve(depth);
+    Batch batch;
     while (chosen.size() < depth) {
       const uint32_t b = static_cast<uint32_t>(rng.Below(blocks));
       if (std::find(chosen.begin(), chosen.end(), b) != chosen.end()) {
         continue;
       }
       chosen.push_back(b);
-      payloads.push_back(Pattern(b, version));
-      writes.push_back(core::Vld::AtomicWrite{static_cast<simdisk::Lba>(b) * block_sectors,
-                                              payloads.back()});
+      batch.Add(b, version, block_sectors);
     }
-    RETURN_IF_ERROR(w.QueuedBatch(writes));
+    RETURN_IF_ERROR(w.QueuedBatch(batch.writes));
     ++version;
   }
   // Overwrite a base block (the resync-relevant case: a lagging replica must roll forward to
@@ -401,15 +362,12 @@ common::Status NvmStagedWritesWorkload(ShadowVld& dev) {
   common::Rng rng(31);
   uint32_t version = 1;
   // Base fill: small single-block writes, all absorbed by the stage.
-  for (uint32_t b = 0; b < 16; ++b) {
-    RETURN_IF_ERROR(dev.Write(static_cast<simdisk::Lba>(b) * kBlockSectors, Pattern(b, 1)));
-  }
+  RETURN_IF_ERROR(WriteBlocks(dev, 0, 16, 1));
   for (int round = 0; round < 5; ++round) {
     ++version;
     for (int i = 0; i < 6; ++i) {
       const uint32_t b = static_cast<uint32_t>(rng.Below(blocks));
-      RETURN_IF_ERROR(
-          dev.Write(static_cast<simdisk::Lba>(b) * kBlockSectors, Pattern(b, version)));
+      RETURN_IF_ERROR(WriteBlocks(dev, b, b + 1, version));
     }
     // A two-block write exceeds the staging threshold: it goes direct and must invalidate any
     // staged copy it overlaps.
@@ -427,25 +385,21 @@ common::Status NvmStagedWritesWorkload(ShadowVld& dev) {
   // destages), group-committed through the stage's passthrough.
   {
     ++version;
-    std::vector<std::vector<std::byte>> payloads;
-    std::vector<core::Vld::AtomicWrite> writes;
+    Batch batch;
     std::vector<uint32_t> read_blocks;
     for (uint32_t i = 0; i < 4; ++i) {
       const uint32_t b = static_cast<uint32_t>(rng.Below(blocks));
-      payloads.push_back(Pattern(b, version));
-      writes.push_back(core::Vld::AtomicWrite{static_cast<simdisk::Lba>(b) * kBlockSectors,
-                                              payloads.back()});
+      batch.Add(b, version);
       read_blocks.push_back(i % 2 == 0 ? b : static_cast<uint32_t>(rng.Below(blocks)));
     }
-    RETURN_IF_ERROR(dev.QueuedMixedBatch(writes, read_blocks));
+    RETURN_IF_ERROR(dev.QueuedMixedBatch(batch.writes, read_blocks));
   }
   RETURN_IF_ERROR(dev.DrainStage());
   // Staged residue: acked writes whose only copy is the NVM log when the trace ends. No park,
   // no drain — the sweep's tail points must replay them.
   for (uint32_t i = 0; i < 4; ++i) {
     const uint32_t b = static_cast<uint32_t>(rng.Below(blocks));
-    RETURN_IF_ERROR(
-        dev.Write(static_cast<simdisk::Lba>(b) * kBlockSectors, Pattern(b, 200 + i)));
+    RETURN_IF_ERROR(WriteBlocks(dev, b, b + 1, 200 + i));
   }
   return common::OkStatus();
 }

@@ -52,6 +52,19 @@ void ShadowVld::RecordOp(std::vector<uint32_t> blocks,
   ops_.push_back(std::move(op));
 }
 
+void ShadowVld::RecordExtents(std::span<const core::Vld::AtomicWrite> writes) {
+  const uint32_t bs = vld_->block_sectors();
+  std::vector<uint32_t> blocks;
+  std::vector<std::vector<std::byte>> after;
+  for (const core::Vld::AtomicWrite& w : writes) {
+    for (size_t off = 0; off < w.data.size(); off += block_bytes_) {
+      blocks.push_back(static_cast<uint32_t>(w.lba / bs + off / block_bytes_));
+      after.emplace_back(w.data.begin() + off, w.data.begin() + off + block_bytes_);
+    }
+  }
+  RecordOp(std::move(blocks), std::move(after));
+}
+
 common::Status ShadowVld::Read(simdisk::Lba lba, std::span<std::byte> out) {
   RETURN_IF_ERROR(stage_ != nullptr ? stage_->Read(lba, out) : vld_->Read(lba, out));
   // Verify against the shadow: a divergence while the device is healthy is a live bug, better
@@ -118,16 +131,7 @@ common::Status ShadowVld::Trim(simdisk::Lba lba, uint64_t sectors) {
 
 common::Status ShadowVld::WriteAtomic(std::span<const core::Vld::AtomicWrite> writes) {
   RETURN_IF_ERROR(stage_ != nullptr ? stage_->WriteAtomic(writes) : vld_->WriteAtomic(writes));
-  const uint32_t bs = vld_->block_sectors();
-  std::vector<uint32_t> blocks;
-  std::vector<std::vector<std::byte>> after;
-  for (const core::Vld::AtomicWrite& w : writes) {
-    for (size_t off = 0; off < w.data.size(); off += block_bytes_) {
-      blocks.push_back(static_cast<uint32_t>(w.lba / bs + off / block_bytes_));
-      after.emplace_back(w.data.begin() + off, w.data.begin() + off + block_bytes_);
-    }
-  }
-  RecordOp(std::move(blocks), std::move(after));
+  RecordExtents(writes);
   return common::OkStatus();
 }
 
@@ -203,18 +207,9 @@ common::Status ShadowVld::QueuedMixedBatch(std::span<const core::Vld::AtomicWrit
                                 std::to_string(r.block) + " diverged from shadow");
     }
   }
-  if (writes.empty()) {
-    return common::OkStatus();  // Reads dirty nothing: no op to record.
+  if (!writes.empty()) {  // Reads dirty nothing: a read-only batch records no op.
+    RecordExtents(writes);
   }
-  std::vector<uint32_t> blocks;
-  std::vector<std::vector<std::byte>> after;
-  for (const core::Vld::AtomicWrite& w : writes) {
-    for (size_t off = 0; off < w.data.size(); off += block_bytes_) {
-      blocks.push_back(static_cast<uint32_t>(w.lba / bs + off / block_bytes_));
-      after.emplace_back(w.data.begin() + off, w.data.begin() + off + block_bytes_);
-    }
-  }
-  RecordOp(std::move(blocks), std::move(after));
   return common::OkStatus();
 }
 

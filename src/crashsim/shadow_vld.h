@@ -102,6 +102,8 @@ class ShadowVld : public simdisk::BlockDevice {
   // Records an acknowledged op touching `blocks`, whose new contents are `after`, and folds it
   // into the shadow.
   void RecordOp(std::vector<uint32_t> blocks, std::vector<std::vector<std::byte>> after);
+  // RecordOp for whole aligned block extents.
+  void RecordExtents(std::span<const core::Vld::AtomicWrite> writes);
   // Shadow contents of block `b` with sectors [first, first+count) replaced from `data`.
   std::vector<std::byte> Overlay(uint32_t block, uint32_t first_sector, uint64_t sector_count,
                                  std::span<const std::byte> data) const;

@@ -16,6 +16,7 @@
 #include "src/crashsim/harness.h"
 #include "src/crashsim/scenarios.h"
 #include "src/crashsim/write_trace.h"
+#include "tests/crash_sweep_checks.h"
 
 namespace vlog::crashsim {
 
@@ -53,6 +54,7 @@ TEST(ArrayCrashSweepTest, StripedGroupCommitHasNoViolations) {
 
   const CrashSweepReport report = sim.Sweep(SeededSweepOptions());
   std::cout << "[ array ] striped: " << report.Summary() << "\n";
+  ExpectGoldenSummary("array/striped-group-commit", report);
   EXPECT_TRUE(report.ok()) << report.Summary();
   EXPECT_GE(report.points, 100u) << report.Summary();
   EXPECT_GE(report.torn_points, 20u) << report.Summary();
@@ -73,6 +75,7 @@ TEST(ArrayCrashSweepTest, StripedCachedDestageHasNoViolations) {
   ASSERT_TRUE(recorded.ok()) << recorded.ToString();
   const CrashSweepReport report = sim.Sweep(SeededSweepOptions());
   std::cout << "[ array ] striped-cached: " << report.Summary() << "\n";
+  ExpectGoldenSummary("array-cached/striped-group-commit", report);
   EXPECT_TRUE(report.ok()) << report.Summary();
   EXPECT_GE(report.reorder_points, 50u) << report.Summary();
 }
@@ -87,9 +90,55 @@ TEST(ArrayCrashSweepTest, MirroredResyncHasNoViolations) {
   ASSERT_TRUE(recorded.ok()) << recorded.ToString();
   const CrashSweepReport report = sim.Sweep(SeededSweepOptions());
   std::cout << "[ array ] mirrored: " << report.Summary() << "\n";
+  ExpectGoldenSummary("array-cached/mirrored-resync", report);
   EXPECT_TRUE(report.ok()) << report.Summary();
   EXPECT_GE(report.points, 100u) << report.Summary();
   EXPECT_GE(report.reorder_points, 30u) << report.Summary();
+}
+
+// Negative control: with the members' durability barriers off on write-back caches, the sweep
+// must report violations in both modes — proof that the array checks actually run.
+TEST(ArrayCrashSweepTest, SweepDetectsMissingBarriers) {
+  if (Replaying()) {
+    GTEST_SKIP() << "negative control needs the full point sweep, not a --point replay";
+  }
+  core::VldConfig config = CrashSimVldConfig();
+  config.barriers = false;
+  for (const ArrayScenario scenario :
+       {ArrayScenario::kStripedGroupCommit, ArrayScenario::kMirroredResync}) {
+    ArrayCrashSim sim(CrashSimCachedDiskParams(), config,
+                      scenario == ArrayScenario::kStripedGroupCommit
+                          ? CrashSimStripedArrayConfig()
+                          : CrashSimMirroredArrayConfig(),
+                      /*member_count=*/2);
+    ASSERT_TRUE(RecordArrayScenario(scenario, sim).ok()) << ArrayScenarioName(scenario);
+    const CrashSweepReport report = sim.Sweep(SeededSweepOptions());
+    std::cout << "[ array ] no-barriers " << ArrayScenarioName(scenario) << ": "
+              << report.Summary() << "\n";
+    EXPECT_GT(report.reorder_points, 0u) << report.Summary();
+    EXPECT_GT(report.violations, 0u)
+        << ArrayScenarioName(scenario)
+        << ": barrier-less members on write-back caches must fail the sweep\n"
+        << report.Summary();
+    // Each detail names its point, member and in-flight op, so no two lines may read alike.
+    const std::set<std::string> distinct(report.violation_details.begin(),
+                                         report.violation_details.end());
+    EXPECT_EQ(distinct.size(), report.violation_details.size()) << report.Summary();
+  }
+}
+
+// The array sweep shards like the single-disk ones: per-member rolling images are rebuilt per
+// shard, so the merged report must not depend on the worker count.
+TEST(ParallelSweepTest, WorkerCountIsInvisibleInArrayReports) {
+  if (Replaying()) {
+    GTEST_SKIP() << "determinism comparison needs the full point sweep, not a --point replay";
+  }
+  ArrayCrashSim sim(CrashSimCachedDiskParams(), CrashSimVldConfig(),
+                    CrashSimStripedArrayConfig(), /*member_count=*/2);
+  ASSERT_TRUE(RecordArrayScenario(ArrayScenario::kStripedGroupCommit, sim).ok());
+  const CrashSweepReport serial = ExpectWorkerCountInvisible(sim, SeededSweepOptions());
+  EXPECT_TRUE(serial.ok()) << serial.Summary();
+  EXPECT_GT(serial.reorder_points, 0u) << serial.Summary();
 }
 
 // Satellite: the failure banner must print a complete replay command — both the seed and the
