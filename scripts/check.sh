@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Local CI: configure, build, and run the full test suite under both presets (default and
 # asan-ubsan), mirroring .github/workflows/ci.yml. Usage: scripts/check.sh [preset ...]
+# Presets: default, asan-ubsan, tsan (thread sanitizer; CI runs only the sharded-sweep tests
+# under it: ctest --preset tsan -R ParallelSweepTest).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

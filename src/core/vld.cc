@@ -236,7 +236,10 @@ common::Status Vld::StageBlockWrite(uint32_t logical_block, std::span<const std:
   if (!block) {
     return common::OutOfSpace("VLD full");
   }
-  RETURN_IF_ERROR(disk_->InternalWrite(space_.BlockToLba(*block), data));
+  if (const common::Status st = disk_->InternalWrite(space_.BlockToLba(*block), data); !st.ok()) {
+    allocator_.Free(*block);
+    return st;
+  }
   // The staged old block must reflect earlier staged writes to the same logical block.
   uint32_t old_phys = map_[logical_block];
   for (const StagedWrite& s : *staged) {
@@ -247,6 +250,12 @@ common::Status Vld::StageBlockWrite(uint32_t logical_block, std::span<const std:
   staged->push_back(StagedWrite{logical_block, *block, old_phys});
   ++stats_.blocks_written;
   return common::OkStatus();
+}
+
+void Vld::Unstage(const std::vector<StagedWrite>& staged) {
+  for (const StagedWrite& s : staged) {
+    allocator_.Free(s.new_phys);
+  }
 }
 
 common::Status Vld::CommitStaged(const std::vector<StagedWrite>& staged, bool packed) {
@@ -335,7 +344,10 @@ common::Status Vld::Write(simdisk::Lba lba, std::span<const std::byte> in) {
   disk_->ChargeHostCommand();
   ++stats_.host_writes;
   std::vector<StagedWrite> staged;
-  RETURN_IF_ERROR(StageHostWrite(lba, in, &staged));
+  if (const common::Status st = StageHostWrite(lba, in, &staged); !st.ok()) {
+    Unstage(staged);
+    return st;
+  }
   return CommitStaged(staged);
 }
 
@@ -627,15 +639,23 @@ common::Status Vld::WriteAtomic(std::span<const AtomicWrite> writes) {
   const uint32_t sector_bytes = disk_->SectorBytes();
   const uint32_t bs = config_.block_sectors;
   const size_t block_bytes = static_cast<size_t>(bs) * sector_bytes;
-  std::vector<StagedWrite> staged;
+  // Every extent is checked before any is staged, so a bad one leaves nothing behind.
   for (const AtomicWrite& w : writes) {
     if (w.lba % bs != 0 || w.data.size() % block_bytes != 0 ||
         w.lba + w.data.size() / sector_bytes > SectorCount()) {
       return common::InvalidArgument("WriteAtomic: extents must be whole aligned blocks");
     }
+  }
+  std::vector<StagedWrite> staged;
+  for (const AtomicWrite& w : writes) {
     for (size_t off = 0; off < w.data.size(); off += block_bytes) {
       const uint32_t lblock = static_cast<uint32_t>(w.lba / bs + off / block_bytes);
-      RETURN_IF_ERROR(StageBlockWrite(lblock, w.data.subspan(off, block_bytes), &staged));
+      if (const common::Status st =
+              StageBlockWrite(lblock, w.data.subspan(off, block_bytes), &staged);
+          !st.ok()) {
+        Unstage(staged);
+        return st;
+      }
     }
   }
   return CommitStaged(staged);

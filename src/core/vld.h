@@ -227,7 +227,8 @@ class Vld : public simdisk::BlockDevice, public CompactionBackend {
   uint32_t PieceOf(uint32_t logical_block) const { return logical_block / kEntriesPerSector; }
 
   // Stages one logical-block write: allocates and writes the data block; records the map change
-  // and the obsoleted physical block without touching the map yet.
+  // and the obsoleted physical block without touching the map yet. On failure nothing is
+  // staged: the allocated block is freed again.
   struct StagedWrite {
     uint32_t logical_block;
     uint32_t new_phys;
@@ -235,6 +236,9 @@ class Vld : public simdisk::BlockDevice, public CompactionBackend {
   };
   common::Status StageBlockWrite(uint32_t logical_block, std::span<const std::byte> data,
                                  std::vector<StagedWrite>* staged);
+  // Frees every block of an operation whose staging failed. None was committed, so no map
+  // entry points at one and the blocks they would have replaced stay live.
+  void Unstage(const std::vector<StagedWrite>& staged);
   // Splits one host-write extent into block-granularity staged writes (read-modify-write for
   // sub-block edges). Shared by Write and FlushQueue.
   common::Status StageHostWrite(simdisk::Lba lba, std::span<const std::byte> in,

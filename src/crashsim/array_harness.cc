@@ -134,7 +134,7 @@ common::Status ArrayCrashSim::Record(
   block_bytes_ = block_sectors_ * array.SectorBytes();
   array_blocks_ = static_cast<uint32_t>(array.SectorCount() / block_sectors_);
   chunk_sectors_ = array.chunk_sectors();
-  // Recording starts after Format: per-member base images, then every member media write into
+  // Recording starts after Format: per-member base disks, then every member media write into
   // one global trace tagged with the member index.
   for (uint32_t m = 0; m < member_count_; ++m) {
     bases_.push_back(StartRecording(trace_, disks[m], m));
@@ -169,7 +169,7 @@ class ArrayCrashSim::Target final : public CrashTarget {
     }
   }
 
-  void Check(const CrashPoint& point, std::span<simdisk::SimDisk* const> disks,
+  void Check(const CrashPoint& point, std::span<simdisk::SimDisk> disks,
              CrashSweepReport& report, const Fail& fail) override {
     const std::vector<ArrayOp>& ops = sim_.ops_;
     // In-flight array ops. Unlike the single-disk sweep, an array op's records span several
@@ -191,8 +191,8 @@ class ArrayCrashSim::Target final : public CrashTarget {
     // Fresh member Vlds over the crashed disks, then the array's stitched recovery.
     std::deque<core::Vld> vlds;
     std::vector<core::Vld*> members;
-    for (simdisk::SimDisk* disk : disks) {
-      members.push_back(&vlds.emplace_back(disk, sim_.member_config_));
+    for (simdisk::SimDisk& disk : disks) {
+      members.push_back(&vlds.emplace_back(&disk, sim_.member_config_));
     }
     array::VldArray array(members, sim_.array_config_);
     auto info = array.Recover();
@@ -288,7 +288,7 @@ class ArrayCrashSim::Target final : public CrashTarget {
 };
 
 CrashSweepReport ArrayCrashSim::Sweep(const CrashSweepOptions& options) const {
-  return RunCrashSweep(trace_, bases_, params_, options,
+  return RunCrashSweep(trace_, bases_, options,
                        [&] { return std::make_unique<Target>(*this, options); });
 }
 

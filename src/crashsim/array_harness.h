@@ -9,7 +9,7 @@
 // ISSUE's "subset of disks torn/reordered while the rest are clean": it scrambles one member's
 // mid-destage writes while the other members' images sit at their last barrier.
 //
-// The sweep rebuilds per-member media images (each record replays onto images[record.disk]),
+// The sweep rebuilds each member's disk (record r replays onto member r.disk's disk),
 // recovers a fresh member stack per disk, runs the array's stitched recovery, and checks:
 //   1. Array recovery succeeds at every crash point.
 //   2. Acknowledged array writes read back exactly; the in-flight array op is atomic per member
@@ -33,6 +33,7 @@
 #include "src/crashsim/harness.h"
 #include "src/crashsim/write_trace.h"
 #include "src/simdisk/disk_params.h"
+#include "src/simdisk/sim_disk.h"
 
 namespace vlog::crashsim {
 
@@ -100,7 +101,7 @@ class ArrayCrashSim {
   array::VldArrayConfig array_config_;
   uint32_t member_count_;
   WriteTrace trace_;                             // Disk-tagged global trace.
-  std::vector<std::vector<std::byte>> bases_;    // Post-format media image per member.
+  std::vector<simdisk::SimDisk> bases_;          // Each member's disk as recording started.
   std::vector<ArrayOp> ops_;
   uint32_t array_blocks_ = 0;
   uint32_t block_sectors_ = 0;

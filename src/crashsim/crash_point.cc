@@ -1,8 +1,6 @@
 #include "src/crashsim/crash_point.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cstring>
 
 #include "src/common/rng.h"
 
@@ -11,14 +9,6 @@ namespace {
 
 // Distinct, deterministic seed per (base seed, write index).
 uint64_t VariantSeed(uint64_t base, uint64_t index) { return base * 1000003ULL + index + 1; }
-
-void CopySectors(std::vector<std::byte>& image, const WriteRecord& record, uint32_t sector_bytes,
-                 uint64_t first_sector, uint64_t count) {
-  const size_t offset = (record.lba + first_sector) * sector_bytes;
-  assert(offset + count * sector_bytes <= image.size());
-  std::memcpy(image.data() + offset, record.data.data() + first_sector * sector_bytes,
-              count * sector_bytes);
-}
 
 }  // namespace
 
@@ -141,45 +131,6 @@ std::vector<CrashPoint> EnumerateReorderPoints(const WriteTrace& trace,
     }
   }
   return points;
-}
-
-void ApplyCrashedWrite(std::vector<std::byte>& image, const WriteRecord& record,
-                       uint32_t sector_bytes, const CrashPoint& point) {
-  const uint64_t sectors = record.Sectors(sector_bytes);
-  switch (point.kind) {
-    case CrashKind::kClean:
-    case CrashKind::kReorder:  // Materialized by the sweep via point.extra, not here.
-      break;
-    case CrashKind::kTornPrefix: {
-      const uint64_t keep = std::min<uint64_t>(point.keep_sectors, sectors);
-      CopySectors(image, record, sector_bytes, 0, keep);
-      break;
-    }
-    case CrashKind::kTornSuffix: {
-      const uint64_t keep = std::min<uint64_t>(point.keep_sectors, sectors);
-      CopySectors(image, record, sector_bytes, sectors - keep, keep);
-      break;
-    }
-    case CrashKind::kTornRandom: {
-      common::Rng rng(point.seed);
-      for (uint64_t s = 0; s < sectors; ++s) {
-        if (rng.Chance(0.5)) {
-          CopySectors(image, record, sector_bytes, s, 1);
-        }
-      }
-      break;
-    }
-    case CrashKind::kCorruptTail: {
-      CopySectors(image, record, sector_bytes, 0, sectors);
-      common::Rng rng(point.seed);
-      const uint64_t flips = 1 + rng.Below(8);
-      std::byte* tail = image.data() + (record.lba + sectors - 1) * sector_bytes;
-      for (uint64_t i = 0; i < flips; ++i) {
-        tail[rng.Below(sector_bytes)] ^= static_cast<std::byte>(1 + rng.Below(255));
-      }
-      break;
-    }
-  }
 }
 
 }  // namespace vlog::crashsim

@@ -24,6 +24,8 @@
 
 namespace vlog::crashsim {
 
+// The torn and corrupt-tail kinds are SimDisk write faults: the sweep materializes them with
+// SimDisk::PokeFaulted in the matching WriteFaultMode.
 enum class CrashKind : uint8_t {
   kClean,        // Power drops between writes; the trace prefix persists exactly.
   kTornPrefix,   // The final write persists only its first keep_sectors sectors.
@@ -81,11 +83,6 @@ std::vector<CrashPoint> EnumerateCrashPoints(const WriteTrace& trace, uint32_t s
 // Ordered by writes_applied, so it merges into the sweep's rolling pass.
 std::vector<CrashPoint> EnumerateReorderPoints(const WriteTrace& trace,
                                                const ReorderOptions& options);
-
-// Applies the partially-persisted or corrupted form of `record` that `point` describes. The
-// modes mirror SimDisk's WriteFaultMode semantics, replayed over an offline image.
-void ApplyCrashedWrite(std::vector<std::byte>& image, const WriteRecord& record,
-                       uint32_t sector_bytes, const CrashPoint& point);
 
 }  // namespace vlog::crashsim
 

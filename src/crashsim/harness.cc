@@ -128,9 +128,9 @@ common::Status VldCrashSim::Record(
   RETURN_IF_ERROR(vld.Format());
   logical_blocks_ = vld.logical_blocks();
   block_bytes_ = vld.block_sectors() * disk.SectorBytes();
-  // Recording starts after Format: the base image is the freshly formatted device, and every
-  // later media write (data, map sectors, checkpoints, park) lands in the trace.
-  trace_.set_base(StartRecording(trace_, disk));
+  // Recording starts after Format: the base is a fork of the freshly formatted device, and
+  // every later media write (data, map sectors, checkpoints, park) lands in the trace.
+  bases_.push_back(StartRecording(trace_, disk));
   std::unique_ptr<simdisk::NvmDevice> nvm;
   std::unique_ptr<core::NvmStage> stage;
   if (staged_) {
@@ -189,14 +189,14 @@ class VldCrashSim::Target final : public CrashTarget {
     }
   }
 
-  void Check(const CrashPoint& point, std::span<simdisk::SimDisk* const> disks,
+  void Check(const CrashPoint& point, std::span<simdisk::SimDisk> disks,
              CrashSweepReport& report, const Fail& fail) override {
     const std::vector<ShadowVld::Op>& ops = sim_.ops_;
     const bool staged = sim_.staged_;
     const uint32_t block_sectors = sim_.block_bytes_ / sim_.params_.geometry.sector_bytes;
     const std::vector<const ShadowVld::Op*> inflight_ops = InflightOps(ops, op_idx_, point);
 
-    simdisk::SimDisk& disk = *disks[0];
+    simdisk::SimDisk& disk = disks[0];
     common::Clock& clock = *disk.clock();
     core::Vld vld(&disk, sim_.config_);
     const common::Time start = clock.Now();
@@ -400,7 +400,7 @@ class VldCrashSim::Target final : public CrashTarget {
 };
 
 CrashSweepReport VldCrashSim::Sweep(const CrashSweepOptions& options) const {
-  return RunCrashSweep(trace_, {&trace_.base(), 1}, params_, options,
+  return RunCrashSweep(trace_, bases_, options,
                        [&] { return std::make_unique<Target>(*this, options); });
 }
 
@@ -415,7 +415,7 @@ common::Status VlfsCrashSim::Record(const std::vector<VlfsOp>& script) {
   simdisk::HostModel host(simdisk::ZeroCostHost(), &clock);
   vlfs::Vlfs fs(&disk, &host, config_);
   RETURN_IF_ERROR(fs.Format());
-  trace_.set_base(StartRecording(trace_, disk));
+  bases_.push_back(StartRecording(trace_, disk));
 
   // The expected-state model is maintained here, not read back from the fs: a divergence shows
   // up in the sweep (including at the final clean point, which is the uncrashed state).
@@ -500,7 +500,7 @@ class VlfsCrashSim::Target final : public CrashTarget {
     }
   }
 
-  void Check(const CrashPoint& point, std::span<simdisk::SimDisk* const> disks,
+  void Check(const CrashPoint& point, std::span<simdisk::SimDisk> disks,
              CrashSweepReport& report, const Fail& fail) override {
     const uint32_t sector_bytes = sim_.params_.geometry.sector_bytes;
     const std::vector<const FsOpRecord*> inflight_ops = InflightOps(sim_.ops_, op_idx_, point);
@@ -517,7 +517,7 @@ class VlfsCrashSim::Target final : public CrashTarget {
       }
     }
 
-    simdisk::SimDisk& disk = *disks[0];
+    simdisk::SimDisk& disk = disks[0];
     common::Clock& clock = *disk.clock();
     simdisk::HostModel host(simdisk::ZeroCostHost(), &clock);
     vlfs::Vlfs fs(&disk, &host, sim_.config_);
@@ -685,7 +685,7 @@ class VlfsCrashSim::Target final : public CrashTarget {
 };
 
 CrashSweepReport VlfsCrashSim::Sweep(const CrashSweepOptions& options) const {
-  return RunCrashSweep(trace_, {&trace_.base(), 1}, params_, options,
+  return RunCrashSweep(trace_, bases_, options,
                        [&] { return std::make_unique<Target>(*this, options); });
 }
 

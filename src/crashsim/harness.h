@@ -31,6 +31,7 @@
 #include "src/nvm/nvm_stage.h"
 #include "src/simdisk/disk_params.h"
 #include "src/simdisk/nvm_device.h"
+#include "src/simdisk/sim_disk.h"
 #include "src/vlfs/vlfs.h"
 
 namespace vlog::crashsim {
@@ -115,6 +116,7 @@ class VldCrashSim {
   simdisk::DiskParams params_;
   core::VldConfig config_;
   WriteTrace trace_;
+  std::vector<simdisk::SimDisk> bases_;  // The disk as recording started (one member).
   std::vector<ShadowVld::Op> ops_;
   uint32_t logical_blocks_ = 0;
   uint32_t block_bytes_ = 0;
@@ -165,6 +167,7 @@ class VlfsCrashSim {
   simdisk::DiskParams params_;
   vlfs::VlfsConfig config_;
   WriteTrace trace_;
+  std::vector<simdisk::SimDisk> bases_;  // The disk as recording started (one member).
   std::vector<FsOpRecord> ops_;
   std::vector<std::string> all_paths_;  // Every path the script ever named (absence checks).
 };

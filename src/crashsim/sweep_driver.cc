@@ -4,7 +4,6 @@
 #include <array>
 #include <cstring>
 #include <iterator>
-#include <optional>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -61,43 +60,43 @@ uint32_t ResolveSweepWorkers(uint32_t requested, size_t points) {
   return workers;
 }
 
-// The serial sweep over points[begin, end) into `report`. It rebuilds its rolling state from
-// the bases (the first iteration's catch-up loop), so ranges are independent and run on
-// separate threads.
-void SweepRange(const WriteTrace& trace, std::span<const std::vector<std::byte>> bases,
-                const simdisk::DiskParams& params, const std::vector<CrashPoint>& points,
-                size_t begin, size_t end, const CrashSweepOptions& options,
+// The SimDisk write fault that persists what a torn or corrupt-tail `point` keeps of its cut
+// write.
+simdisk::SimDisk::WriteFault FaultOf(const CrashPoint& point) {
+  using Mode = simdisk::SimDisk::WriteFaultMode;
+  const Mode mode = point.kind == CrashKind::kTornPrefix   ? Mode::kTornPrefix
+                    : point.kind == CrashKind::kTornSuffix ? Mode::kTornSuffix
+                    : point.kind == CrashKind::kTornRandom ? Mode::kTornRandom
+                                                           : Mode::kCorruptTail;
+  return {.mode = mode, .keep_sectors = point.keep_sectors, .seed = point.seed};
+}
+
+// The serial sweep over points[begin, end) into `report`. It forks its rolling disks from the
+// bases (the first iteration's catch-up loop), so ranges are independent and run on separate
+// threads.
+void SweepRange(const WriteTrace& trace, std::span<const simdisk::SimDisk> bases,
+                const std::vector<CrashPoint>& points, size_t begin, size_t end,
+                const CrashSweepOptions& options,
                 const std::function<std::unique_ptr<CrashTarget>()>& make_target,
                 CrashSweepReport& report) {
-  const uint32_t sector_bytes = params.geometry.sector_bytes;
-  const size_t members = bases.size();
-
-  // Rolling per-member images, advanced monotonically since points are ordered by
+  // Rolling per-member disks, advanced monotonically since points are ordered by
   // writes_applied. A range that starts mid-sweep catches up via the first iteration's loop.
-  std::vector<std::vector<std::byte>> images(bases.begin(), bases.end());
+  // Each point recovers on forks of them, so neither a crash variant nor recovery's own
+  // writes ever reach a rolling disk, and a fork costs one pointer per track.
+  std::vector<simdisk::SimDisk> rolling;
+  for (const simdisk::SimDisk& base : bases) {
+    rolling.push_back(base.Fork(nullptr));
+  }
   uint64_t applied = 0;
   const std::unique_ptr<CrashTarget> target = make_target();  // This range's shadow model.
-  // The crashed images, recycled through each point's SimDisks (media-adopting constructor +
-  // TakeMedia). Each is kept in sync with its rolling image by *difference*: trace records are
-  // applied to both copies, and the only places the two diverge — the point's crash-variant
-  // bytes plus every write the recovered instance made (tracked via the disk's write observer)
-  // — are listed in `dirty` and restored from the rolling image before the next point. The
-  // dirty footprint is a few KB against a media image ~500x that, so this replaces the
-  // full-media copy per point that used to dominate sweep wall time.
-  std::vector<std::vector<std::byte>> scratch(members);
-  std::vector<std::vector<std::pair<size_t, size_t>>> dirty(members);  // (offset, length).
-  std::vector<common::Clock> clocks(members);
-  std::vector<std::optional<simdisk::SimDisk>> disks(members);
-  std::vector<simdisk::SimDisk*> crashed(members);
+  std::vector<common::Clock> clocks(bases.size());
+  std::vector<simdisk::SimDisk> crashed;
 
   for (size_t pi = begin; pi < end; ++pi) {
     const CrashPoint& point = points[pi];
     for (; applied < point.writes_applied; ++applied) {
       const WriteRecord& record = trace[applied];
-      ApplyWrite(images[record.disk], record, sector_bytes);
-      if (!scratch[record.disk].empty()) {
-        ApplyWrite(scratch[record.disk], record, sector_bytes);
-      }
+      rolling[record.disk].PokeMedia(record.lba, record.data);
     }
     target->Fold(applied);
 
@@ -119,68 +118,47 @@ void SweepRange(const WriteTrace& trace, std::span<const std::vector<std::byte>>
       continue;  // Replay mode: count every point but recover/check only the requested one.
     }
 
-    // Reconstruct every member's crashed media. Only the member that owns the cut (or the
-    // reordered epoch) diverges from its rolling image — the others are exactly clean.
-    for (size_t m = 0; m < members; ++m) {
-      if (scratch[m].empty()) {
-        scratch[m] = images[m];  // First recovered point in this range: the one full copy.
-      } else {
-        for (const auto& [off, len] : dirty[m]) {
-          std::memcpy(scratch[m].data() + off, images[m].data() + off, len);
-        }
-      }
-      dirty[m].clear();
+    // Every member crashes as a power-cycled fork of its rolling disk, on a clock at zero. Only
+    // the member that owns the cut (or the reordered epoch) diverges — the others are clean.
+    for (size_t m = 0; m < rolling.size(); ++m) {
+      clocks[m] = common::Clock();
+      crashed.push_back(rolling[m].Fork(&clocks[m]));
     }
     if (point.kind == CrashKind::kReorder) {
       for (const uint64_t idx : point.extra) {
-        ApplyWrite(scratch[trace[idx].disk], trace[idx], sector_bytes);
-        dirty[trace[idx].disk].emplace_back(trace[idx].lba * sector_bytes, trace[idx].data.size());
+        crashed[trace[idx].disk].PokeMedia(trace[idx].lba, trace[idx].data);
       }
     } else if (point.kind != CrashKind::kClean) {
-      // Every crash variant mutates only bytes inside the record's own range.
       const WriteRecord& record = trace[applied];
-      ApplyCrashedWrite(scratch[record.disk], record, sector_bytes, point);
-      dirty[record.disk].emplace_back(record.lba * sector_bytes, record.data.size());
-    }
-    for (size_t m = 0; m < members; ++m) {
-      clocks[m] = common::Clock();
-      disks[m].emplace(params, &clocks[m], std::move(scratch[m]));
-      disks[m]->set_write_observer(
-          [&dirty, m, sector_bytes](simdisk::Lba lba, std::span<const std::byte> data,
-                                    bool /*durable*/) {
-            dirty[m].emplace_back(lba * sector_bytes, data.size());
-          });
-      crashed[m] = &*disks[m];
+      crashed[record.disk].PokeFaulted(record.lba, record.data, FaultOf(point));
     }
     target->Check(point, crashed, report, [&](const std::string& what) {
       report.AddViolation(point, what, options.max_violation_details);
     });
-    for (size_t m = 0; m < members; ++m) {
-      scratch[m] = std::move(*disks[m]).TakeMedia();
-      disks[m].reset();
-    }
+    // Dropping the forks before the next records land keeps the rolling disks the sole owners
+    // of the tracks they already copied, so those take later records in place.
+    crashed.clear();
   }
 }
 
 }  // namespace
 
-CrashSweepReport RunCrashSweep(const WriteTrace& trace,
-                               std::span<const std::vector<std::byte>> bases,
-                               const simdisk::DiskParams& params, const CrashSweepOptions& options,
+CrashSweepReport RunCrashSweep(const WriteTrace& trace, std::span<const simdisk::SimDisk> bases,
+                               const CrashSweepOptions& options,
                                const std::function<std::unique_ptr<CrashTarget>()>& make_target) {
-  const std::vector<CrashPoint> points =
-      AllCrashPoints(trace, params.geometry.sector_bytes, options);
+  const std::vector<CrashPoint> points = AllCrashPoints(trace, bases[0].SectorBytes(), options);
   // Every crash point's ordinal, image and variant seed are fixed at enumeration time, so
   // points shard across workers by contiguous ordinal range (sizes within one point of each
   // other) and each worker catches its own rolling state up from the bases: the only
-  // cross-thread state is the read-only trace and point list.
+  // cross-thread state is the read-only trace and point list, and the bases' tracks, which
+  // every worker's forks share read-only (a track is copied before any fork writes it).
   const uint32_t workers = ResolveSweepWorkers(options.workers, points.size());
   std::vector<CrashSweepReport> shards(workers);
   const auto sweep_shard = [&](uint32_t w) {
     const size_t size = points.size() / workers;
     const size_t rem = points.size() % workers;
     const size_t begin = w * size + std::min<size_t>(w, rem);
-    SweepRange(trace, bases, params, points, begin, begin + size + (w < rem ? 1 : 0), options,
+    SweepRange(trace, bases, points, begin, begin + size + (w < rem ? 1 : 0), options,
                make_target, shards[w]);
   };
   std::vector<std::thread> threads;
@@ -225,14 +203,14 @@ CrashSweepReport RunCrashSweep(const WriteTrace& trace,
   return merged;
 }
 
-std::vector<std::byte> StartRecording(WriteTrace& trace, simdisk::SimDisk& disk, uint32_t member) {
+simdisk::SimDisk StartRecording(WriteTrace& trace, simdisk::SimDisk& disk, uint32_t member) {
   trace.set_write_back(disk.params().cache.capacity_sectors > 0);
   disk.set_write_observer(
       [&trace, member](simdisk::Lba lba, std::span<const std::byte> data, bool durable) {
         trace.Append(lba, data, durable, member);
       });
   disk.set_flush_observer([&trace] { trace.AppendBarrier(); });
-  return SnapshotMedia(disk);
+  return disk.Fork(nullptr);
 }
 
 bool ContentMatches(std::span<const std::byte> got, const std::vector<std::byte>& expect) {

@@ -2,11 +2,11 @@
 // their targets share. Private to src/crashsim.
 //
 // The driver owns everything that is the same for every harness: enumerating the crash points
-// and sharding them across workers, one rolling media image per member disk (record r replays
-// onto image r.disk, so a single-disk sweep is the one-member case), building each point's
-// crashed SimDisks from those images, the point-kind counters, and only_ordinal replay. A
-// target owns what differs: its shadow model, which ops a point leaves in flight, and the
-// recovery and invariant checks it runs over the crashed disks.
+// and sharding them across workers, one rolling disk per member (record r replays onto disk
+// r.disk, so a single-disk sweep is the one-member case), forking each point's crashed disks
+// from them, the point-kind counters, and only_ordinal replay. A target owns what differs: its
+// shadow model, which ops a point leaves in flight, and the recovery and invariant checks it
+// runs over the crashed disks.
 #ifndef SRC_CRASHSIM_SWEEP_DRIVER_H_
 #define SRC_CRASHSIM_SWEEP_DRIVER_H_
 
@@ -22,7 +22,6 @@
 #include "src/crashsim/crash_point.h"
 #include "src/crashsim/harness.h"
 #include "src/crashsim/write_trace.h"
-#include "src/simdisk/disk_params.h"
 #include "src/simdisk/sim_disk.h"
 
 namespace vlog::crashsim {
@@ -38,23 +37,21 @@ class CrashTarget {
   virtual void Fold(uint64_t applied) = 0;
   // Recovers over `disks` (member m crashed as `point` describes), tallies the recovery in
   // `report`, and hands every invariant violation to `fail`. The disks die when this returns.
-  virtual void Check(const CrashPoint& point, std::span<simdisk::SimDisk* const> disks,
+  virtual void Check(const CrashPoint& point, std::span<simdisk::SimDisk> disks,
                      CrashSweepReport& report, const Fail& fail) = 0;
 };
 
-// Sweeps every crash point of `trace` over member disks built from `params`, whose media
-// start as `bases` (one per member). `make_target` is called once per worker, so a target's
+// Sweeps every crash point of `trace` over member disks forked from `bases` (one per member:
+// its disk as recording started). `make_target` is called once per worker, so a target's
 // rolling state is never shared between threads.
-CrashSweepReport RunCrashSweep(const WriteTrace& trace,
-                               std::span<const std::vector<std::byte>> bases,
-                               const simdisk::DiskParams& params, const CrashSweepOptions& options,
+CrashSweepReport RunCrashSweep(const WriteTrace& trace, std::span<const simdisk::SimDisk> bases,
+                               const CrashSweepOptions& options,
                                const std::function<std::unique_ptr<CrashTarget>()>& make_target);
 
 // Routes every later media write of `disk` into `trace`, tagged with `member`, and every
 // completed flush into a barrier; the trace is write-back when the disk runs a volatile cache.
-// Returns the disk's media as recording starts: the base those writes replay onto.
-std::vector<std::byte> StartRecording(WriteTrace& trace, simdisk::SimDisk& disk,
-                                      uint32_t member = 0);
+// Returns a fork of the disk as recording starts: the base those writes replay onto.
+simdisk::SimDisk StartRecording(WriteTrace& trace, simdisk::SimDisk& disk, uint32_t member = 0);
 
 // Does `got` equal `expect`, where an empty `expect` means all zeros?
 bool ContentMatches(std::span<const std::byte> got, const std::vector<std::byte>& expect);

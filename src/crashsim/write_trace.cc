@@ -1,7 +1,6 @@
 #include "src/crashsim/write_trace.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 
 namespace vlog::crashsim {
@@ -19,18 +18,6 @@ std::span<const std::byte> WriteTrace::ArenaCopy(std::span<const std::byte> data
   std::memcpy(dst, data.data(), data.size());
   arena_used_ += data.size();
   return {dst, data.size()};
-}
-
-std::vector<std::byte> SnapshotMedia(const simdisk::SimDisk& disk) {
-  std::vector<std::byte> image(disk.geometry().CapacityBytes());
-  disk.PeekMedia(0, image);
-  return image;
-}
-
-void ApplyWrite(std::vector<std::byte>& image, const WriteRecord& record, uint32_t sector_bytes) {
-  const size_t offset = record.lba * sector_bytes;
-  assert(offset + record.data.size() <= image.size());
-  std::memcpy(image.data() + offset, record.data.data(), record.data.size());
 }
 
 }  // namespace vlog::crashsim

@@ -1,10 +1,10 @@
 // Media-write recording for crash-consistency sweeps.
 //
-// A WriteTrace captures the complete persistence history of one workload run: the media image
-// at the moment recording started, plus every subsequent successful write (host or internal)
-// in the order the SimDisk committed it. Any crash point's disk image can then be rebuilt
-// offline by replaying a prefix of the records over the base image — without re-executing the
-// workload — which is what makes sweeping hundreds of crash points cheap.
+// A WriteTrace captures the complete persistence history of one workload run after recording
+// started: every successful write (host or internal) in the order the SimDisk committed it.
+// Any crash point's disk can then be rebuilt offline by replaying a prefix of the records over
+// a fork of the disk as recording started — without re-executing the workload — which is what
+// makes sweeping hundreds of crash points cheap.
 #ifndef SRC_CRASHSIM_WRITE_TRACE_H_
 #define SRC_CRASHSIM_WRITE_TRACE_H_
 
@@ -14,7 +14,7 @@
 #include <span>
 #include <vector>
 
-#include "src/simdisk/sim_disk.h"
+#include "src/simdisk/geometry.h"
 
 namespace vlog::crashsim {
 
@@ -29,8 +29,8 @@ struct WriteRecord {
   std::span<const std::byte> data;
   bool durable = true;
   // Which member disk committed the write. 0 for single-disk traces; an array sweep replays
-  // each record onto images[disk]. Barrier-delimited epochs still work globally because every
-  // member drains its own cache at each commit, so an epoch only ever holds one member's
+  // each record onto that member's disk. Barrier-delimited epochs still work globally because
+  // every member drains its own cache at each commit, so an epoch only ever holds one member's
   // volatile writes.
   uint32_t disk = 0;
 
@@ -39,9 +39,6 @@ struct WriteRecord {
 
 class WriteTrace {
  public:
-  void set_base(std::vector<std::byte> image) { base_ = std::move(image); }
-  const std::vector<std::byte>& base() const { return base_; }
-
   void Append(simdisk::Lba lba, std::span<const std::byte> data, bool durable = true,
               uint32_t disk = 0) {
     if (records_.empty()) {
@@ -79,7 +76,6 @@ class WriteTrace {
   // lifetime; payloads larger than a chunk get a dedicated chunk.
   std::span<const std::byte> ArenaCopy(std::span<const std::byte> data);
 
-  std::vector<std::byte> base_;
   std::vector<WriteRecord> records_;
   std::vector<uint64_t> barriers_;
   std::vector<std::unique_ptr<std::byte[]>> arena_;
@@ -87,12 +83,6 @@ class WriteTrace {
   size_t arena_used_ = 0;  // Bytes of arena_.back() in use.
   bool write_back_ = false;
 };
-
-// Copies the disk's whole media into a byte vector (zero simulated cost).
-std::vector<std::byte> SnapshotMedia(const simdisk::SimDisk& disk);
-
-// Applies `record` fully to `image`.
-void ApplyWrite(std::vector<std::byte>& image, const WriteRecord& record, uint32_t sector_bytes);
 
 }  // namespace vlog::crashsim
 

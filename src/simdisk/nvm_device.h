@@ -62,7 +62,6 @@ class NvmDevice {
   void Peek(uint64_t offset, std::span<std::byte> out) const;
   void Poke(uint64_t offset, std::span<const std::byte> in);
   std::vector<std::byte> Snapshot() const { return media_; }
-  std::vector<std::byte> TakeMedia() && { return std::move(media_); }
 
   uint64_t size_bytes() const { return params_.size_bytes; }
   uint32_t cache_line_bytes() const { return params_.cache_line_bytes; }

@@ -10,13 +10,15 @@
 namespace vlog::simdisk {
 
 SimDisk::SimDisk(DiskParams params, common::Clock* clock)
-    : params_(std::move(params)), clock_(clock), cache_(params_.cache) {
-  media_.resize(params_.geometry.CapacityBytes());
-}
+    : params_(std::move(params)),
+      clock_(clock),
+      tracks_(params_.geometry.TotalTracks()),
+      cache_(params_.cache) {}
 
-SimDisk::SimDisk(DiskParams params, common::Clock* clock, std::vector<std::byte> media)
-    : params_(std::move(params)), clock_(clock), media_(std::move(media)), cache_(params_.cache) {
-  media_.resize(params_.geometry.CapacityBytes());
+SimDisk SimDisk::Fork(common::Clock* clock) const {
+  SimDisk fork(params_, clock);
+  fork.tracks_ = tracks_;
+  return fork;
 }
 
 void SimDisk::RegisterTimelineProbes(obs::Timeline& timeline, const std::string& prefix) const {
@@ -262,23 +264,28 @@ common::Status SimDisk::ApplyWriteFault(Lba lba, std::span<const std::byte> in) 
   }
   write_fault_fired_ = true;
   // The head is mid-operation when power drops: persist whatever the fault mode says survived.
+  PokeFaulted(lba, in, *write_fault_);
+  return common::IoError("injected write failure (simulated power cut)");
+}
+
+void SimDisk::PokeFaulted(Lba lba, std::span<const std::byte> in, const WriteFault& fault) {
   const uint32_t sector_bytes = params_.geometry.sector_bytes;
   const uint64_t sectors = in.size() / sector_bytes;
-  switch (write_fault_->mode) {
+  switch (fault.mode) {
     case WriteFaultMode::kFailStop:
       break;
     case WriteFaultMode::kTornPrefix: {
-      const uint64_t keep = std::min<uint64_t>(write_fault_->keep_sectors, sectors);
+      const uint64_t keep = std::min<uint64_t>(fault.keep_sectors, sectors);
       PokeMedia(lba, in.subspan(0, keep * sector_bytes));
       break;
     }
     case WriteFaultMode::kTornSuffix: {
-      const uint64_t keep = std::min<uint64_t>(write_fault_->keep_sectors, sectors);
+      const uint64_t keep = std::min<uint64_t>(fault.keep_sectors, sectors);
       PokeMedia(lba + (sectors - keep), in.subspan((sectors - keep) * sector_bytes));
       break;
     }
     case WriteFaultMode::kTornRandom: {
-      common::Rng rng(write_fault_->seed);
+      common::Rng rng(fault.seed);
       for (uint64_t s = 0; s < sectors; ++s) {
         if (rng.Chance(0.5)) {
           PokeMedia(lba + s, in.subspan(s * sector_bytes, sector_bytes));
@@ -289,7 +296,7 @@ common::Status SimDisk::ApplyWriteFault(Lba lba, std::span<const std::byte> in) 
     case WriteFaultMode::kCorruptTail: {
       PokeMedia(lba, in);
       std::vector<std::byte> tail(in.end() - sector_bytes, in.end());
-      common::Rng rng(write_fault_->seed);
+      common::Rng rng(fault.seed);
       const uint64_t flips = 1 + rng.Below(8);
       for (uint64_t i = 0; i < flips; ++i) {
         tail[rng.Below(sector_bytes)] ^= static_cast<std::byte>(1 + rng.Below(255));
@@ -298,7 +305,6 @@ common::Status SimDisk::ApplyWriteFault(Lba lba, std::span<const std::byte> in) 
       break;
     }
   }
-  return common::IoError("injected write failure (simulated power cut)");
 }
 
 common::Status SimDisk::Write(Lba lba, std::span<const std::byte> in) {
@@ -321,12 +327,20 @@ common::Status SimDisk::InternalRead(Lba lba, std::span<std::byte> out) {
 }
 
 std::span<const std::byte> SimDisk::InternalReadView(Lba lba, uint64_t sectors) {
-  const uint64_t bytes = sectors * params_.geometry.sector_bytes;
-  if (!CheckRange(lba, bytes, "InternalRead").ok()) {
+  const DiskGeometry& g = params_.geometry;
+  const uint64_t bytes = sectors * g.sector_bytes;
+  if (!CheckRange(lba, bytes, "InternalRead").ok() ||
+      g.TrackOf(lba) != g.TrackOf(lba + sectors - 1)) {
     return {};
   }
   Access(lba, sectors, /*is_write=*/false, /*host_command=*/false);
-  return std::span<const std::byte>(media_).subspan(lba * params_.geometry.sector_bytes, bytes);
+  const uint64_t track = g.TrackOf(lba);
+  const size_t offset = (lba - g.TrackStart(track)) * g.sector_bytes;
+  if (const std::byte* chunk = tracks_[track].get()) {
+    return {chunk + offset, bytes};
+  }
+  zero_track_.resize(TrackBytes());
+  return std::span<const std::byte>(zero_track_).subspan(offset, bytes);
 }
 
 common::Status SimDisk::InternalWrite(Lba lba, std::span<const std::byte> in) {
@@ -486,16 +500,47 @@ common::Time SimDisk::ChargeQueuedCommand(common::Time ctrl_free, common::Time s
   return done;
 }
 
+std::byte* SimDisk::WritableTrack(uint64_t track) {
+  std::shared_ptr<std::byte[]>& chunk = tracks_[track];
+  if (!chunk) {
+    chunk = std::make_shared<std::byte[]>(TrackBytes());  // Value-initialized: zeros.
+  } else if (chunk.use_count() > 1) {
+    auto copy = std::make_shared_for_overwrite<std::byte[]>(TrackBytes());
+    std::memcpy(copy.get(), chunk.get(), TrackBytes());
+    chunk = std::move(copy);
+  }
+  return chunk.get();
+}
+
 void SimDisk::PeekMedia(Lba lba, std::span<std::byte> out) const {
-  const size_t offset = lba * params_.geometry.sector_bytes;
-  assert(offset + out.size() <= media_.size());
-  std::memcpy(out.data(), media_.data() + offset, out.size());
+  const DiskGeometry& g = params_.geometry;
+  assert((lba * g.sector_bytes + out.size()) <= g.CapacityBytes());
+  // Track by track: a run never crosses a chunk.
+  for (size_t done = 0; done < out.size();) {
+    const uint64_t track = g.TrackOf(lba);
+    const size_t offset = (lba - g.TrackStart(track)) * g.sector_bytes;
+    const size_t n = std::min(out.size() - done, TrackBytes() - offset);
+    if (const std::byte* chunk = tracks_[track].get()) {
+      std::memcpy(out.data() + done, chunk + offset, n);
+    } else {
+      std::memset(out.data() + done, 0, n);
+    }
+    done += n;
+    lba += n / g.sector_bytes;
+  }
 }
 
 void SimDisk::PokeMedia(Lba lba, std::span<const std::byte> in) {
-  const size_t offset = lba * params_.geometry.sector_bytes;
-  assert(offset + in.size() <= media_.size());
-  std::memcpy(media_.data() + offset, in.data(), in.size());
+  const DiskGeometry& g = params_.geometry;
+  assert((lba * g.sector_bytes + in.size()) <= g.CapacityBytes());
+  for (size_t done = 0; done < in.size();) {
+    const uint64_t track = g.TrackOf(lba);
+    const size_t offset = (lba - g.TrackStart(track)) * g.sector_bytes;
+    const size_t n = std::min(in.size() - done, TrackBytes() - offset);
+    std::memcpy(WritableTrack(track) + offset, in.data() + done, n);
+    done += n;
+    lba += n / g.sector_bytes;
+  }
 }
 
 }  // namespace vlog::simdisk

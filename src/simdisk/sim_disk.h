@@ -3,7 +3,10 @@
 // Replaces the paper's in-kernel port of the Dartmouth HP97560 model: a sector-granularity
 // simulation of arm position, rotation, head switches, per-command SCSI overhead, media
 // transfer, and a track read-ahead buffer, all advancing a shared virtual clock. The media
-// contents live in an in-memory byte array (the paper's 24 MB kernel ramdisk).
+// contents live in memory (the paper's 24 MB kernel ramdisk) as one chunk per track: a chunk
+// is allocated on its track's first write, an unwritten track reads as zeros, and chunks are
+// shared copy-on-write between a disk and its forks. A full-capacity disk therefore costs only
+// the tracks it holds, and Fork() costs O(tracks) rather than O(capacity).
 //
 // Rotational position is derived from the clock: the platter turns continuously, so the sector
 // under the head at time t is (t mod rotation_period) scaled to sectors-per-track. Sequential
@@ -14,6 +17,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -36,10 +40,13 @@ namespace vlog::simdisk {
 class SimDisk : public BlockDevice {
  public:
   SimDisk(DiskParams params, common::Clock* clock);
-  // Adopts `media` as the initial platter contents (resized to capacity) instead of
-  // zero-filling a fresh allocation — sweeps that build thousands of short-lived disks from
-  // prebuilt images use this with TakeMedia() to recycle one buffer across points.
-  SimDisk(DiskParams params, common::Clock* clock, std::vector<std::byte> media);
+
+  // A power-cycled disk over the same platters, timed by `clock`: exactly what
+  // SimDisk(params(), clock) holding this disk's bytes would be — fresh arm, track buffer,
+  // write cache, stats, read-ahead policy, and no observers, tracer or armed fault. The tracks
+  // are shared copy-on-write, so writes on either disk stay invisible to the other. A fork
+  // that is never accessed (only peeked, poked or forked) may take a null clock.
+  SimDisk Fork(common::Clock* clock) const;
 
   // BlockDevice: host commands. Each charges the SCSI command overhead. With a write-back
   // cache enabled, Write acknowledges after controller + bus time only and the mechanical work
@@ -63,9 +70,10 @@ class SimDisk : public BlockDevice {
   common::Status InternalWriteFua(Lba lba, std::span<const std::byte> in);
   // Zero-copy InternalRead: charges exactly the same mechanics, stats, and clock time, but
   // returns a read-only view into the media instead of copying it out. Always current — dirty
-  // write-cache sectors live in the media array too (the cache tracks only dirtiness). The
-  // view is invalidated by the next write. Used by recovery's full-disk scan, where copying
-  // every track dominated the sweep profile. Returns an empty span on a range error.
+  // write-cache sectors live in the media too (the cache tracks only dirtiness). The view is
+  // invalidated by the next write. Used by recovery's full-disk scan, where copying every
+  // track dominated the sweep profile. The range must lie within one track (the unit media is
+  // stored in); returns an empty span on a range error, crossing a track boundary included.
   std::span<const std::byte> InternalReadView(Lba lba, uint64_t sectors);
 
   // Charges one SCSI command's controller overhead. The VLD calls this once per *host* command
@@ -83,9 +91,6 @@ class SimDisk : public BlockDevice {
   // Zero-cost media access, for test setup and for modeling in-memory behaviour.
   void PeekMedia(Lba lba, std::span<std::byte> out) const;
   void PokeMedia(Lba lba, std::span<const std::byte> in);
-  // Surrenders the media buffer (the disk is dead afterwards — destroy it). Pairs with the
-  // media-adopting constructor so sweep loops reuse one allocation per worker.
-  std::vector<std::byte> TakeMedia() && { return std::move(media_); }
 
   // --- Introspection for eager writing (the VLD runs "inside" this disk) ---
 
@@ -179,6 +184,11 @@ class SimDisk : public BlockDevice {
     }
   }
 
+  // Zero-cost, like PokeMedia: persists what `fault` says survives of a write of `in` at `lba`
+  // cut by a power failure (after_writes is ignored). The armed fault and the crash sweep's
+  // torn and corrupt-tail points both materialize through this one function.
+  void PokeFaulted(Lba lba, std::span<const std::byte> in, const WriteFault& fault);
+
   // Observer invoked after every successfully acknowledged write (host or internal) with the
   // written range and payload. `durable` is true when the write is committed to stable media at
   // acknowledgement time (write-through or FUA) and false when it was acknowledged into the
@@ -223,9 +233,20 @@ class SimDisk : public BlockDevice {
   // Extends the standard-policy read-ahead window by the time elapsed since the last read.
   void CatchUpReadAhead();
 
+  // The chunk holding `track`, ready for writing: allocated (zeroed) on the track's first
+  // write, and copied first when a fork shares it.
+  std::byte* WritableTrack(uint64_t track);
+  size_t TrackBytes() const {
+    return static_cast<size_t>(params_.geometry.sectors_per_track) * params_.geometry.sector_bytes;
+  }
+
   DiskParams params_;
   common::Clock* clock_;
-  std::vector<std::byte> media_;
+  // One chunk per track; null until the track is first written. A chunk is written in place
+  // only while this disk is its sole owner.
+  std::vector<std::shared_ptr<std::byte[]>> tracks_;
+  // What InternalReadView shows for an unwritten track; allocated on first need.
+  std::vector<std::byte> zero_track_;
   PhysAddr arm_{};
   uint64_t arm_epoch_ = 0;
   DiskStats stats_;

@@ -52,7 +52,6 @@ std::vector<std::byte> Pattern(uint32_t tag, size_t bytes = kBlockBytes) {
 
 WriteTrace MakeTrace(const std::vector<uint32_t>& sectors_per_write) {
   WriteTrace trace;
-  trace.set_base(std::vector<std::byte>(kSectorBytes * 64, std::byte{0}));
   simdisk::Lba lba = 0;
   uint32_t tag = 1;
   for (uint32_t sectors : sectors_per_write) {
@@ -117,63 +116,6 @@ TEST(CrashPointTest, TornStrideZeroDisablesTornVariants) {
   }
 }
 
-TEST(CrashPointTest, ApplyTornPrefixKeepsLeadingSectorsOnly) {
-  const WriteTrace trace = MakeTrace({4});
-  std::vector<std::byte> image = trace.base();
-  CrashPoint point;
-  point.kind = CrashKind::kTornPrefix;
-  point.keep_sectors = 1;
-  ApplyCrashedWrite(image, trace[0], kSectorBytes, point);
-  EXPECT_EQ(std::memcmp(image.data(), trace[0].data.data(), kSectorBytes), 0);
-  for (size_t i = kSectorBytes; i < 4 * kSectorBytes; ++i) {
-    ASSERT_EQ(image[i], std::byte{0}) << "sector beyond the torn prefix persisted";
-  }
-}
-
-TEST(CrashPointTest, ApplyTornSuffixKeepsTrailingSectorsOnly) {
-  const WriteTrace trace = MakeTrace({4});
-  std::vector<std::byte> image = trace.base();
-  CrashPoint point;
-  point.kind = CrashKind::kTornSuffix;
-  point.keep_sectors = 1;
-  ApplyCrashedWrite(image, trace[0], kSectorBytes, point);
-  for (size_t i = 0; i < 3 * kSectorBytes; ++i) {
-    ASSERT_EQ(image[i], std::byte{0}) << "sector before the torn suffix persisted";
-  }
-  EXPECT_EQ(std::memcmp(image.data() + 3 * kSectorBytes,
-                        trace[0].data.data() + 3 * kSectorBytes, kSectorBytes),
-            0);
-}
-
-TEST(CrashPointTest, ApplyTornRandomIsDeterministicPerSeed) {
-  const WriteTrace trace = MakeTrace({8});
-  CrashPoint point;
-  point.kind = CrashKind::kTornRandom;
-  point.seed = 42;
-  std::vector<std::byte> a = trace.base();
-  std::vector<std::byte> b = trace.base();
-  ApplyCrashedWrite(a, trace[0], kSectorBytes, point);
-  ApplyCrashedWrite(b, trace[0], kSectorBytes, point);
-  EXPECT_EQ(a, b);
-  point.seed = 43;
-  std::vector<std::byte> c = trace.base();
-  ApplyCrashedWrite(c, trace[0], kSectorBytes, point);
-  EXPECT_NE(a, c);  // Overwhelmingly likely for an 8-sector write.
-}
-
-TEST(CrashPointTest, ApplyCorruptTailDamagesLastSectorOnly) {
-  const WriteTrace trace = MakeTrace({4});
-  std::vector<std::byte> image = trace.base();
-  CrashPoint point;
-  point.kind = CrashKind::kCorruptTail;
-  point.seed = 7;
-  ApplyCrashedWrite(image, trace[0], kSectorBytes, point);
-  EXPECT_EQ(std::memcmp(image.data(), trace[0].data.data(), 3 * kSectorBytes), 0);
-  EXPECT_NE(std::memcmp(image.data() + 3 * kSectorBytes, trace[0].data.data() + 3 * kSectorBytes,
-                        kSectorBytes),
-            0);
-}
-
 // ---------------------------------------------------------------------------
 // Reorder-point enumeration (write-back traces).
 // ---------------------------------------------------------------------------
@@ -182,7 +124,6 @@ TEST(CrashPointTest, ApplyCorruptTailDamagesLastSectorOnly) {
 // appended after each epoch except the last.
 WriteTrace MakeWriteBackTrace(const std::vector<uint32_t>& epoch_sizes) {
   WriteTrace trace;
-  trace.set_base(std::vector<std::byte>(kSectorBytes * 256, std::byte{0}));
   trace.set_write_back(true);
   simdisk::Lba lba = 0;
   uint32_t tag = 1;
@@ -264,7 +205,6 @@ TEST(ReorderPointTest, SamplesLargeEpochsDeterministicallyPerSeed) {
 
 TEST(ReorderPointTest, DurableWritesPersistInEveryOrdering) {
   WriteTrace trace;
-  trace.set_base(std::vector<std::byte>(kSectorBytes * 16, std::byte{0}));
   trace.set_write_back(true);
   trace.Append(0, Pattern(1, kSectorBytes), /*durable=*/false);
   trace.Append(1, Pattern(2, kSectorBytes), /*durable=*/true);  // FUA
@@ -366,7 +306,7 @@ TEST(CrashSweepTest, QueuedGroupCommitScenarioHasNoViolations) {
 
 // Golden trace equality: recording the same scenario twice must produce byte-identical
 // traces — every record's address, payload bytes, durability flag, and disk tag, plus the
-// barrier positions and the base image. This pins the arena-backed payload storage (records
+// barrier positions. This pins the arena-backed payload storage (records
 // hold views into the trace's arena, not their own vectors): any aliasing or copy bug in the
 // arena shows up here as payload bytes diverging between two identical recordings.
 TEST(WriteTraceGolden, SameScenarioRecordsByteIdenticalTraces) {
@@ -388,7 +328,6 @@ TEST(WriteTraceGolden, SameScenarioRecordsByteIdenticalTraces) {
   }
   EXPECT_EQ(ta.barriers(), tb.barriers());
   EXPECT_EQ(ta.write_back(), tb.write_back());
-  EXPECT_EQ(ta.base(), tb.base());
 }
 
 // Queued reads interleaved with queued writes: reads are verified against the shadow at record

@@ -414,7 +414,7 @@ TEST(CachedBarrierRemountTest, UfsSyncedDataSurvivesEveryTailDestageOrdering) {
   ASSERT_TRUE(fs.Format().ok());
 
   crashsim::WriteTrace trace;
-  trace.set_base(crashsim::SnapshotMedia(disk));
+  const simdisk::SimDisk base = disk.Fork(nullptr);
   trace.set_write_back(true);
   disk.set_write_observer([&](simdisk::Lba lba, std::span<const std::byte> data, bool durable) {
     trace.Append(lba, data, durable);
@@ -435,16 +435,16 @@ TEST(CachedBarrierRemountTest, UfsSyncedDataSurvivesEveryTailDestageOrdering) {
   ASSERT_GT(trace.size(), synced) << "tail traffic is required for this test to bite";
   EXPECT_GT(disk.cache_dirty_sectors(), 0u) << "the tail must still be volatile";
 
-  const uint32_t sector_bytes = params.geometry.sector_bytes;
   std::vector<uint64_t> tail;
   for (uint64_t i = synced; i < trace.size(); ++i) {
     tail.push_back(i);
   }
   common::Rng rng(17);
   for (int round = 0; round < 8; ++round) {
-    std::vector<std::byte> image = trace.base();
+    common::Clock clock2;
+    simdisk::SimDisk disk2 = base.Fork(&clock2);
     for (uint64_t i = 0; i < synced; ++i) {
-      crashsim::ApplyWrite(image, trace[i], sector_bytes);
+      disk2.PokeMedia(trace[i].lba, trace[i].data);
     }
     // A uniform random k-subset of the tail, applied in uniform random order.
     std::vector<uint64_t> pool = tail;
@@ -453,12 +453,9 @@ TEST(CachedBarrierRemountTest, UfsSyncedDataSurvivesEveryTailDestageOrdering) {
       std::swap(pool[i], pool[i + rng.Below(pool.size() - i)]);
     }
     for (uint64_t i = 0; i < k; ++i) {
-      crashsim::ApplyWrite(image, trace[pool[i]], sector_bytes);
+      disk2.PokeMedia(trace[pool[i]].lba, trace[pool[i]].data);
     }
 
-    common::Clock clock2;
-    simdisk::SimDisk disk2(params, &clock2);
-    disk2.PokeMedia(0, image);
     simdisk::HostModel host2(simdisk::ZeroCostHost(), &clock2);
     ufs::Ufs fs2(&disk2, &host2);
     ASSERT_TRUE(fs2.Mount().ok()) << "round " << round;
@@ -484,7 +481,7 @@ TEST(CachedBarrierRemountTest, VlfsAcknowledgedOpsSurviveRemountAtSyncBarrier) {
   ASSERT_TRUE(fs.Format().ok());
 
   crashsim::WriteTrace trace;
-  trace.set_base(crashsim::SnapshotMedia(disk));
+  const simdisk::SimDisk base = disk.Fork(nullptr);
   trace.set_write_back(true);
   disk.set_write_observer([&](simdisk::Lba lba, std::span<const std::byte> data, bool durable) {
     trace.Append(lba, data, durable);
@@ -509,14 +506,11 @@ TEST(CachedBarrierRemountTest, VlfsAcknowledgedOpsSurviveRemountAtSyncBarrier) {
     EXPECT_TRUE(trace[i].durable) << "volatile record " << i << " after the last barrier";
   }
 
-  const uint32_t sector_bytes = params.geometry.sector_bytes;
-  std::vector<std::byte> image = trace.base();
-  for (uint64_t i = 0; i < synced; ++i) {
-    crashsim::ApplyWrite(image, trace[i], sector_bytes);
-  }
   common::Clock clock2;
-  simdisk::SimDisk disk2(params, &clock2);
-  disk2.PokeMedia(0, image);
+  simdisk::SimDisk disk2 = base.Fork(&clock2);
+  for (uint64_t i = 0; i < synced; ++i) {
+    disk2.PokeMedia(trace[i].lba, trace[i].data);
+  }
   simdisk::HostModel host2(simdisk::ZeroCostHost(), &clock2);
   vlfs::Vlfs fs2(&disk2, &host2);
   ASSERT_TRUE(fs2.Recover().ok());
@@ -559,12 +553,9 @@ TEST(StagedBarrierRemountTest, UfsSyncedDataSurvivesCrashWhenNvmHoldsOnlyCopy) {
 
   // Power cut: the drive cache and the stage's DRAM overlay are lost; the disk media and the
   // NVM log survive.
-  const std::vector<std::byte> media = crashsim::SnapshotMedia(disk);
-  std::vector<std::byte> nvm_image = nvm.Snapshot();
-
   common::Clock clock2;
-  simdisk::SimDisk disk2(params, &clock2);
-  disk2.PokeMedia(0, media);
+  simdisk::SimDisk disk2 = disk.Fork(&clock2);
+  std::vector<std::byte> nvm_image = nvm.Snapshot();
   simdisk::HostModel host2(simdisk::ZeroCostHost(), &clock2);
   core::Vld vld2(&disk2, core::VldConfig{});
   ASSERT_TRUE(vld2.Recover().ok());

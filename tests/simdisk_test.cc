@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "src/common/time.h"
@@ -296,6 +298,95 @@ TEST_F(SimDiskTest, WriteObserverSeesOnlyAcknowledgedWrites) {
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], (std::pair<Lba, size_t>{8, 2 * 512}));
   EXPECT_EQ(seen[1], (std::pair<Lba, size_t>{32, 512}));
+}
+
+TEST_F(SimDiskTest, UnwrittenSectorsReadAsZeros) {
+  const std::vector<std::byte> zeros(4 * 512);
+  std::vector<std::byte> out(4 * 512, std::byte{0xFF});
+  ASSERT_TRUE(disk_.Read(300, out).ok());
+  EXPECT_EQ(out, zeros);
+  std::fill(out.begin(), out.end(), std::byte{0xFF});
+  disk_.PeekMedia(300, out);
+  EXPECT_EQ(out, zeros);
+  const std::span<const std::byte> view = disk_.InternalReadView(300, 4);
+  EXPECT_EQ(std::vector<std::byte>(view.begin(), view.end()), zeros);
+}
+
+TEST_F(SimDiskTest, WriteStraddlingTrackBoundaryReadsBackWhole) {
+  const uint32_t n = disk_.geometry().sectors_per_track;
+  const auto data = Pattern(6 * 512, 4);
+  ASSERT_TRUE(disk_.Write(2 * n - 3, data).ok());  // Three sectors on each side.
+  std::vector<std::byte> out(data.size());
+  ASSERT_TRUE(disk_.Read(2 * n - 3, out).ok());
+  EXPECT_EQ(out, data);
+  disk_.PeekMedia(2 * n - 3, out);
+  EXPECT_EQ(out, data);
+}
+
+TEST_F(SimDiskTest, InternalReadViewAcrossTrackBoundaryIsARangeError) {
+  const uint32_t n = disk_.geometry().sectors_per_track;
+  EXPECT_FALSE(disk_.InternalReadView(0, n).empty());
+  EXPECT_TRUE(disk_.InternalReadView(n - 1, 2).empty());
+}
+
+TEST_F(SimDiskTest, ForkAndParentWritesStayInvisibleToEachOther) {
+  const uint32_t n = disk_.geometry().sectors_per_track;
+  ASSERT_TRUE(disk_.Write(0, Pattern(512, 1)).ok());
+  ASSERT_TRUE(disk_.Write(5 * n, Pattern(512, 2)).ok());
+  Clock fork_clock;
+  SimDisk fork = disk_.Fork(&fork_clock);
+  ASSERT_TRUE(disk_.Write(0, Pattern(512, 3)).ok());
+  ASSERT_TRUE(fork.Write(1, Pattern(512, 4)).ok());
+
+  std::vector<std::byte> sector(512);
+  disk_.PeekMedia(0, sector);
+  EXPECT_EQ(sector, Pattern(512, 3));
+  disk_.PeekMedia(1, sector);
+  EXPECT_EQ(sector, std::vector<std::byte>(512));  // The fork's write stayed on the fork.
+  fork.PeekMedia(0, sector);
+  EXPECT_EQ(sector, Pattern(512, 1));  // The parent's later write stayed on the parent.
+  fork.PeekMedia(1, sector);
+  EXPECT_EQ(sector, Pattern(512, 4));
+  // Track 5 was written only before the fork: both disks still view the one shared copy.
+  EXPECT_EQ(disk_.InternalReadView(5 * n, 1).data(), fork.InternalReadView(5 * n, 1).data());
+  EXPECT_NE(disk_.InternalReadView(0, 1).data(), fork.InternalReadView(0, 1).data());
+}
+
+TEST(SimDiskForkTest, ForkIsAFreshDiskHoldingTheSameBytes) {
+  DiskParams params = Truncated(Hp97560(), 36);
+  params.cache.capacity_sectors = 256;
+  Clock clock;
+  SimDisk disk(params, &clock);
+  uint64_t observed = 0;
+  disk.set_write_observer([&](Lba, std::span<const std::byte>, bool) { ++observed; });
+  // Mid-workload: dirty cache, a filled track buffer, a moved arm, and an armed fault.
+  ASSERT_TRUE(disk.Write(1000, Pattern(8 * 512, 1)).ok());
+  ASSERT_TRUE(disk.Write(20000, Pattern(4 * 512, 2)).ok());
+  std::vector<std::byte> out(8 * 512);
+  ASSERT_TRUE(disk.Read(1000, out).ok());
+  ASSERT_GT(disk.cache_dirty_sectors(), 0u);
+  disk.SetWriteFailureAfter(0);
+
+  Clock fork_clock;
+  SimDisk fork = disk.Fork(&fork_clock);
+  Clock fresh_clock;
+  SimDisk fresh(params, &fresh_clock);
+  std::vector<std::byte> media(disk.geometry().CapacityBytes());
+  disk.PeekMedia(0, media);
+  fresh.PokeMedia(0, media);
+
+  EXPECT_EQ(fork.cache_dirty_sectors(), 0u);
+  EXPECT_EQ(fork.stats().read_requests + fork.stats().write_requests, 0u);
+  EXPECT_EQ(fork.ArmPosition(), PhysAddr{});
+  std::vector<std::byte> fork_out(out.size());
+  ASSERT_TRUE(fresh.Read(1000, out).ok());
+  ASSERT_TRUE(fork.Read(1000, fork_out).ok());
+  EXPECT_EQ(fork_out, out);
+  EXPECT_EQ(fork_clock.Now(), fresh_clock.Now());
+  EXPECT_EQ(fork.stats().buffer_hits, fresh.stats().buffer_hits);
+  // No armed fault and no observer carried over.
+  EXPECT_TRUE(fork.Write(3000, Pattern(512, 3)).ok());
+  EXPECT_EQ(observed, 2u);
 }
 
 TEST(HostModel, ChargesAndAccounts) {

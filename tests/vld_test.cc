@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -490,6 +491,57 @@ TEST_F(VldTest, TornGroupCommitRollsBackWholeBatch) {
     ASSERT_TRUE(vld_->Read(lba_of(i), out).ok());
     EXPECT_EQ(out, Pattern(kBlockBytes, i)) << "block " << i << " must keep its old version";
   }
+}
+
+// Live blocks the map accounts for: mapped data blocks plus live and pinned map blocks.
+uint64_t AccountedBlocks(const Vld& vld) {
+  uint64_t mapped = 0;
+  for (const uint32_t phys : vld.logical_map()) {
+    mapped += phys != kUnmappedBlock ? 1 : 0;
+  }
+  std::set<uint32_t> map_blocks;
+  for (uint32_t k = 0; k < vld.vlog().config().pieces; ++k) {
+    if (const auto block = vld.vlog().LiveBlockOfPiece(k)) {
+      map_blocks.insert(*block);
+    }
+  }
+  for (const uint32_t block : vld.vlog().PinnedBlocks()) {
+    map_blocks.insert(block);
+  }
+  return mapped + map_blocks.size();
+}
+
+// An overwrite that runs out of space while staging must give back the blocks it already
+// staged: otherwise they stay live with nothing mapping them, and the device refuses every
+// later write.
+TEST(VldFailedWriteTest, OutOfSpaceOverwriteLeavesNoStagedBlocksLive) {
+  common::Clock clock;
+  simdisk::SimDisk disk(simdisk::Truncated(simdisk::Hp97560(), 4), &clock);
+  Vld vld(&disk, VldConfig{.compactor_enabled = false});
+  ASSERT_TRUE(vld.Format().ok());
+  constexpr uint32_t kExtentBlocks = 64;
+  for (uint32_t b = 0; b < 10 * kExtentBlocks; b += kExtentBlocks) {
+    ASSERT_TRUE(vld.Write(b * 8, Pattern(kExtentBlocks * kBlockBytes, b)).ok()) << "block " << b;
+  }
+  const auto rewrite = Pattern(kExtentBlocks * kBlockBytes, 99);
+  EXPECT_EQ(vld.Write(0, rewrite).code(), common::StatusCode::kOutOfSpace);
+  EXPECT_EQ(vld.space().live_blocks(), AccountedBlocks(vld));
+  // The failed overwrite left blocks 0-63 as they were.
+  std::vector<std::byte> out(kExtentBlocks * kBlockBytes);
+  ASSERT_TRUE(vld.Read(0, out).ok());
+  EXPECT_EQ(out, Pattern(kExtentBlocks * kBlockBytes, 0));
+  // And the device still takes a write that fits.
+  ASSERT_TRUE(vld.Write(0, Pattern(kBlockBytes, 7)).ok());
+  EXPECT_EQ(vld.space().live_blocks(), AccountedBlocks(vld));
+}
+
+TEST_F(VldTest, RejectedWriteAtomicStagesNothing) {
+  const uint64_t live = vld_->space().live_blocks();
+  const auto block = Pattern(kBlockBytes, 1);
+  const auto misaligned = Pattern(kBlockBytes / 2, 2);
+  const std::vector<Vld::AtomicWrite> writes = {{0, block}, {8, misaligned}};
+  EXPECT_EQ(vld_->WriteAtomic(writes).code(), common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(vld_->space().live_blocks(), live);
 }
 
 }  // namespace
