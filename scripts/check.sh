@@ -79,3 +79,9 @@ if [ -x build/bench/bench_engine ]; then
     exit 1
   fi
 fi
+
+# Benchmark self-check: builds perfbench/ on its own into .bench_build/, runs each of its four
+# workloads twice with one seed, once traced and once with the next seed, and fails unless every
+# run is correct and the three same-seed runs print one digest (about two minutes).
+echo "=== benchmark selfcheck ==="
+python3 perfbench/run.py --selfcheck

@@ -14,17 +14,6 @@ Compactor::Compactor(CompactionBackend* backend, simdisk::SimDisk* disk,
       config_(config),
       rng_(seed) {}
 
-uint64_t Compactor::CountEmptyTracks() const {
-  const FreeSpaceMap& space = allocator_->space();
-  uint64_t empty = 0;
-  for (uint64_t t = 0; t < space.total_tracks(); ++t) {
-    if (space.TrackEmpty(t)) {
-      ++empty;
-    }
-  }
-  return empty;
-}
-
 void Compactor::AbandonResume() {
   if (resume_track_.has_value()) {
     resume_track_.reset();
@@ -130,7 +119,7 @@ uint32_t Compactor::Run(common::Time deadline, bool preemptible, uint32_t target
   // in place); tolerate a bounded number of such failures rather than giving up the interval.
   uint32_t failures = 0;
   while (disk_->clock()->Now() < deadline && failures < 8) {
-    if (CountEmptyTracks() >= target_empty_tracks) {
+    if (allocator_->space().EmptyTrackCount() >= target_empty_tracks) {
       AbandonResume();
       break;
     }

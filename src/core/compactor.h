@@ -75,7 +75,6 @@ class Compactor {
   bool Compactable(uint64_t track) const;
   std::optional<uint64_t> PickVictim();
   bool CompactTrack(uint64_t track, common::Time deadline, bool preemptible, bool* interrupted);
-  uint64_t CountEmptyTracks() const;
 
   std::optional<uint64_t> resume_track_;
 

@@ -680,8 +680,7 @@ common::StatusOr<RecoveryResult> VirtualLog::RecoverByScan() {
       if (lba == config_.park_lba || (lba >= ckpt_begin && lba < ckpt_end)) {
         continue;
       }
-      const auto sector_bytes =
-          track.subspan(static_cast<size_t>(s) * geom.sector_bytes, geom.sector_bytes);
+      const auto sector_bytes = track.Sector(s);
       // Almost every sector on disk is data, not map: reject on the 8-byte magic before
       // paying for Parse's CRC pass and StatusOr construction.
       if (!MapSector::HasMagic(sector_bytes)) {

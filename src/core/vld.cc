@@ -299,7 +299,7 @@ common::Status Vld::StageHostWrite(simdisk::Lba lba, std::span<const std::byte> 
   const uint32_t sector_bytes = disk_->SectorBytes();
   const uint32_t bs = config_.block_sectors;
   const size_t block_bytes = static_cast<size_t>(bs) * sector_bytes;
-  std::vector<std::byte> merged(block_bytes);
+  std::vector<std::byte> merged;  // Sized on the first sub-block edge; whole blocks skip it.
   uint64_t i = 0;
   const uint64_t sectors = in.size() / sector_bytes;
   while (i < sectors) {
@@ -313,6 +313,7 @@ common::Status Vld::StageHostWrite(simdisk::Lba lba, std::span<const std::byte> 
       // Sub-block write: read-modify-write the physical block (internal fragmentation biases
       // against the VLD exactly as §4.2 notes).
       ++stats_.read_modify_writes;
+      merged.resize(block_bytes);
       uint32_t source = map_[lblock];
       for (const StagedWrite& s : *staged) {
         if (s.logical_block == lblock) {
@@ -498,15 +499,8 @@ common::Duration Vld::QueuedReadCost(const std::vector<QueuedRequest>& batch, si
 }
 
 size_t Vld::PickNextQueued(const std::vector<QueuedRequest>& batch,
-                           const std::vector<bool>& serviced,
+                           const std::vector<bool>& serviced, size_t oldest,
                            std::vector<int64_t>& first_media) const {
-  size_t oldest = batch.size();
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (!serviced[i]) {
-      oldest = i;
-      break;
-    }
-  }
   if (config_.read_policy == simdisk::SchedulerPolicy::kFcfs) {
     return oldest;
   }
@@ -524,7 +518,7 @@ size_t Vld::PickNextQueued(const std::vector<QueuedRequest>& batch,
   size_t best = batch.size();
   common::Duration best_cost = 0;
   bool write_seen = false;
-  for (size_t i = 0; i < batch.size(); ++i) {
+  for (size_t i = oldest; i < batch.size(); ++i) {
     if (serviced[i]) {
       continue;
     }
@@ -560,9 +554,30 @@ common::StatusOr<std::vector<Vld::QueuedCompletion>> Vld::FlushQueue() {
   std::vector<std::vector<std::byte>> read_data(batch.size());
   std::vector<bool> serviced(batch.size(), false);
   std::vector<int64_t> first_media(batch.size(), kCostUnknown);
+  // Writes service FIFO among themselves, so a batch without reads is plain FIFO.
+  const bool has_reads =
+      std::any_of(batch.begin(), batch.end(), [](const QueuedRequest& r) { return !r.is_write; });
+  size_t oldest = 0;  // The oldest unserviced request.
+  // Nothing commits before phase 2, so a request that fails in phase 1 drops the batch whole:
+  // its staged blocks are freed and every span it still holds open is ended (EndSpan skips the
+  // closed ones).
+  const auto drop_batch = [&](const common::Status& st) {
+    Unstage(staged);
+    if (tracer != nullptr) {
+      for (const QueuedRequest& req : batch) {
+        tracer->EndSpan(req.span);
+      }
+    }
+    batch.clear();
+    queue_.swap(batch);  // Keeps the storage, as below.
+    return st;
+  };
   size_t write_count = 0;
   for (size_t n = 0; n < batch.size(); ++n) {
-    const size_t i = PickNextQueued(batch, serviced, first_media);
+    while (serviced[oldest]) {
+      ++oldest;
+    }
+    const size_t i = has_reads ? PickNextQueued(batch, serviced, oldest, first_media) : oldest;
     serviced[i] = true;
     const QueuedRequest& req = batch[i];
     obs::SpanScope span(req.span != 0 ? tracer : nullptr, req.span);
@@ -571,12 +586,17 @@ common::StatusOr<std::vector<Vld::QueuedCompletion>> Vld::FlushQueue() {
     if (req.is_write) {
       ++write_count;
       ++stats_.host_writes;
-      RETURN_IF_ERROR(StageHostWrite(req.lba, req.data, &staged));
+      if (const common::Status st = StageHostWrite(req.lba, req.data, &staged); !st.ok()) {
+        return drop_batch(st);
+      }
     } else {
       ++stats_.host_reads;
       read_data[i].resize(req.sectors * disk_->SectorBytes());
       uint64_t forwarded = 0;
-      RETURN_IF_ERROR(ServiceQueuedRead(batch, i, read_data[i], &forwarded));
+      if (const common::Status st = ServiceQueuedRead(batch, i, read_data[i], &forwarded);
+          !st.ok()) {
+        return drop_batch(st);
+      }
       stats_.forwarded_read_sectors += forwarded;
       if (forwarded > 0 && tracer != nullptr) {
         tracer->Annotate(obs::EventType::kReadForward, obs::Layer::kVld, req.lba, forwarded);
@@ -628,6 +648,10 @@ common::StatusOr<std::vector<Vld::QueuedCompletion>> Vld::FlushQueue() {
       tracer->EndSpan(req.span);
     }
   }
+  // Hand the batch's storage back to the (still empty) queue, so the next batch does not
+  // regrow it from nothing.
+  batch.clear();
+  queue_.swap(batch);
   return completions;
 }
 

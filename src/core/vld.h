@@ -284,9 +284,10 @@ class Vld : public simdisk::BlockDevice, public CompactionBackend {
   static constexpr int64_t kCostNoMedia = -1;
   common::Duration QueuedReadCost(const std::vector<QueuedRequest>& batch, size_t index,
                                   common::Time now, std::vector<int64_t>& first_media) const;
-  // The next unserviced batch index to service under config_.read_policy.
+  // The next unserviced batch index to service under config_.read_policy; `oldest` is the
+  // first unserviced index.
   size_t PickNextQueued(const std::vector<QueuedRequest>& batch,
-                        const std::vector<bool>& serviced,
+                        const std::vector<bool>& serviced, size_t oldest,
                         std::vector<int64_t>& first_media) const;
   std::vector<QueuedRequest> queue_;
   uint64_t next_queued_id_ = 1;

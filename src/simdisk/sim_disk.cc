@@ -12,12 +12,13 @@ namespace vlog::simdisk {
 SimDisk::SimDisk(DiskParams params, common::Clock* clock)
     : params_(std::move(params)),
       clock_(clock),
-      tracks_(params_.geometry.TotalTracks()),
+      pages_((params_.geometry.TotalSectors() + kPageSectors - 1) / kPageSectors),
+      zero_sector_(params_.geometry.sector_bytes),
       cache_(params_.cache) {}
 
 SimDisk SimDisk::Fork(common::Clock* clock) const {
   SimDisk fork(params_, clock);
-  fork.tracks_ = tracks_;
+  fork.pages_ = pages_;
   return fork;
 }
 
@@ -326,21 +327,14 @@ common::Status SimDisk::InternalRead(Lba lba, std::span<std::byte> out) {
   return common::OkStatus();
 }
 
-std::span<const std::byte> SimDisk::InternalReadView(Lba lba, uint64_t sectors) {
+SimDisk::MediaView SimDisk::InternalReadView(Lba lba, uint64_t sectors) {
   const DiskGeometry& g = params_.geometry;
-  const uint64_t bytes = sectors * g.sector_bytes;
-  if (!CheckRange(lba, bytes, "InternalRead").ok() ||
+  if (!CheckRange(lba, sectors * g.sector_bytes, "InternalRead").ok() ||
       g.TrackOf(lba) != g.TrackOf(lba + sectors - 1)) {
     return {};
   }
   Access(lba, sectors, /*is_write=*/false, /*host_command=*/false);
-  const uint64_t track = g.TrackOf(lba);
-  const size_t offset = (lba - g.TrackStart(track)) * g.sector_bytes;
-  if (const std::byte* chunk = tracks_[track].get()) {
-    return {chunk + offset, bytes};
-  }
-  zero_track_.resize(TrackBytes());
-  return std::span<const std::byte>(zero_track_).subspan(offset, bytes);
+  return MediaView(this, lba, sectors);
 }
 
 common::Status SimDisk::InternalWrite(Lba lba, std::span<const std::byte> in) {
@@ -500,46 +494,52 @@ common::Time SimDisk::ChargeQueuedCommand(common::Time ctrl_free, common::Time s
   return done;
 }
 
-std::byte* SimDisk::WritableTrack(uint64_t track) {
-  std::shared_ptr<std::byte[]>& chunk = tracks_[track];
-  if (!chunk) {
-    chunk = std::make_shared<std::byte[]>(TrackBytes());  // Value-initialized: zeros.
-  } else if (chunk.use_count() > 1) {
-    auto copy = std::make_shared_for_overwrite<std::byte[]>(TrackBytes());
-    std::memcpy(copy.get(), chunk.get(), TrackBytes());
-    chunk = std::move(copy);
+std::byte* SimDisk::WritablePage(uint64_t page, bool whole) {
+  std::shared_ptr<std::byte[]>& p = pages_[page];
+  if (p && p.use_count() == 1) {
+    return p.get();
   }
-  return chunk.get();
+  // Exactly PageBytes() with the control block apart: a fused make_shared block would sit one
+  // malloc size class above the 4 KB payload buffers the VLD frees, fragmenting the heap.
+  std::shared_ptr<std::byte[]> fresh(new std::byte[PageBytes()]);
+  if (!whole) {
+    if (p) {
+      std::memcpy(fresh.get(), p.get(), PageBytes());
+    } else {
+      std::memset(fresh.get(), 0, PageBytes());
+    }
+  }
+  p = std::move(fresh);
+  return p.get();
 }
 
 void SimDisk::PeekMedia(Lba lba, std::span<std::byte> out) const {
-  const DiskGeometry& g = params_.geometry;
-  assert((lba * g.sector_bytes + out.size()) <= g.CapacityBytes());
-  // Track by track: a run never crosses a chunk.
+  const uint32_t sector_bytes = params_.geometry.sector_bytes;
+  assert((lba * sector_bytes + out.size()) <= params_.geometry.CapacityBytes());
+  // Page by page: a run never crosses a page.
   for (size_t done = 0; done < out.size();) {
-    const uint64_t track = g.TrackOf(lba);
-    const size_t offset = (lba - g.TrackStart(track)) * g.sector_bytes;
-    const size_t n = std::min(out.size() - done, TrackBytes() - offset);
-    if (const std::byte* chunk = tracks_[track].get()) {
-      std::memcpy(out.data() + done, chunk + offset, n);
+    const size_t offset = (lba % kPageSectors) * sector_bytes;
+    const size_t n = std::min(out.size() - done, PageBytes() - offset);
+    if (const std::byte* page = pages_[lba / kPageSectors].get()) {
+      std::memcpy(out.data() + done, page + offset, n);
     } else {
       std::memset(out.data() + done, 0, n);
     }
     done += n;
-    lba += n / g.sector_bytes;
+    lba += n / sector_bytes;
   }
 }
 
 void SimDisk::PokeMedia(Lba lba, std::span<const std::byte> in) {
-  const DiskGeometry& g = params_.geometry;
-  assert((lba * g.sector_bytes + in.size()) <= g.CapacityBytes());
+  const uint32_t sector_bytes = params_.geometry.sector_bytes;
+  assert((lba * sector_bytes + in.size()) <= params_.geometry.CapacityBytes());
   for (size_t done = 0; done < in.size();) {
-    const uint64_t track = g.TrackOf(lba);
-    const size_t offset = (lba - g.TrackStart(track)) * g.sector_bytes;
-    const size_t n = std::min(in.size() - done, TrackBytes() - offset);
-    std::memcpy(WritableTrack(track) + offset, in.data() + done, n);
+    const size_t offset = (lba % kPageSectors) * sector_bytes;
+    const size_t n = std::min(in.size() - done, PageBytes() - offset);
+    std::memcpy(WritablePage(lba / kPageSectors, /*whole=*/n == PageBytes()) + offset,
+                in.data() + done, n);
     done += n;
-    lba += n / g.sector_bytes;
+    lba += n / sector_bytes;
   }
 }
 

@@ -3,10 +3,11 @@
 // Replaces the paper's in-kernel port of the Dartmouth HP97560 model: a sector-granularity
 // simulation of arm position, rotation, head switches, per-command SCSI overhead, media
 // transfer, and a track read-ahead buffer, all advancing a shared virtual clock. The media
-// contents live in memory (the paper's 24 MB kernel ramdisk) as one chunk per track: a chunk
-// is allocated on its track's first write, an unwritten track reads as zeros, and chunks are
-// shared copy-on-write between a disk and its forks. A full-capacity disk therefore costs only
-// the tracks it holds, and Fork() costs O(tracks) rather than O(capacity).
+// contents live in memory (the paper's 24 MB kernel ramdisk) as one page per 8 sectors (4 KiB
+// with 512-byte sectors; page = LBA / 8 whatever the geometry): a page is allocated on its first
+// write, an unwritten page reads as zeros, and pages are shared copy-on-write between a disk and
+// its forks. A full-capacity disk therefore costs only the pages it has written, and Fork()
+// costs O(pages) rather than O(capacity).
 //
 // Rotational position is derived from the clock: the platter turns continuously, so the sector
 // under the head at time t is (t mod rotation_period) scaled to sectors-per-track. Sequential
@@ -15,6 +16,7 @@
 #ifndef SRC_SIMDISK_SIM_DISK_H_
 #define SRC_SIMDISK_SIM_DISK_H_
 
+#include <cassert>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -43,9 +45,10 @@ class SimDisk : public BlockDevice {
 
   // A power-cycled disk over the same platters, timed by `clock`: exactly what
   // SimDisk(params(), clock) holding this disk's bytes would be — fresh arm, track buffer,
-  // write cache, stats, read-ahead policy, and no observers, tracer or armed fault. The tracks
-  // are shared copy-on-write, so writes on either disk stay invisible to the other. A fork
-  // that is never accessed (only peeked, poked or forked) may take a null clock.
+  // write cache, stats, read-ahead policy, and no observers, tracer or armed fault. The pages
+  // are shared copy-on-write, so writes on either disk stay invisible to the other; the fork
+  // costs one reference per page and each later first write to a shared page one page copy.
+  // A fork that is never accessed (only peeked, poked or forked) may take a null clock.
   SimDisk Fork(common::Clock* clock) const;
 
   // BlockDevice: host commands. Each charges the SCSI command overhead. With a write-back
@@ -68,13 +71,32 @@ class SimDisk : public BlockDevice {
   common::Status InternalRead(Lba lba, std::span<std::byte> out);
   common::Status InternalWrite(Lba lba, std::span<const std::byte> in);
   common::Status InternalWriteFua(Lba lba, std::span<const std::byte> in);
+  // A read-only, zero-copy view of a run of sectors: Sector(i) is the i-th sector's bytes in
+  // the media (or in the disk's one zero sector where the page is unwritten). A span Sector()
+  // returns is valid until the next write to the disk; the view, while the disk stays put.
+  class MediaView {
+   public:
+    MediaView() = default;
+    bool empty() const { return sectors_ == 0; }
+    uint64_t sectors() const { return sectors_; }
+    std::span<const std::byte> Sector(uint64_t i) const;
+
+   private:
+    friend class SimDisk;
+    MediaView(const SimDisk* disk, Lba lba, uint64_t sectors)
+        : disk_(disk), lba_(lba), sectors_(sectors) {}
+    const SimDisk* disk_ = nullptr;
+    Lba lba_ = 0;
+    uint64_t sectors_ = 0;
+  };
+
   // Zero-copy InternalRead: charges exactly the same mechanics, stats, and clock time, but
-  // returns a read-only view into the media instead of copying it out. Always current — dirty
-  // write-cache sectors live in the media too (the cache tracks only dirtiness). The view is
-  // invalidated by the next write. Used by recovery's full-disk scan, where copying every
-  // track dominated the sweep profile. The range must lie within one track (the unit media is
-  // stored in); returns an empty span on a range error, crossing a track boundary included.
-  std::span<const std::byte> InternalReadView(Lba lba, uint64_t sectors);
+  // returns a view into the media instead of copying it out. Always current — dirty
+  // write-cache sectors live in the media too (the cache tracks only dirtiness). Used by
+  // recovery's full-disk scan, where copying every track dominated the sweep profile. The
+  // range must lie within one track (one mechanical access); returns an empty view on a range
+  // error, crossing a track boundary included.
+  MediaView InternalReadView(Lba lba, uint64_t sectors);
 
   // Charges one SCSI command's controller overhead. The VLD calls this once per *host* command
   // before issuing however many internal operations the command expands to.
@@ -233,20 +255,21 @@ class SimDisk : public BlockDevice {
   // Extends the standard-policy read-ahead window by the time elapsed since the last read.
   void CatchUpReadAhead();
 
-  // The chunk holding `track`, ready for writing: allocated (zeroed) on the track's first
-  // write, and copied first when a fork shares it.
-  std::byte* WritableTrack(uint64_t track);
-  size_t TrackBytes() const {
-    return static_cast<size_t>(params_.geometry.sectors_per_track) * params_.geometry.sector_bytes;
-  }
+  // Media is stored in pages of kPageSectors sectors.
+  static constexpr uint32_t kPageSectors = 8;
+  size_t PageBytes() const { return size_t{kPageSectors} * params_.geometry.sector_bytes; }
+  // Page `page`, ready for writing: allocated (zeroed) on its first write, and copied first
+  // while a fork shares it. A `whole`-page write skips the zeroing or the copy, since it
+  // overwrites every byte.
+  std::byte* WritablePage(uint64_t page, bool whole);
 
   DiskParams params_;
   common::Clock* clock_;
-  // One chunk per track; null until the track is first written. A chunk is written in place
-  // only while this disk is its sole owner.
-  std::vector<std::shared_ptr<std::byte[]>> tracks_;
-  // What InternalReadView shows for an unwritten track; allocated on first need.
-  std::vector<std::byte> zero_track_;
+  // One page per kPageSectors sectors; null until the page is first written. A page is written
+  // in place only while this disk is its sole owner.
+  std::vector<std::shared_ptr<std::byte[]>> pages_;
+  // What a MediaView shows for a sector of an unwritten page.
+  std::vector<std::byte> zero_sector_;
   PhysAddr arm_{};
   uint64_t arm_epoch_ = 0;
   DiskStats stats_;
@@ -264,6 +287,17 @@ class SimDisk : public BlockDevice {
   WriteCache cache_;
   obs::TraceRecorder* tracer_ = nullptr;
 };
+
+// Inline: recovery's full-disk scan calls this once per sector.
+inline std::span<const std::byte> SimDisk::MediaView::Sector(uint64_t i) const {
+  assert(i < sectors_);
+  const Lba lba = lba_ + i;
+  const uint32_t sector_bytes = disk_->params_.geometry.sector_bytes;
+  if (const std::byte* page = disk_->pages_[lba / kPageSectors].get()) {
+    return {page + (lba % kPageSectors) * sector_bytes, sector_bytes};
+  }
+  return disk_->zero_sector_;
+}
 
 }  // namespace vlog::simdisk
 

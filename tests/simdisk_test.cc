@@ -86,6 +86,16 @@ TEST(DiskParams, TruncatedKeepsTiming) {
   EXPECT_NEAR(static_cast<double>(t.geometry.CapacityBytes()) / (1 << 20), 24.0, 1.5);
 }
 
+// Every sector of `view`, concatenated.
+std::vector<std::byte> ViewBytes(const SimDisk::MediaView& view) {
+  std::vector<std::byte> bytes;
+  for (uint64_t i = 0; i < view.sectors(); ++i) {
+    const std::span<const std::byte> sector = view.Sector(i);
+    bytes.insert(bytes.end(), sector.begin(), sector.end());
+  }
+  return bytes;
+}
+
 class SimDiskTest : public ::testing::Test {
  protected:
   SimDiskTest() : disk_(Truncated(Hp97560(), 36), &clock_) {}
@@ -308,8 +318,7 @@ TEST_F(SimDiskTest, UnwrittenSectorsReadAsZeros) {
   std::fill(out.begin(), out.end(), std::byte{0xFF});
   disk_.PeekMedia(300, out);
   EXPECT_EQ(out, zeros);
-  const std::span<const std::byte> view = disk_.InternalReadView(300, 4);
-  EXPECT_EQ(std::vector<std::byte>(view.begin(), view.end()), zeros);
+  EXPECT_EQ(ViewBytes(disk_.InternalReadView(300, 4)), zeros);
 }
 
 TEST_F(SimDiskTest, WriteStraddlingTrackBoundaryReadsBackWhole) {
@@ -348,8 +357,82 @@ TEST_F(SimDiskTest, ForkAndParentWritesStayInvisibleToEachOther) {
   fork.PeekMedia(1, sector);
   EXPECT_EQ(sector, Pattern(512, 4));
   // Track 5 was written only before the fork: both disks still view the one shared copy.
-  EXPECT_EQ(disk_.InternalReadView(5 * n, 1).data(), fork.InternalReadView(5 * n, 1).data());
-  EXPECT_NE(disk_.InternalReadView(0, 1).data(), fork.InternalReadView(0, 1).data());
+  EXPECT_EQ(disk_.InternalReadView(5 * n, 1).Sector(0).data(),
+            fork.InternalReadView(5 * n, 1).Sector(0).data());
+  EXPECT_NE(disk_.InternalReadView(0, 1).Sector(0).data(),
+            fork.InternalReadView(0, 1).Sector(0).data());
+}
+
+// Media is held per 4 KiB page (8 sectors): a page exists only once written, and every
+// unwritten sector views the disk's one shared zero sector.
+TEST_F(SimDiskTest, WholePageFirstWriteLeavesNeighbourPagesUnallocated) {
+  const uint32_t n = disk_.geometry().sectors_per_track;
+  const auto data = Pattern(4096, 1);
+  ASSERT_TRUE(disk_.Write(8, data).ok());  // Page 1 of track 0, whole.
+  const SimDisk::MediaView track = disk_.InternalReadView(0, n);
+  const std::byte* zero = track.Sector(0).data();
+  for (uint32_t s = 0; s < n; ++s) {
+    if (s >= 8 && s < 16) {
+      EXPECT_NE(track.Sector(s).data(), zero) << "sector " << s;
+      EXPECT_EQ(track.Sector(s).data(), track.Sector(8).data() + (s - 8) * 512);
+    } else {
+      EXPECT_EQ(track.Sector(s).data(), zero) << "sector " << s;
+    }
+  }
+  std::vector<std::byte> out(4096);
+  disk_.PeekMedia(8, out);
+  EXPECT_EQ(out, data);
+}
+
+TEST_F(SimDiskTest, PartialFirstWriteZerosTheRestOfItsPage) {
+  const auto sector = Pattern(512, 2);
+  ASSERT_TRUE(disk_.Write(8 * 3 + 5, sector).ok());  // Sector 5 of page 3.
+  auto expected = std::vector<std::byte>(4096);
+  std::copy(sector.begin(), sector.end(), expected.begin() + 5 * 512);
+  std::vector<std::byte> out(4096, std::byte{0xFF});
+  ASSERT_TRUE(disk_.Read(8 * 3, out).ok());
+  EXPECT_EQ(out, expected);
+  std::fill(out.begin(), out.end(), std::byte{0xFF});
+  disk_.PeekMedia(8 * 3, out);
+  EXPECT_EQ(out, expected);
+}
+
+TEST_F(SimDiskTest, OverwritesOfForkSharedPagesStayOnTheirDisk) {
+  const auto before = Pattern(3 * 4096, 1);
+  ASSERT_TRUE(disk_.Write(0, before).ok());  // Pages 0-2, shared once forked.
+  Clock fork_clock;
+  SimDisk fork = disk_.Fork(&fork_clock);
+  const auto whole = Pattern(4096, 2);
+  const auto partial = Pattern(512, 3);
+  ASSERT_TRUE(fork.Write(0, whole).ok());        // Whole-page overwrite: no copy needed.
+  ASSERT_TRUE(fork.Write(8 + 2, partial).ok());  // Partial overwrite: the page is copied.
+  ASSERT_TRUE(disk_.Write(16, whole).ok());      // And the parent overwrites page 2 whole.
+
+  std::vector<std::byte> out(before.size());
+  disk_.PeekMedia(0, out);
+  auto expected = before;
+  std::copy(whole.begin(), whole.end(), expected.begin() + 2 * 4096);
+  EXPECT_EQ(out, expected);  // The fork's overwrites stayed on the fork.
+  fork.PeekMedia(0, out);
+  expected = before;
+  std::copy(whole.begin(), whole.end(), expected.begin());
+  std::copy(partial.begin(), partial.end(), expected.begin() + 4096 + 2 * 512);
+  EXPECT_EQ(out, expected);  // The copied page kept its other 7 shared sectors.
+}
+
+TEST_F(SimDiskTest, TrackViewOverPartlyWrittenPagesShowsWrittenBytesAndZeros) {
+  const uint32_t n = disk_.geometry().sectors_per_track;
+  const Lba base = 2 * n;
+  const auto a = Pattern(512, 4);
+  const auto b = Pattern(2 * 512, 5);
+  ASSERT_TRUE(disk_.Write(base + 3, a).ok());   // Inside page 0 of the track.
+  ASSERT_TRUE(disk_.Write(base + 14, b).ok());  // Across pages 1 and 2.
+  std::vector<std::byte> expected(static_cast<size_t>(n) * 512);
+  std::copy(a.begin(), a.end(), expected.begin() + 3 * 512);
+  std::copy(b.begin(), b.end(), expected.begin() + 14 * 512);
+  const SimDisk::MediaView track = disk_.InternalReadView(base, n);
+  ASSERT_EQ(track.sectors(), n);
+  EXPECT_EQ(ViewBytes(track), expected);
 }
 
 TEST(SimDiskForkTest, ForkIsAFreshDiskHoldingTheSameBytes) {

@@ -8,6 +8,7 @@
 
 #include "src/common/rng.h"
 #include "src/core/vld.h"
+#include "src/obs/trace.h"
 #include "src/simdisk/disk_params.h"
 #include "src/simdisk/sim_disk.h"
 
@@ -532,6 +533,45 @@ TEST(VldFailedWriteTest, OutOfSpaceOverwriteLeavesNoStagedBlocksLive) {
   EXPECT_EQ(out, Pattern(kExtentBlocks * kBlockBytes, 0));
   // And the device still takes a write that fits.
   ASSERT_TRUE(vld.Write(0, Pattern(kBlockBytes, 7)).ok());
+  EXPECT_EQ(vld.space().live_blocks(), AccountedBlocks(vld));
+}
+
+// The queued twin: a batch that runs out of space while staging is dropped whole, freeing what
+// it staged and ending its requests' spans.
+TEST(VldFailedWriteTest, OutOfSpaceQueuedOverwriteLeavesNoStagedBlocksLive) {
+  common::Clock clock;
+  simdisk::SimDisk disk(simdisk::Truncated(simdisk::Hp97560(), 4), &clock);
+  obs::TraceRecorder tracer(&clock);
+  disk.set_tracer(&tracer);
+  Vld vld(&disk, VldConfig{.compactor_enabled = false, .queue_depth = 64});
+  ASSERT_TRUE(vld.Format().ok());
+  constexpr uint32_t kExtentBlocks = 64;
+  const auto submit_extent = [&](uint32_t first_block, uint32_t seed) {
+    for (uint32_t b = first_block; b < first_block + kExtentBlocks; ++b) {
+      ASSERT_TRUE(vld.SubmitWrite(b * 8, Pattern(kBlockBytes, seed + b)).ok());
+    }
+  };
+  for (uint32_t b = 0; b < 10 * kExtentBlocks; b += kExtentBlocks) {
+    submit_extent(b, 0);
+    ASSERT_TRUE(vld.FlushQueue().ok()) << "block " << b;
+  }
+  submit_extent(0, 99);
+  EXPECT_EQ(vld.FlushQueue().status().code(), common::StatusCode::kOutOfSpace);
+  EXPECT_EQ(vld.QueuedRequests(), 0u);
+  EXPECT_EQ(vld.space().live_blocks(), AccountedBlocks(vld));
+  for (const obs::TraceRecorder::Span& span : tracer.spans()) {
+    EXPECT_FALSE(span.open);
+  }
+  // The failed batch left extent 0 as it was.
+  std::vector<std::byte> out(kBlockBytes);
+  for (uint32_t b = 0; b < kExtentBlocks; ++b) {
+    ASSERT_TRUE(vld.Read(b * 8, out).ok());
+    EXPECT_EQ(out, Pattern(kBlockBytes, b)) << "block " << b;
+  }
+  // And the device still takes a queued batch and a sync write that fit.
+  ASSERT_TRUE(vld.SubmitWrite(0, Pattern(kBlockBytes, 7)).ok());
+  ASSERT_TRUE(vld.FlushQueue().ok());
+  ASSERT_TRUE(vld.Write(8, Pattern(kBlockBytes, 8)).ok());
   EXPECT_EQ(vld.space().live_blocks(), AccountedBlocks(vld));
 }
 
