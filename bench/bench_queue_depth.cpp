@@ -4,7 +4,7 @@
 // group-commits the whole queue's map entries in one packed virtual-log transaction. Reports
 // IOPS and mean/p50/p90/p99 per-request latency with the queueing/controller/seek/rotation/
 // transfer breakdown from the trace layer, plus the synchronous baseline the depth-1 row must
-// match exactly, and a raw-disk FCFS vs SPTF comparison for the positional scheduler.
+// match exactly; the mixed read/write legs compare the VLD's FCFS and SPTF read scheduling.
 #include <algorithm>
 #include <cstdio>
 #include <map>
@@ -20,7 +20,6 @@
 #include "src/nvm/nvm_stage.h"
 #include "src/simdisk/disk_params.h"
 #include "src/simdisk/nvm_device.h"
-#include "src/simdisk/request_queue.h"
 #include "src/simdisk/sim_disk.h"
 #include "src/workload/queue_sweep.h"
 
@@ -53,34 +52,6 @@ double SyncBaselineMs(int updates, int warmup, double* iops_out) {
     *iops_out = static_cast<double>(updates) / common::ToSeconds(elapsed);
   }
   return bench::Ms(elapsed / updates);
-}
-
-void SchedulerComparison(int rounds) {
-  bench::Note("\nPositional scheduling (raw disk, 16 queued random block writes per round):");
-  std::printf("%8s %14s %14s %9s\n", "depth", "FCFS ms/req", "SPTF ms/req", "gain");
-  for (uint32_t depth : {4u, 8u, 16u}) {
-    double ms[2];
-    int which = 0;
-    for (const simdisk::SchedulerPolicy policy :
-         {simdisk::SchedulerPolicy::kFcfs, simdisk::SchedulerPolicy::kSptf}) {
-      common::Clock clock;
-      simdisk::SimDisk disk(simdisk::Hp97560(), &clock);
-      simdisk::RequestQueue queue(&disk, {.depth = depth, .policy = policy});
-      common::Rng rng(7);
-      std::vector<std::byte> block(4096, std::byte{0x5A});
-      const uint64_t block_count = disk.SectorCount() / 8;
-      int requests = 0;
-      for (int round = 0; round < rounds; ++round) {
-        for (uint32_t i = 0; i < depth; ++i) {
-          bench::CheckOk(queue.SubmitWrite(rng.Below(block_count) * 8, block), "submit");
-          ++requests;
-        }
-        bench::CheckOk(queue.Drain(), "drain");
-      }
-      ms[which++] = bench::Ms(clock.Now()) / requests;
-    }
-    std::printf("%8u %14.3f %14.3f %8.2fx\n", depth, ms[0], ms[1], ms[0] / ms[1]);
-  }
 }
 
 // Exact (bit-for-bit) histogram equality: same buckets, count, sum, and observed range.
@@ -504,8 +475,8 @@ int main(int argc, char** argv) {
     for (uint32_t depth : {1u, 2u, 4u, 8u, 16u, 32u}) {
       double iops_by_policy[2] = {0, 0};
       int which = 0;
-      for (const simdisk::SchedulerPolicy policy :
-           {simdisk::SchedulerPolicy::kFcfs, simdisk::SchedulerPolicy::kSptf}) {
+      for (const core::SchedulerPolicy policy :
+           {core::SchedulerPolicy::kFcfs, core::SchedulerPolicy::kSptf}) {
         common::Clock clock;
         simdisk::SimDisk disk(simdisk::Truncated(simdisk::Hp97560(), 36), &clock);
         core::Vld vld(&disk, core::VldConfig{.queue_depth = 32, .read_policy = policy});
@@ -520,7 +491,7 @@ int main(int argc, char** argv) {
         options.stream_configs = {workload::StreamConfig{.read_fraction = read_fraction}};
         const workload::MixedStreamResult r =
             bench::CheckOk(workload::RunMixedStreams(vld, options), "mixed sweep");
-        const bool sptf = policy == simdisk::SchedulerPolicy::kSptf;
+        const bool sptf = policy == core::SchedulerPolicy::kSptf;
         char label[48];
         std::snprintf(label, sizeof(label), "%s/%s/d%u", mix_label, sptf ? "sptf" : "fcfs",
                       depth);
@@ -717,7 +688,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  SchedulerComparison(flags.smoke ? 10 : 40);
   bench::Note("\nGroup commit turns N map-sector appends into ceil(N/8) packed log writes and");
   bench::Note("hides per-command controller overhead behind media time; SPTF additionally cuts");
   bench::Note("positioning on a deep queue (Section 4.2's 'many entries share one sector').");

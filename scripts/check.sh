@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Local CI: configure, build, and run the full test suite under both presets (default and
-# asan-ubsan), mirroring .github/workflows/ci.yml. Usage: scripts/check.sh [preset ...]
+# asan-ubsan), mirroring .github/workflows/ci.yml. Every build treats compiler warnings as
+# errors (CMake >= 3.24's CMAKE_COMPILE_WARNING_AS_ERROR). Usage: scripts/check.sh [preset ...]
 # Presets: default, asan-ubsan, tsan (thread sanitizer; CI runs only the sharded-sweep tests
 # under it: ctest --preset tsan -R ParallelSweepTest).
 set -euo pipefail
@@ -14,7 +15,7 @@ fi
 jobs=$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)
 for preset in "${presets[@]}"; do
   echo "=== preset: ${preset} ==="
-  cmake --preset "${preset}"
+  cmake --preset "${preset}" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
   cmake --build --preset "${preset}" -j"${jobs}"
   ctest --preset "${preset}" -j"${jobs}"
 done

@@ -138,10 +138,8 @@ common::Status VldArray::CheckStriped(const std::vector<Run>& runs) const {
 }
 
 common::Status VldArray::Write(simdisk::Lba lba, std::span<const std::byte> in) {
+  RETURN_IF_ERROR(CheckRange(lba, in.size(), "array write"));
   const uint64_t sectors = in.size() / SectorBytes();
-  if (lba + sectors > SectorCount()) {
-    return common::InvalidArgument("array: write beyond capacity");
-  }
   common::Time barrier = now_;
   if (config_.mode == ArrayMode::kStriped) {
     const std::vector<Run> runs = SplitStriped(lba, sectors);
@@ -173,10 +171,8 @@ common::Status VldArray::Write(simdisk::Lba lba, std::span<const std::byte> in) 
 }
 
 common::Status VldArray::Read(simdisk::Lba lba, std::span<std::byte> out) {
+  RETURN_IF_ERROR(CheckRange(lba, out.size(), "array read"));
   const uint64_t sectors = out.size() / SectorBytes();
-  if (lba + sectors > SectorCount()) {
-    return common::InvalidArgument("array: read beyond capacity");
-  }
   common::Time barrier = now_;
   if (config_.mode == ArrayMode::kStriped) {
     const std::vector<Run> runs = SplitStriped(lba, sectors);
@@ -234,15 +230,12 @@ common::StatusOr<uint64_t> VldArray::SubmitWrite(simdisk::Lba lba,
   if (queue_.size() >= queue_depth_) {
     return common::FailedPrecondition("array queue: full");
   }
-  const uint64_t sectors = in.size() / SectorBytes();
-  if (lba + sectors > SectorCount()) {
-    return common::InvalidArgument("array: write beyond capacity");
-  }
+  RETURN_IF_ERROR(CheckRange(lba, in.size(), "array SubmitWrite"));
   Pending p;
   p.id = next_id_++;
   p.is_write = true;
   p.lba = lba;
-  p.sectors = sectors;
+  p.sectors = in.size() / SectorBytes();
   p.submit_time = now_;
   p.data.assign(in.begin(), in.end());
   queue_.push_back(std::move(p));
@@ -253,8 +246,8 @@ common::StatusOr<uint64_t> VldArray::SubmitRead(simdisk::Lba lba, uint64_t secto
   if (queue_.size() >= queue_depth_) {
     return common::FailedPrecondition("array queue: full");
   }
-  if (lba + sectors > SectorCount()) {
-    return common::InvalidArgument("array: read beyond capacity");
+  if (sectors == 0 || !InRange(lba, sectors)) {
+    return common::InvalidArgument("array: SubmitRead: bad range");
   }
   Pending p;
   p.id = next_id_++;

@@ -337,7 +337,7 @@ common::Status VirtualLog::AppendOne(uint32_t piece, const std::vector<uint32_t>
 }
 
 common::Status VirtualLog::MaybeAutoCheckpoint() {
-  if (pinned_.size() <= config_.pinned_limit || !entries_provider_) {
+  if (!AutoCheckpointDue()) {
     return common::OkStatus();
   }
   std::vector<std::vector<uint32_t>> entries(config_.pieces);
@@ -497,6 +497,16 @@ common::Status VirtualLog::AppendTransactionPacked(const std::vector<PieceUpdate
   ++stats_.packed_transactions;
   stats_.packed_sectors += updates.size();
   return common::OkStatus();
+}
+
+bool VirtualLog::HasRoomFor(size_t updates, bool packed) const {
+  const size_t blocks = packed ? (updates + config_.block_sectors - 1) / config_.block_sectors
+                               : updates;
+  uint64_t available = allocator_->space().free_blocks();
+  if (AutoCheckpointDue()) {
+    available += block_sector_count_.size();  // The checkpoint recycles every log block.
+  }
+  return available >= blocks;
 }
 
 common::Status VirtualLog::WriteCheckpoint(

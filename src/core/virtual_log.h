@@ -139,6 +139,12 @@ class VirtualLog {
   // to AppendPiece so depth-1 behaviour is identical to the standalone path.
   common::Status AppendTransactionPacked(const std::vector<PieceUpdate>& updates);
 
+  // Whether a commit of `updates` piece updates (through AppendTransactionPacked when `packed`,
+  // else AppendTransaction) finds a free block for every map sector it writes, counting the
+  // log blocks its automatic checkpoint would free first. A commit that fails this check
+  // would fail before writing anything, so callers check it before changing their own state.
+  bool HasRoomFor(size_t updates, bool packed) const;
+
   // Writes the whole map contiguously to the checkpoint region, frees all log blocks (live and
   // pinned), and resets the chain. `entries_of_piece[k]` must be the current entries of piece k.
   common::Status WriteCheckpoint(const std::vector<std::vector<uint32_t>>& entries_of_piece);
@@ -237,6 +243,10 @@ class VirtualLog {
   common::Status AppendOne(uint32_t piece, const std::vector<uint32_t>& entries, uint64_t txn_id,
                            uint16_t txn_index, uint16_t txn_total,
                            std::vector<DeferredFree>* deferred_frees);
+  // The pinned-sector valve: every append first checkpoints when this holds.
+  bool AutoCheckpointDue() const {
+    return pinned_.size() > config_.pinned_limit && entries_provider_ != nullptr;
+  }
   common::Status MaybeAutoCheckpoint();
   common::Status WritePark(bool clear);
   common::StatusOr<RecoveryResult> RecoverFromTail(DiskPtr tail, uint64_t checkpoint_seq);

@@ -184,12 +184,8 @@ common::StatusOr<VldRecoveryInfo> Vld::Recover() {
 }
 
 common::Status Vld::Read(simdisk::Lba lba, std::span<std::byte> out) {
-  const uint32_t sector_bytes = disk_->SectorBytes();
-  if (out.empty() || out.size() % sector_bytes != 0 ||
-      lba + out.size() / sector_bytes > SectorCount()) {
-    return common::InvalidArgument("Vld::Read: bad range");
-  }
-  obs::SpanScope span(disk_->tracer(), obs::Layer::kVld, lba, out.size() / sector_bytes,
+  RETURN_IF_ERROR(CheckRange(lba, out.size(), "Vld::Read"));
+  obs::SpanScope span(disk_->tracer(), obs::Layer::kVld, lba, out.size() / disk_->SectorBytes(),
                       obs::SpanKind::kRead);
   disk_->ChargeHostCommand();
   ++stats_.host_reads;
@@ -262,16 +258,22 @@ common::Status Vld::CommitStaged(const std::vector<StagedWrite>& staged, bool pa
   if (staged.empty()) {
     return common::OkStatus();
   }
-  // Apply the map changes in memory first so PieceEntries sees the new translations, then
-  // persist every affected piece in one transaction.
   std::vector<uint32_t> affected_pieces;
   for (const StagedWrite& s : staged) {
-    map_[s.logical_block] = s.new_phys;
     const uint32_t piece = PieceOf(s.logical_block);
     if (std::find(affected_pieces.begin(), affected_pieces.end(), piece) ==
         affected_pieces.end()) {
       affected_pieces.push_back(piece);
     }
+  }
+  if (!vlog_.HasRoomFor(affected_pieces.size(), packed)) {
+    Unstage(staged);
+    return common::OutOfSpace("VLD full: no free block for the map sectors");
+  }
+  // Apply the map changes in memory first so PieceEntries sees the new translations, then
+  // persist every affected piece in one transaction.
+  for (const StagedWrite& s : staged) {
+    map_[s.logical_block] = s.new_phys;
   }
   std::vector<VirtualLog::PieceUpdate> updates;
   updates.reserve(affected_pieces.size());
@@ -335,12 +337,8 @@ common::Status Vld::StageHostWrite(simdisk::Lba lba, std::span<const std::byte> 
 }
 
 common::Status Vld::Write(simdisk::Lba lba, std::span<const std::byte> in) {
-  const uint32_t sector_bytes = disk_->SectorBytes();
-  if (in.empty() || in.size() % sector_bytes != 0 ||
-      lba + in.size() / sector_bytes > SectorCount()) {
-    return common::InvalidArgument("Vld::Write: bad range");
-  }
-  obs::SpanScope span(disk_->tracer(), obs::Layer::kVld, lba, in.size() / sector_bytes,
+  RETURN_IF_ERROR(CheckRange(lba, in.size(), "Vld::Write"));
+  obs::SpanScope span(disk_->tracer(), obs::Layer::kVld, lba, in.size() / disk_->SectorBytes(),
                       obs::SpanKind::kWrite);
   disk_->ChargeHostCommand();
   ++stats_.host_writes;
@@ -361,11 +359,7 @@ size_t Vld::QueuedWrites() const {
 }
 
 common::StatusOr<uint64_t> Vld::SubmitWrite(simdisk::Lba lba, std::span<const std::byte> in) {
-  const uint32_t sector_bytes = disk_->SectorBytes();
-  if (in.empty() || in.size() % sector_bytes != 0 ||
-      lba + in.size() / sector_bytes > SectorCount()) {
-    return common::InvalidArgument("Vld::SubmitWrite: bad range");
-  }
+  RETURN_IF_ERROR(CheckRange(lba, in.size(), "Vld::SubmitWrite"));
   if (queue_.size() >= config_.queue_depth) {
     return common::FailedPrecondition("Vld::SubmitWrite: queue full");
   }
@@ -373,7 +367,7 @@ common::StatusOr<uint64_t> Vld::SubmitWrite(simdisk::Lba lba, std::span<const st
   req.id = next_queued_id_++;
   req.is_write = true;
   req.lba = lba;
-  req.sectors = in.size() / sector_bytes;
+  req.sectors = in.size() / disk_->SectorBytes();
   req.data.assign(in.begin(), in.end());
   req.submit_time = disk_->clock()->Now();
   if (obs::TraceRecorder* tracer = disk_->tracer();
@@ -389,7 +383,7 @@ common::StatusOr<uint64_t> Vld::SubmitWrite(simdisk::Lba lba, std::span<const st
 }
 
 common::StatusOr<uint64_t> Vld::SubmitRead(simdisk::Lba lba, uint64_t sectors) {
-  if (sectors == 0 || lba + sectors > SectorCount()) {
+  if (sectors == 0 || !InRange(lba, sectors)) {
     return common::InvalidArgument("Vld::SubmitRead: bad range");
   }
   if (queue_.size() >= config_.queue_depth) {
@@ -410,25 +404,27 @@ common::StatusOr<uint64_t> Vld::SubmitRead(simdisk::Lba lba, uint64_t sectors) {
   return queue_.back().id;
 }
 
+const Vld::QueuedRequest* Vld::CoveringWrite(const std::vector<QueuedRequest>& batch,
+                                             size_t index, simdisk::Lba sector) {
+  for (size_t j = index; j-- > 0;) {
+    const QueuedRequest& w = batch[j];
+    if (w.is_write && sector >= w.lba && sector < w.lba + w.sectors) {
+      return &w;
+    }
+  }
+  return nullptr;
+}
+
 common::Status Vld::ServiceQueuedRead(const std::vector<QueuedRequest>& batch, size_t index,
                                       std::span<std::byte> out, uint64_t* forwarded_sectors) {
   const QueuedRequest& req = batch[index];
   const uint32_t sector_bytes = disk_->SectorBytes();
   *forwarded_sectors = 0;
-  // For each sector, the covering write is the LAST earlier-submitted batch write containing
-  // it (later writes overwrite earlier ones); later-submitted writes are invisible — their map
-  // entries commit only after this whole batch is serviced, so the media path below reads
-  // pre-batch data regardless of service order.
+  // Uncovered sectors come off the media through the map, which commits only after this whole
+  // batch is serviced, so they read pre-batch data regardless of service order.
   uint64_t i = 0;
   while (i < req.sectors) {
-    const QueuedRequest* covering = nullptr;
-    for (size_t j = 0; j < index; ++j) {
-      const QueuedRequest& w = batch[j];
-      if (w.is_write && req.lba + i >= w.lba && req.lba + i < w.lba + w.sectors) {
-        covering = &w;
-      }
-    }
-    if (covering != nullptr) {
+    if (const QueuedRequest* covering = CoveringWrite(batch, index, req.lba + i)) {
       std::memcpy(out.data() + i * sector_bytes,
                   covering->data.data() + (req.lba + i - covering->lba) * sector_bytes,
                   sector_bytes);
@@ -438,18 +434,7 @@ common::Status Vld::ServiceQueuedRead(const std::vector<QueuedRequest>& batch, s
     }
     // Maximal uncovered run -> one mapped media access (ReadMapped coalesces further).
     uint64_t run = 1;
-    while (i + run < req.sectors) {
-      bool covered = false;
-      for (size_t j = 0; j < index; ++j) {
-        const QueuedRequest& w = batch[j];
-        if (w.is_write && req.lba + i + run >= w.lba && req.lba + i + run < w.lba + w.sectors) {
-          covered = true;
-          break;
-        }
-      }
-      if (covered) {
-        break;
-      }
+    while (i + run < req.sectors && CoveringWrite(batch, index, req.lba + i + run) == nullptr) {
       ++run;
     }
     RETURN_IF_ERROR(ReadMapped(req.lba + i, out.subspan(i * sector_bytes, run * sector_bytes)));
@@ -470,20 +455,10 @@ common::Duration Vld::QueuedReadCost(const std::vector<QueuedRequest>& batch, si
     // First sector the media will actually serve: skip sectors that are forwarded from earlier
     // batch writes or unmapped (those cost no mechanical time).
     for (uint64_t i = 0; i < req.sectors; ++i) {
-      bool covered = false;
-      for (size_t j = 0; j < index; ++j) {
-        const QueuedRequest& w = batch[j];
-        if (w.is_write && req.lba + i >= w.lba && req.lba + i < w.lba + w.sectors) {
-          covered = true;
-          break;
-        }
-      }
-      if (covered) {
-        continue;
-      }
       const simdisk::Lba logical_sector = req.lba + i;
       const uint32_t lblock = static_cast<uint32_t>(logical_sector / config_.block_sectors);
-      if (map_[lblock] == kUnmappedBlock) {
+      if (CoveringWrite(batch, index, logical_sector) != nullptr ||
+          map_[lblock] == kUnmappedBlock) {
         continue;
       }
       first_media[index] =
@@ -501,16 +476,10 @@ common::Duration Vld::QueuedReadCost(const std::vector<QueuedRequest>& batch, si
 size_t Vld::PickNextQueued(const std::vector<QueuedRequest>& batch,
                            const std::vector<bool>& serviced, size_t oldest,
                            std::vector<int64_t>& first_media) const {
-  if (config_.read_policy == simdisk::SchedulerPolicy::kFcfs) {
+  if (config_.read_policy == SchedulerPolicy::kFcfs) {
     return oldest;
   }
   const common::Time now = disk_->clock()->Now();
-  // Bounded-age promotion: the oldest unserviced request jumps the positional ordering once
-  // it has waited long enough.
-  if (config_.read_starvation_bound > 0 &&
-      now - batch[oldest].submit_time >= config_.read_starvation_bound) {
-    return oldest;
-  }
   // SPTF over the batch's reads; writes stay FIFO among themselves and carry positional cost 0
   // (eager placement: a write lands wherever the head is). Candidates are every unserviced
   // read plus the oldest unserviced write; ties break toward the older (lower-index) request,
@@ -558,11 +527,10 @@ common::StatusOr<std::vector<Vld::QueuedCompletion>> Vld::FlushQueue() {
   const bool has_reads =
       std::any_of(batch.begin(), batch.end(), [](const QueuedRequest& r) { return !r.is_write; });
   size_t oldest = 0;  // The oldest unserviced request.
-  // Nothing commits before phase 2, so a request that fails in phase 1 drops the batch whole:
-  // its staged blocks are freed and every span it still holds open is ended (EndSpan skips the
-  // closed ones).
+  // Nothing commits before phase 2, so a request that fails drops the batch whole: every span
+  // it still holds open is ended (EndSpan skips the closed ones). A phase-1 failure also frees
+  // the blocks the batch staged; a failed CommitStaged has already freed them.
   const auto drop_batch = [&](const common::Status& st) {
-    Unstage(staged);
     if (tracer != nullptr) {
       for (const QueuedRequest& req : batch) {
         tracer->EndSpan(req.span);
@@ -587,6 +555,7 @@ common::StatusOr<std::vector<Vld::QueuedCompletion>> Vld::FlushQueue() {
       ++write_count;
       ++stats_.host_writes;
       if (const common::Status st = StageHostWrite(req.lba, req.data, &staged); !st.ok()) {
+        Unstage(staged);
         return drop_batch(st);
       }
     } else {
@@ -595,6 +564,7 @@ common::StatusOr<std::vector<Vld::QueuedCompletion>> Vld::FlushQueue() {
       uint64_t forwarded = 0;
       if (const common::Status st = ServiceQueuedRead(batch, i, read_data[i], &forwarded);
           !st.ok()) {
+        Unstage(staged);
         return drop_batch(st);
       }
       stats_.forwarded_read_sectors += forwarded;
@@ -613,17 +583,18 @@ common::StatusOr<std::vector<Vld::QueuedCompletion>> Vld::FlushQueue() {
   // zero queueing, matching the sync path); a shared commit belongs to no single request, so
   // its time shows up as queueing on every member and one kGroupCommit marker records it. A
   // read-only batch commits nothing: read traffic leaves no VLD state behind.
-  if (write_count == 1) {
-    uint64_t span_id = 0;
-    for (const QueuedRequest& req : batch) {
-      if (req.is_write) {
-        span_id = req.span;
-      }
-    }
+  if (write_count > 0) {
+    const uint64_t span_id =
+        write_count == 1 ? std::find_if(batch.begin(), batch.end(),
+                                        [](const QueuedRequest& r) { return r.is_write; })
+                               ->span
+                         : 0;
     obs::SpanScope span(span_id != 0 ? tracer : nullptr, span_id);
-    RETURN_IF_ERROR(CommitStaged(staged, /*packed=*/true));
-  } else if (write_count > 1) {
-    RETURN_IF_ERROR(CommitStaged(staged, /*packed=*/true));
+    if (const common::Status st = CommitStaged(staged, /*packed=*/true); !st.ok()) {
+      return drop_batch(st);
+    }
+  }
+  if (write_count > 1) {
     ++stats_.group_commits;
     if (tracer != nullptr) {
       tracer->Annotate(obs::EventType::kGroupCommit, obs::Layer::kVld, write_count,
@@ -666,7 +637,7 @@ common::Status Vld::WriteAtomic(std::span<const AtomicWrite> writes) {
   // Every extent is checked before any is staged, so a bad one leaves nothing behind.
   for (const AtomicWrite& w : writes) {
     if (w.lba % bs != 0 || w.data.size() % block_bytes != 0 ||
-        w.lba + w.data.size() / sector_bytes > SectorCount()) {
+        !InRange(w.lba, w.data.size() / sector_bytes)) {
       return common::InvalidArgument("WriteAtomic: extents must be whole aligned blocks");
     }
   }
@@ -686,7 +657,7 @@ common::Status Vld::WriteAtomic(std::span<const AtomicWrite> writes) {
 }
 
 common::Status Vld::Trim(simdisk::Lba lba, uint64_t sectors) {
-  if (lba + sectors > SectorCount()) {
+  if (!InRange(lba, sectors)) {
     return common::InvalidArgument("Trim: bad range");
   }
   obs::SpanScope span(disk_->tracer(), obs::Layer::kVld, lba, sectors);

@@ -25,10 +25,15 @@
 #include "src/core/free_space.h"
 #include "src/core/virtual_log.h"
 #include "src/simdisk/block_device.h"
-#include "src/simdisk/request_queue.h"
 #include "src/simdisk/sim_disk.h"
 
 namespace vlog::core {
+
+// How FlushQueue orders a batch's reads (VldConfig::read_policy).
+enum class SchedulerPolicy : uint8_t {
+  kFcfs,  // Submission order.
+  kSptf,  // Shortest positioning time first, by the mechanical model's estimate.
+};
 
 struct VldConfig {
   uint32_t block_sectors = 8;           // 4 KB physical blocks on 512 B sectors.
@@ -44,10 +49,7 @@ struct VldConfig {
   // but reads go where the data *is*, so SPTF orders a batch's reads by the mechanical model's
   // positioning estimate. kFcfs services the whole batch in submission order (the baseline the
   // scheduler comparison in bench_queue_depth measures against).
-  simdisk::SchedulerPolicy read_policy = simdisk::SchedulerPolicy::kSptf;
-  // Bounded-age promotion for SPTF reads: once the oldest unserviced request in a batch has
-  // waited this long it is serviced next, position notwithstanding (0 disables the guard).
-  common::Duration read_starvation_bound = 0;
+  SchedulerPolicy read_policy = SchedulerPolicy::kSptf;
   // Durability barriers around virtual-log commits (see VirtualLogConfig::barriers). Required
   // for crash consistency on a disk with a volatile write-back cache; disable only as the
   // crash sweep's negative control.
@@ -249,6 +251,8 @@ class Vld : public simdisk::BlockDevice, public CompactionBackend {
   common::Status ReadMapped(simdisk::Lba lba, std::span<std::byte> out);
   // Commits staged writes: appends the affected map pieces (transactionally when more than one;
   // `packed` selects the group-commit packed encoding) then frees the obsoleted data blocks.
+  // When the map sectors would find no free block, fails before the map changes and frees
+  // the staged blocks, so the device is left as it was.
   common::Status CommitStaged(const std::vector<StagedWrite>& staged, bool packed = false);
 
   simdisk::SimDisk* disk_;
@@ -271,8 +275,13 @@ class Vld : public simdisk::BlockDevice, public CompactionBackend {
     common::Time submit_time = 0;
     uint64_t span = 0;  // Trace span opened at submission (0 = tracing off).
   };
-  // Serves batch[index] (a read): forwarded sectors come from earlier-submitted pending write
-  // payloads in the batch, everything else from the media through the (uncommitted) map.
+  // The same-batch visibility rule: the write a read at batch[index] sees for logical sector
+  // `sector` is the LAST earlier-submitted write in the batch covering it (later writes
+  // overwrite earlier ones); null when none does. Later-submitted writes are invisible.
+  static const QueuedRequest* CoveringWrite(const std::vector<QueuedRequest>& batch, size_t index,
+                                            simdisk::Lba sector);
+  // Serves batch[index] (a read): forwarded sectors come from their CoveringWrite's pending
+  // payload, everything else from the media through the (uncommitted) map.
   common::Status ServiceQueuedRead(const std::vector<QueuedRequest>& batch, size_t index,
                                    std::span<std::byte> out, uint64_t* forwarded_sectors);
   // SPTF positioning cost of batch[index]'s first media-served sector (0 when every sector is

@@ -45,7 +45,7 @@ struct CrashPoint {
   uint64_t seed = 1;                   // kTornRandom / kCorruptTail / sampled kReorder.
   // kReorder only: absolute trace indices applied, in this order, on top of the durable
   // prefix; all lie in [writes_applied, epoch_end).
-  std::vector<uint64_t> extra;
+  std::vector<uint64_t> extra{};
   // kReorder only: the barrier position ending the epoch. Ops acknowledged at or before it may
   // be partially persisted by this point; ops beyond it have no records in `extra`.
   uint64_t epoch_end = 0;

@@ -30,20 +30,6 @@ NvmStage::NvmStage(simdisk::NvmDevice* nvm, simdisk::BlockDevice* backing, NvmSt
     : nvm_(nvm), backing_(backing), vld_(nullptr), config_(config),
       sector_bytes_(backing->SectorBytes()) {}
 
-common::Status NvmStage::CheckRange(simdisk::Lba lba, size_t bytes, const char* op) const {
-  if (bytes == 0 || bytes % sector_bytes_ != 0) {
-    return common::InvalidArgument(std::string(op) + ": size " + std::to_string(bytes) +
-                                   " not a positive multiple of " +
-                                   std::to_string(sector_bytes_));
-  }
-  const uint64_t sectors = bytes / sector_bytes_;
-  if (lba > backing_->SectorCount() || sectors > backing_->SectorCount() - lba) {
-    return common::InvalidArgument(std::string(op) + ": range [" + std::to_string(lba) + ", +" +
-                                   std::to_string(sectors) + ") exceeds device");
-  }
-  return common::OkStatus();
-}
-
 common::Status NvmStage::WriteSuperblock() {
   std::vector<std::byte> sb(kSuperblockBytes);
   common::StoreLe<uint64_t>(sb, 0, kSuperMagic);
@@ -418,7 +404,7 @@ common::StatusOr<NvmStageRecoveryInfo> NvmStage::Recover() {
     if (type == kTypeData) {
       if (arg == 0 || arg % sector_bytes_ != 0 ||
           RecordBytes(arg, nvm_->cache_line_bytes()) > size - off ||
-          lba + arg / sector_bytes_ > backing_->SectorCount()) {
+          !InRange(lba, arg / sector_bytes_)) {
         break;
       }
       payload.resize(arg);
@@ -439,7 +425,7 @@ common::StatusOr<NvmStageRecoveryInfo> NvmStage::Recover() {
       ++info.data_records;
       off += total;
     } else {
-      if (lba + arg > backing_->SectorCount() || payload_crc != 0) {
+      if (!InRange(lba, arg) || payload_crc != 0) {
         break;
       }
       const uint64_t total = RecordBytes(0, nvm_->cache_line_bytes());

@@ -171,7 +171,6 @@ class NvmStage : public simdisk::BlockDevice {
     uint64_t offset = 0;  // NVM byte offset of this sector's payload bytes.
   };
 
-  common::Status CheckRange(simdisk::Lba lba, size_t bytes, const char* op) const;
   // Absorbs one small sync write: one CRC-protected NVM append + overlay update.
   common::Status StagePut(simdisk::Lba lba, std::span<const std::byte> in);
   // Direct-path conflict protocol over [lba, lba+sectors): synchronously destages overlapping

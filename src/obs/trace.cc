@@ -17,8 +17,6 @@ const char* LayerName(Layer layer) {
       return "vld";
     case Layer::kVlog:
       return "vlog";
-    case Layer::kQueue:
-      return "queue";
     case Layer::kDisk:
       return "disk";
   }

@@ -4,7 +4,7 @@
 // belongs to exactly one activity. The TraceRecorder exploits that: each layer emits typed
 // events (kSubmit, kSeek, kMediaXfer, kMapAppend, kGroupCommit, ...) stamped with the current
 // sim-time and the *current span* — a per-request id propagated implicitly down the call tree
-// (VLFS -> VLD -> VirtualLog -> RequestQueue -> SimDisk) by SpanScope guards. One host write
+// (file system -> NVM stage -> VLD -> VirtualLog -> SimDisk) by SpanScope guards. One host write
 // is therefore followable end to end, and its latency decomposes exactly:
 //
 //   latency = host_cpu + controller + seek + head_switch + rotation + transfer + nvm + queueing
@@ -37,7 +37,7 @@ namespace vlog::obs {
 class MetricsRegistry;
 
 // Which layer of the stack emitted an event.
-enum class Layer : uint8_t { kHost, kFs, kNvm, kVld, kVlog, kQueue, kDisk };
+enum class Layer : uint8_t { kHost, kFs, kNvm, kVld, kVlog, kDisk };
 
 // What a span's request is doing. Reads and writes take different paths through a queued
 // device (reads are position-schedulable, writes are eager), so tooling wants them apart.

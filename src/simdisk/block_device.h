@@ -6,7 +6,9 @@
 #define SRC_SIMDISK_BLOCK_DEVICE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
+#include <string>
 
 #include "src/common/status.h"
 #include "src/simdisk/geometry.h"
@@ -33,6 +35,28 @@ class BlockDevice {
 
   virtual uint64_t SectorCount() const = 0;
   virtual uint32_t SectorBytes() const = 0;
+
+  // Whether [lba, lba + sectors) lies on the device. Written so that lba + sectors cannot wrap.
+  bool InRange(Lba lba, uint64_t sectors) const {
+    return lba <= SectorCount() && sectors <= SectorCount() - lba;
+  }
+
+  // The range check every implementation runs on a transfer of `bytes` at `lba`: a positive
+  // whole number of sectors, all on the device. `op` names the call in the error.
+  common::Status CheckRange(Lba lba, size_t bytes, const char* op) const {
+    const uint32_t sector_bytes = SectorBytes();
+    if (bytes == 0 || bytes % sector_bytes != 0) {
+      return common::InvalidArgument(std::string(op) + ": size " + std::to_string(bytes) +
+                                     " not a positive multiple of " +
+                                     std::to_string(sector_bytes));
+    }
+    if (!InRange(lba, bytes / sector_bytes)) {
+      return common::InvalidArgument(std::string(op) + ": range [" + std::to_string(lba) +
+                                     ", +" + std::to_string(bytes / sector_bytes) +
+                                     ") exceeds device");
+    }
+    return common::OkStatus();
+  }
 };
 
 }  // namespace vlog::simdisk

@@ -46,18 +46,6 @@ void SimDisk::RegisterTimelineProbes(obs::Timeline& timeline, const std::string&
   });
 }
 
-common::Status SimDisk::CheckRange(Lba lba, size_t bytes, const char* op) const {
-  const uint32_t sector_bytes = params_.geometry.sector_bytes;
-  if (bytes == 0 || bytes % sector_bytes != 0) {
-    return common::InvalidArgument(std::string(op) + ": size not a whole number of sectors");
-  }
-  const uint64_t sectors = bytes / sector_bytes;
-  if (lba + sectors > params_.geometry.TotalSectors()) {
-    return common::InvalidArgument(std::string(op) + ": out of range");
-  }
-  return common::OkStatus();
-}
-
 uint32_t SimDisk::SectorUnderHead(common::Time t) const {
   const common::Duration period = params_.RotationPeriod();
   const common::Duration phase = t % period;
@@ -81,7 +69,8 @@ common::Duration SimDisk::RotationalWait(uint32_t sector, common::Time at) const
   return wait;
 }
 
-common::Duration SimDisk::ArmMoveCost(const PhysAddr& target) const {
+common::Duration SimDisk::ArmMoveCost(Lba lba) const {
+  const PhysAddr target = params_.geometry.ToPhys(lba);
   const uint32_t dist = target.cylinder > arm_.cylinder ? target.cylinder - arm_.cylinder
                                                         : arm_.cylinder - target.cylinder;
   const common::Duration seek = params_.seek.SeekTime(dist);
@@ -90,17 +79,9 @@ common::Duration SimDisk::ArmMoveCost(const PhysAddr& target) const {
   return std::max(seek, head_switch);
 }
 
-common::Duration SimDisk::ArmMoveCost(Lba lba) const {
-  return ArmMoveCost(params_.geometry.ToPhys(lba));
-}
-
-common::Duration SimDisk::EstimatePosition(const PhysAddr& target, common::Time at) const {
-  const common::Duration move = ArmMoveCost(target);
-  return move + RotationalWait(target.sector, at + move);
-}
-
 common::Duration SimDisk::EstimatePosition(Lba lba, common::Time at) const {
-  return EstimatePosition(params_.geometry.ToPhys(lba), at);
+  const common::Duration move = ArmMoveCost(lba);
+  return move + RotationalWait(params_.geometry.ToPhys(lba).sector, at + move);
 }
 
 void SimDisk::Position(Lba lba, bool sequential) {
@@ -132,11 +113,8 @@ void SimDisk::Position(Lba lba, bool sequential) {
   }
   clock_->Advance(move + wait);
   last_request_.locate += move + wait;
-  if (arm_.cylinder != target.cylinder || arm_.head != target.head) {
-    arm_.cylinder = target.cylinder;
-    arm_.head = target.head;
-    ++arm_epoch_;
-  }
+  arm_.cylinder = target.cylinder;
+  arm_.head = target.head;
 }
 
 void SimDisk::CatchUpReadAhead() {
@@ -329,8 +307,7 @@ common::Status SimDisk::InternalRead(Lba lba, std::span<std::byte> out) {
 
 SimDisk::MediaView SimDisk::InternalReadView(Lba lba, uint64_t sectors) {
   const DiskGeometry& g = params_.geometry;
-  if (!CheckRange(lba, sectors * g.sector_bytes, "InternalRead").ok() ||
-      g.TrackOf(lba) != g.TrackOf(lba + sectors - 1)) {
+  if (sectors == 0 || !InRange(lba, sectors) || g.TrackOf(lba) != g.TrackOf(lba + sectors - 1)) {
     return {};
   }
   Access(lba, sectors, /*is_write=*/false, /*host_command=*/false);

@@ -119,11 +119,6 @@ class SimDisk : public BlockDevice {
   // Arm position (cylinder+surface). The rotational position is time-derived; see below.
   const PhysAddr& ArmPosition() const { return arm_; }
 
-  // Bumped whenever the arm actually moves to a different track. SPTF schedulers key their
-  // per-request positioning-cost memo on this: while the epoch is unchanged, every cached
-  // ArmMoveCost stays exact, so a dispatch loop re-estimates only after a move.
-  uint64_t arm_epoch() const { return arm_epoch_; }
-
   // The sector index whose leading edge is under the head at time t (fractional part dropped).
   uint32_t SectorUnderHead(common::Time t) const;
 
@@ -131,14 +126,11 @@ class SimDisk : public BlockDevice {
   common::Duration RotationalWait(uint32_t sector, common::Time at) const;
 
   // Seek + head-switch cost from the current arm position to the track holding `lba`
-  // (0 when already there). Excludes rotation. The PhysAddr overload skips the LBA->geometry
-  // decomposition, for callers that cache the decomposition per request (SPTF schedulers).
+  // (0 when already there). Excludes rotation.
   common::Duration ArmMoveCost(Lba lba) const;
-  common::Duration ArmMoveCost(const PhysAddr& target) const;
 
   // Full positioning estimate: arm move plus rotational wait, starting at time `at`.
   common::Duration EstimatePosition(Lba lba, common::Time at) const;
-  common::Duration EstimatePosition(const PhysAddr& target, common::Time at) const;
 
   const DiskParams& params() const { return params_; }
   const DiskGeometry& geometry() const { return params_.geometry; }
@@ -153,7 +145,7 @@ class SimDisk : public BlockDevice {
   ReadAheadPolicy read_ahead_policy() const { return read_ahead_policy_; }
 
   // Optional tracing. The disk is the bottom of the stack and the one object every layer
-  // already holds, so upper layers (VLD, VirtualLog, RequestQueue, VLFS) reach the recorder
+  // already holds, so upper layers (VLD, VirtualLog, Compactor, VldArray) reach the recorder
   // through here instead of each taking a constructor parameter. Null (the default) disables
   // all tracing; the simulation never reads the recorder, so attaching one cannot change
   // simulated time.
@@ -231,7 +223,6 @@ class SimDisk : public BlockDevice {
   uint64_t cache_dirty_sectors() const { return cache_.dirty_sectors(); }
 
  private:
-  common::Status CheckRange(Lba lba, size_t bytes, const char* op) const;
   // Checks the armed write fault before a write touches media. Returns ok when the write should
   // proceed normally; otherwise applies whatever the fault mode persists and returns kIoError.
   common::Status ApplyWriteFault(Lba lba, std::span<const std::byte> in);
@@ -271,7 +262,6 @@ class SimDisk : public BlockDevice {
   // What a MediaView shows for a sector of an unwritten page.
   std::vector<std::byte> zero_sector_;
   PhysAddr arm_{};
-  uint64_t arm_epoch_ = 0;
   DiskStats stats_;
   LatencyBreakdown last_request_;
   TrackBuffer buffer_;

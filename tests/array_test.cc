@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -357,6 +358,56 @@ TEST(VldArrayTest, QueuedSpansCarryMemberDiskIndex) {
     }
   }
   EXPECT_TRUE(saw[0] && saw[1]) << "per-member spans must be labeled with their disk index";
+}
+
+// The array checks ranges the way a bare member Vld does: a transfer must be a positive whole
+// number of sectors, and an extent whose end wraps past 2^64 is out of range. Queued requests
+// are checked at submission.
+TEST(VldArrayTest, StripedRejectsWhatAMemberRejects) {
+  auto stacks = MakeStacks(2, {.queue_depth = 8});
+  VldArray array(Members(stacks), {.mode = ArrayMode::kStriped, .stripe_blocks = 1});
+  ASSERT_TRUE(array.Format().ok());
+  const auto invalid = common::StatusCode::kInvalidArgument;
+  const auto ragged = Pattern(kBlockBytes + 100, 1);  // Not a whole number of sectors.
+  std::vector<std::byte> ragged_out(kBlockBytes + 100);
+  EXPECT_EQ(array.Write(0, ragged).code(), invalid);
+  EXPECT_EQ(array.Write(0, std::span<const std::byte>()).code(), invalid);
+  EXPECT_EQ(array.Read(0, ragged_out).code(), invalid);
+  EXPECT_EQ(array.SubmitRead(0, 0).status().code(), invalid);
+  EXPECT_EQ(array.SubmitWrite(0, ragged).status().code(), invalid);
+  const simdisk::Lba wrap = std::numeric_limits<simdisk::Lba>::max() - 3;
+  const auto block = Pattern(kBlockBytes, 2);
+  std::vector<std::byte> out(kBlockBytes);
+  EXPECT_EQ(array.Write(wrap, block).code(), invalid);
+  EXPECT_EQ(array.Read(wrap, out).code(), invalid);
+  EXPECT_EQ(array.SubmitWrite(wrap, block).status().code(), invalid);
+  EXPECT_EQ(array.SubmitRead(wrap, 8).status().code(), invalid);
+  EXPECT_EQ(array.QueuedRequests(), 0u);
+  for (uint32_t m = 0; m < 2; ++m) {
+    EXPECT_EQ(stacks[m]->vld->stats().host_writes, 0u) << "member " << m;
+  }
+}
+
+// A request the members would reject never reaches the array queue, so it cannot fail a batch
+// after the batch's earlier write was handed to both replicas. That write completes with its
+// batch and no member keeps it queued.
+TEST(VldArrayTest, MirroredRejectsAnEmptyQueuedReadAtSubmission) {
+  auto stacks = MakeStacks(2, {.queue_depth = 8});
+  VldArray array(Members(stacks), {.mode = ArrayMode::kMirrored});
+  ASSERT_TRUE(array.Format().ok());
+  const auto data = Pattern(kBlockBytes, 3);
+  ASSERT_TRUE(array.SubmitWrite(0, data).ok());
+  EXPECT_EQ(array.SubmitRead(0, 0).status().code(), common::StatusCode::kInvalidArgument);
+  auto done = array.FlushQueue();
+  ASSERT_TRUE(done.ok());
+  ASSERT_EQ(done->size(), 1u);
+  EXPECT_TRUE((*done)[0].is_write);
+  for (uint32_t m = 0; m < 2; ++m) {
+    EXPECT_EQ(stacks[m]->vld->QueuedRequests(), 0u) << "member " << m;
+    std::vector<std::byte> out(kBlockBytes);
+    ASSERT_TRUE(stacks[m]->vld->Read(0, out).ok());
+    EXPECT_EQ(out, data) << "replica " << m;
+  }
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
-// The queued read path: SubmitRead/FlushQueue through the shared request queue.
+// The queued read path: SubmitRead/FlushQueue through the VLD's request queue, which reads and
+// writes share and whose read scheduler (VldConfig::read_policy) is the only one in the stack.
 //
 // Covers the acceptance gates for the queued-read engine: depth-1 clock/data identity with the
 // synchronous Read path, same-batch RAW forwarding (full and partial overlap), submission-order
-// visibility (a read never sees a later-submitted write), read-only batches committing nothing,
-// SPTF determinism and bounded-age starvation promotion, the shared queue-depth budget, and a
-// differential check of seeded randomized SubmitRead/SubmitWrite/FlushQueue/Flush interleavings
-// against a synchronous-replay oracle device (bit-identical read payloads and final contents),
-// with and without a volatile write-back drive cache.
+// visibility (a read never sees a later-submitted write), a same-batch overwrite keeping the
+// newer write's sectors, read-only batches committing nothing, the scheduler (FCFS dispatches
+// in submission order; SPTF is deterministic, finishes sooner, serves cost-free reads first and
+// breaks equal-cost ties toward the older read), the shared queue-depth budget, and a differential check of seeded randomized SubmitRead/SubmitWrite/
+// FlushQueue/Flush interleavings, same-batch overwrites included, against a synchronous-replay
+// oracle device (bit-identical read payloads and final contents, free-space accounting that
+// matches the map), with and without a volatile write-back drive cache.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +25,7 @@
 #include "src/common/status.h"
 #include "src/common/time.h"
 #include "src/core/vld.h"
+#include "src/crashsim/sweep_driver.h"
 #include "src/obs/trace.h"
 #include "src/simdisk/disk_params.h"
 #include "src/simdisk/sim_disk.h"
@@ -200,6 +204,44 @@ TEST(QueuedReadTest, ReadSubmittedBeforeWriteSeesPreBatchData) {
   EXPECT_EQ(out, v2) << "the write itself must still commit with the batch";
 }
 
+// Same-batch WAW: a newer write overlapping an older one of the same batch wins on the sectors
+// they share, for a read later in the batch, for a read after the commit and after recovery,
+// and the block the older write staged is freed rather than left live.
+TEST(QueuedReadTest, SameBatchOverwriteKeepsTheNewerWritesSectors) {
+  Rig rig;
+  const auto v1a = Pattern(kBlockBytes, 20);
+  const auto v1b = Pattern(kBlockBytes, 21);
+  const auto older = Pattern(kBlockBytes, 22);
+  const auto newer = Pattern(kBlockBytes, 23);
+  ASSERT_TRUE(rig.vld->Write(10 * kBlockSectors, v1a).ok());
+  ASSERT_TRUE(rig.vld->Write(11 * kBlockSectors, v1b).ok());
+
+  // Older: all of block 10. Newer: the last 4 sectors of block 10 and the first 4 of block 11.
+  std::vector<std::byte> want(older.begin(), older.begin() + 4 * kSectorBytes);
+  want.insert(want.end(), newer.begin(), newer.end());
+  want.insert(want.end(), v1b.begin() + 4 * kSectorBytes, v1b.end());
+  ASSERT_TRUE(rig.vld->SubmitWrite(10 * kBlockSectors, older).ok());
+  ASSERT_TRUE(rig.vld->SubmitWrite(10 * kBlockSectors + 4, newer).ok());
+  ASSERT_TRUE(rig.vld->SubmitRead(10 * kBlockSectors, 2 * kBlockSectors).ok());
+  auto done = rig.vld->FlushQueue();
+  ASSERT_TRUE(done.ok());
+  ASSERT_EQ(done->size(), 3u);
+  ASSERT_FALSE((*done)[2].is_write);
+  EXPECT_EQ((*done)[2].data, want) << "a read after both writes must see the newer sectors";
+
+  std::vector<std::byte> out(2 * kBlockBytes);
+  ASSERT_TRUE(rig.vld->Read(10 * kBlockSectors, out).ok());
+  EXPECT_EQ(out, want) << "the commit must keep the newer write's sectors";
+  crashsim::CheckMapInvariants(*rig.vld, [](const std::string& what) { ADD_FAILURE() << what; });
+
+  common::Clock fork_clock;
+  simdisk::SimDisk fork = rig.disk->Fork(&fork_clock);
+  Vld recovered(&fork, VldConfig{.queue_depth = 16});
+  ASSERT_TRUE(recovered.Recover().ok());
+  ASSERT_TRUE(recovered.Read(10 * kBlockSectors, out).ok());
+  EXPECT_EQ(out, want) << "recovery must keep the newer write's sectors";
+}
+
 TEST(QueuedReadTest, QueuedReadOfUnmappedBlockReturnsZeros) {
   Rig rig;
   const uint64_t unmapped_before = rig.vld->stats().unmapped_reads;
@@ -271,94 +313,153 @@ TEST(QueuedReadTest, SharedQueueDepthAcrossReadsAndWrites) {
   ASSERT_TRUE(rig.vld->FlushQueue().ok());
 }
 
-// Satellite (d): the SPTF schedule is a pure function of the request set — two identical runs
-// must produce identical service times — and differs from FCFS only in service order, never in
-// returned bytes.
+// One scheduled run: three batches of six scattered reads plus one write, on a fresh device
+// with blocks 0-31 written.
+struct ScheduledRun {
+  std::vector<uint64_t> ids;                  // Completions, in the order FlushQueue returns.
+  std::vector<std::vector<std::byte>> bytes;  // dispatch/complete times, then the data.
+  std::vector<common::Time> dispatch;         // Per request, in submission order.
+  common::Duration elapsed = 0;               // The three batches, end to end.
+};
+
+ScheduledRun ServeThreeBatches(SchedulerPolicy policy) {
+  Rig rig(VldConfig{.queue_depth = 16, .read_policy = policy});
+  for (uint32_t b = 0; b < 32; ++b) {
+    EXPECT_TRUE(
+        rig.vld->Write(static_cast<simdisk::Lba>(b) * kBlockSectors, Pattern(kBlockBytes, b))
+            .ok());
+  }
+  ScheduledRun r;
+  std::vector<uint64_t> submitted;
+  const common::Time start = rig.clock.Now();
+  for (int round = 0; round < 3; ++round) {
+    const auto payload = Pattern(kBlockBytes, 90 + static_cast<uint32_t>(round));
+    for (const uint32_t b : {0u, 17u, 3u, 29u, 8u, 23u}) {
+      auto id = rig.vld->SubmitRead(static_cast<simdisk::Lba>(b) * kBlockSectors, kBlockSectors);
+      EXPECT_TRUE(id.ok());
+      submitted.push_back(id.ok() ? *id : 0);
+    }
+    auto id = rig.vld->SubmitWrite(5 * kBlockSectors, payload);
+    EXPECT_TRUE(id.ok());
+    submitted.push_back(id.ok() ? *id : 0);
+    auto done = rig.vld->FlushQueue();
+    EXPECT_TRUE(done.ok());
+    for (const Vld::QueuedCompletion& c : *done) {
+      // dispatch/complete times pin the service schedule; data pins correctness.
+      std::vector<std::byte> record(16);
+      std::memcpy(record.data(), &c.dispatch_time, sizeof(c.dispatch_time));
+      std::memcpy(record.data() + 8, &c.complete_time, sizeof(c.complete_time));
+      record.insert(record.end(), c.data.begin(), c.data.end());
+      r.ids.push_back(c.id);
+      r.bytes.push_back(std::move(record));
+      r.dispatch.push_back(c.dispatch_time);
+    }
+  }
+  r.elapsed = rig.clock.Now() - start;
+  EXPECT_EQ(r.ids, submitted) << "completions come back in submission order";
+  return r;
+}
+
+// The SPTF schedule is a pure function of the request set — two identical runs must produce
+// identical service times — and differs from FCFS only in service order, never in returned
+// bytes.
 TEST(QueuedReadTest, SptfServiceOrderIsDeterministic) {
-  auto run = [](simdisk::SchedulerPolicy policy) {
-    Rig rig(VldConfig{.queue_depth = 16, .read_policy = policy});
-    for (uint32_t b = 0; b < 32; ++b) {
-      EXPECT_TRUE(
-          rig.vld->Write(static_cast<simdisk::Lba>(b) * kBlockSectors, Pattern(kBlockBytes, b))
-              .ok());
-    }
-    std::vector<std::pair<uint64_t, std::vector<std::byte>>> outcome;
-    for (int round = 0; round < 3; ++round) {
-      const auto payload = Pattern(kBlockBytes, 90 + static_cast<uint32_t>(round));
-      for (const uint32_t b : {0u, 17u, 3u, 29u, 8u, 23u}) {
-        EXPECT_TRUE(
-            rig.vld->SubmitRead(static_cast<simdisk::Lba>(b) * kBlockSectors, kBlockSectors)
-                .ok());
-      }
-      EXPECT_TRUE(rig.vld->SubmitWrite(5 * kBlockSectors, payload).ok());
-      auto done = rig.vld->FlushQueue();
-      EXPECT_TRUE(done.ok());
-      for (const Vld::QueuedCompletion& c : *done) {
-        // dispatch/complete times pin the service schedule; data pins correctness.
-        std::vector<std::byte> record(16);
-        std::memcpy(record.data(), &c.dispatch_time, sizeof(c.dispatch_time));
-        std::memcpy(record.data() + 8, &c.complete_time, sizeof(c.complete_time));
-        record.insert(record.end(), c.data.begin(), c.data.end());
-        outcome.emplace_back(c.id, std::move(record));
-      }
-    }
-    return outcome;
-  };
+  const ScheduledRun sptf1 = ServeThreeBatches(SchedulerPolicy::kSptf);
+  const ScheduledRun sptf2 = ServeThreeBatches(SchedulerPolicy::kSptf);
+  EXPECT_EQ(sptf1.ids, sptf2.ids);
+  EXPECT_EQ(sptf1.bytes, sptf2.bytes) << "SPTF must be deterministic across identical runs";
 
-  const auto sptf1 = run(simdisk::SchedulerPolicy::kSptf);
-  const auto sptf2 = run(simdisk::SchedulerPolicy::kSptf);
-  EXPECT_EQ(sptf1, sptf2) << "SPTF must be deterministic across identical runs";
-
-  const auto fcfs = run(simdisk::SchedulerPolicy::kFcfs);
-  ASSERT_EQ(fcfs.size(), sptf1.size());
-  for (size_t i = 0; i < fcfs.size(); ++i) {
-    EXPECT_EQ(fcfs[i].first, sptf1[i].first);
-    const std::vector<std::byte> fcfs_data(fcfs[i].second.begin() + 16, fcfs[i].second.end());
-    const std::vector<std::byte> sptf_data(sptf1[i].second.begin() + 16,
-                                           sptf1[i].second.end());
+  const ScheduledRun fcfs = ServeThreeBatches(SchedulerPolicy::kFcfs);
+  ASSERT_EQ(fcfs.ids, sptf1.ids);
+  ASSERT_EQ(fcfs.bytes.size(), sptf1.bytes.size());
+  for (size_t i = 0; i < fcfs.bytes.size(); ++i) {
+    const std::vector<std::byte> fcfs_data(fcfs.bytes[i].begin() + 16, fcfs.bytes[i].end());
+    const std::vector<std::byte> sptf_data(sptf1.bytes[i].begin() + 16, sptf1.bytes[i].end());
     EXPECT_EQ(fcfs_data, sptf_data) << "scheduling policy must never change returned bytes";
   }
 }
 
-// Satellite (d): bounded-age promotion. An expensive mapped read submitted first would lose to
-// cost-0 unmapped reads under pure SPTF; once its age crosses the bound it must go first.
-TEST(QueuedReadTest, ReadStarvationBoundPromotesOldestRead) {
-  auto dispatch_rank = [](common::Duration bound) {
-    Rig rig(VldConfig{.queue_depth = 16,
-                      .read_policy = simdisk::SchedulerPolicy::kSptf,
-                      .read_starvation_bound = bound});
-    EXPECT_TRUE(rig.vld->Write(0, Pattern(kBlockBytes, 1)).ok());
-    auto first = rig.vld->SubmitRead(0, kBlockSectors);  // Mapped: positive media cost.
-    EXPECT_TRUE(first.ok());
-    rig.clock.Advance(common::Milliseconds(2));
-    for (uint32_t b = 100; b < 103; ++b) {
-      // Unmapped reads: zero positioning cost, so SPTF always prefers them.
-      EXPECT_TRUE(
-          rig.vld->SubmitRead(static_cast<simdisk::Lba>(b) * kBlockSectors, kBlockSectors)
-              .ok());
-    }
-    auto done = rig.vld->FlushQueue();
-    EXPECT_TRUE(done.ok());
-    size_t rank = 0;
-    for (const Vld::QueuedCompletion& c : *done) {
-      if (c.id != *first && c.dispatch_time < (*done)[0].dispatch_time) {
-        ++rank;
-      }
-    }
-    return rank;  // How many other requests were dispatched before the oldest one.
-  };
+// FCFS dispatches every request of a batch in submission order, on the same batches that SPTF
+// reorders.
+TEST(QueuedReadTest, FcfsDispatchesEveryBatchInSubmissionOrder) {
+  const ScheduledRun fcfs = ServeThreeBatches(SchedulerPolicy::kFcfs);
+  ASSERT_EQ(fcfs.dispatch.size(), 21u);
+  for (size_t i = 1; i < fcfs.dispatch.size(); ++i) {
+    EXPECT_LT(fcfs.dispatch[i - 1], fcfs.dispatch[i]) << "request " << i << " dispatched early";
+  }
+  const ScheduledRun sptf = ServeThreeBatches(SchedulerPolicy::kSptf);
+  EXPECT_FALSE(std::is_sorted(sptf.dispatch.begin(), sptf.dispatch.end()))
+      << "the batches must be ones a positional scheduler reorders";
+}
 
-  EXPECT_EQ(dispatch_rank(0), 3u)
-      << "without a bound, the cost-0 reads all jump the expensive oldest read";
-  EXPECT_EQ(dispatch_rank(common::Milliseconds(1)), 0u)
-      << "past the bound, the oldest read must be serviced first";
+// SPTF's reordering pays: the same three batches finish well ahead of FCFS, which seeks back
+// and forth between the scattered blocks in submission order.
+TEST(QueuedReadTest, SptfFinishesTheSameBatchesWellAheadOfFcfs) {
+  const ScheduledRun fcfs = ServeThreeBatches(SchedulerPolicy::kFcfs);
+  const ScheduledRun sptf = ServeThreeBatches(SchedulerPolicy::kSptf);
+  EXPECT_LT(sptf.elapsed, fcfs.elapsed - common::Milliseconds(5))
+      << "SPTF " << sptf.elapsed << " ns vs FCFS " << fcfs.elapsed << " ns";
+}
+
+// SPTF ranks reads by positioning cost alone: an expensive mapped read submitted first loses
+// to every later read of an unmapped block, which costs nothing mechanical.
+TEST(QueuedReadTest, SptfServesCostFreeReadsBeforeOlderMediaRead) {
+  Rig rig;
+  ASSERT_TRUE(rig.vld->Write(0, Pattern(kBlockBytes, 1)).ok());
+  auto first = rig.vld->SubmitRead(0, kBlockSectors);  // Mapped: positive media cost.
+  ASSERT_TRUE(first.ok());
+  for (uint32_t b = 100; b < 103; ++b) {
+    ASSERT_TRUE(
+        rig.vld->SubmitRead(static_cast<simdisk::Lba>(b) * kBlockSectors, kBlockSectors).ok());
+  }
+  auto done = rig.vld->FlushQueue();
+  ASSERT_TRUE(done.ok());
+  ASSERT_EQ(done->front().id, *first);
+  for (size_t i = 1; i < done->size(); ++i) {
+    EXPECT_LT((*done)[i].dispatch_time, done->front().dispatch_time)
+        << "the cost-0 read " << i << " must jump the expensive oldest read";
+  }
+}
+
+// Equal positioning cost breaks toward the older read, so SPTF is FIFO among ties. Three reads
+// of block 0 around one of block 1999 dispatch as the 1st, 3rd, 4th, then the 2nd request.
+TEST(QueuedReadTest, SptfBreaksEqualCostTiesTowardTheOlderRead) {
+  common::Clock clock;
+  simdisk::SimDisk disk(simdisk::Hp97560(), &clock);
+  Vld vld(&disk, VldConfig{.compactor_enabled = false, .queue_depth = 16});
+  ASSERT_TRUE(vld.Format().ok());
+  for (uint32_t b = 0; b < 2000; ++b) {
+    ASSERT_TRUE(
+        vld.Write(static_cast<simdisk::Lba>(b) * kBlockSectors, Pattern(kBlockBytes, b)).ok());
+  }
+  std::vector<uint64_t> ids;
+  for (const uint32_t b : {0u, 1999u, 0u, 0u}) {
+    auto id = vld.SubmitRead(static_cast<simdisk::Lba>(b) * kBlockSectors, kBlockSectors);
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+  }
+  auto done = vld.FlushQueue();
+  ASSERT_TRUE(done.ok());
+  std::vector<Vld::QueuedCompletion> by_dispatch = std::move(*done);
+  std::sort(by_dispatch.begin(), by_dispatch.end(),
+            [](const Vld::QueuedCompletion& a, const Vld::QueuedCompletion& b) {
+              return a.dispatch_time < b.dispatch_time;
+            });
+  std::vector<uint64_t> order;
+  for (const Vld::QueuedCompletion& c : by_dispatch) {
+    order.push_back(c.id);
+  }
+  EXPECT_EQ(order, (std::vector<uint64_t>{ids[0], ids[2], ids[3], ids[1]}));
 }
 
 // The differential suite: seeded randomized interleavings of SubmitRead / SubmitWrite /
 // FlushQueue / Flush on the queued device, replayed synchronously on an identical oracle
-// device. Every queued read must return bit-identical bytes to the oracle's synchronous read
-// at its submission point, and the final logical contents must match block for block.
-void RunDifferential(uint64_t seed, uint64_t cache_sectors) {
+// device. A batch may write one block several times (a same-batch overwrite, whose last write
+// must win). Every queued read must return bit-identical bytes to the oracle's synchronous read
+// at its submission point, the final logical contents must match block for block, and the
+// queued device's free-space accounting must match its map. Adds the batch writes that
+// overwrote an earlier write of the same batch to `overwrites`.
+void RunDifferential(uint64_t seed, uint64_t cache_sectors, uint64_t* overwrites) {
   SCOPED_TRACE("seed " + std::to_string(seed) + " cache " + std::to_string(cache_sectors));
   Rig queued(VldConfig{.queue_depth = 16}, cache_sectors);
   Rig oracle(VldConfig{.queue_depth = 16}, cache_sectors);
@@ -369,7 +470,7 @@ void RunDifferential(uint64_t seed, uint64_t cache_sectors) {
   for (int round = 0; round < 25; ++round) {
     const size_t batch = 1 + rng.Below(12);
     std::map<uint64_t, std::vector<std::byte>> expected;  // Read id -> oracle bytes.
-    std::set<uint32_t> written;  // One write per block per batch (WAW is out of scope here).
+    std::set<uint32_t> written;  // Blocks this batch has written.
     for (size_t i = 0; i < batch; ++i) {
       if (rng.Chance(0.45)) {
         // Reads may be unaligned and sub-block: any extent inside the region.
@@ -382,11 +483,8 @@ void RunDifferential(uint64_t seed, uint64_t cache_sectors) {
         ASSERT_TRUE(oracle.vld->Read(lba, want).ok());
         expected.emplace(*id, std::move(want));
       } else {
-        uint32_t b = static_cast<uint32_t>(rng.Below(region));
-        while (written.count(b) != 0) {
-          b = static_cast<uint32_t>(rng.Below(region));
-        }
-        written.insert(b);
+        const uint32_t b = static_cast<uint32_t>(rng.Below(region));
+        *overwrites += written.insert(b).second ? 0 : 1;
         const auto payload =
             Pattern(kBlockBytes, static_cast<uint32_t>(seed * 1000 + round * 37 + i));
         ASSERT_TRUE(
@@ -422,18 +520,24 @@ void RunDifferential(uint64_t seed, uint64_t cache_sectors) {
     ASSERT_TRUE(oracle.vld->Read(static_cast<simdisk::Lba>(b) * kBlockSectors, want).ok());
     ASSERT_EQ(got, want) << "final contents diverged at block " << b;
   }
+  crashsim::CheckMapInvariants(*queued.vld,
+                               [](const std::string& what) { ADD_FAILURE() << what; });
 }
 
 TEST(QueuedReadDifferentialTest, MatchesSyncOracleAcrossSeeds) {
+  uint64_t overwrites = 0;
   for (uint64_t seed = 1; seed <= 4; ++seed) {
-    RunDifferential(seed, /*cache_sectors=*/0);
+    RunDifferential(seed, /*cache_sectors=*/0, &overwrites);
   }
+  EXPECT_GT(overwrites, 0u) << "the schedule must exercise same-batch overwrites";
 }
 
 TEST(QueuedReadDifferentialTest, MatchesSyncOracleWithWriteBackCache) {
+  uint64_t overwrites = 0;
   for (uint64_t seed = 5; seed <= 6; ++seed) {
-    RunDifferential(seed, /*cache_sectors=*/1024);
+    RunDifferential(seed, /*cache_sectors=*/1024, &overwrites);
   }
+  EXPECT_GT(overwrites, 0u) << "the schedule must exercise same-batch overwrites";
 }
 
 }  // namespace

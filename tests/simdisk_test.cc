@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -112,12 +113,26 @@ TEST_F(SimDiskTest, WriteThenReadBack) {
 }
 
 TEST_F(SimDiskTest, RejectsBadRanges) {
-  std::vector<std::byte> buf(100);  // Not a whole sector.
-  EXPECT_FALSE(disk_.Read(0, buf).ok());
+  std::vector<std::byte> ragged(100);  // Not a whole sector.
+  EXPECT_FALSE(disk_.Read(0, ragged).ok());
   std::vector<std::byte> sector(512);
   EXPECT_FALSE(disk_.Write(disk_.SectorCount(), sector).ok());
   std::vector<std::byte> two_sectors(1024);
   EXPECT_FALSE(disk_.Read(disk_.SectorCount() - 1, two_sectors).ok());
+  // An extent whose end wraps past 2^64 is out of range on every entry point.
+  const Lba wrap = std::numeric_limits<Lba>::max() - 3;  // 8 sectors wrap to LBA 4.
+  std::vector<std::byte> buf(8 * 512);
+  const auto invalid = common::StatusCode::kInvalidArgument;
+  EXPECT_EQ(disk_.Read(wrap, buf).code(), invalid);
+  EXPECT_EQ(disk_.Write(wrap, buf).code(), invalid);
+  EXPECT_EQ(disk_.WriteFua(wrap, buf).code(), invalid);
+  EXPECT_EQ(disk_.InternalRead(wrap, buf).code(), invalid);
+  EXPECT_EQ(disk_.InternalWrite(wrap, buf).code(), invalid);
+  EXPECT_EQ(disk_.InternalWriteFua(wrap, buf).code(), invalid);
+  EXPECT_TRUE(disk_.InternalReadView(wrap, 8).empty());
+  // No rejected call touched the media or the clock.
+  EXPECT_EQ(clock_.Now(), 0);
+  EXPECT_EQ(disk_.stats().write_requests + disk_.stats().read_requests, 0u);
 }
 
 TEST_F(SimDiskTest, HostCommandChargesScsiOverhead) {

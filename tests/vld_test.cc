@@ -2,12 +2,14 @@
 
 #include <cstddef>
 #include <cstring>
+#include <limits>
 #include <memory>
-#include <set>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/core/vld.h"
+#include "src/crashsim/sweep_driver.h"
 #include "src/obs/trace.h"
 #include "src/simdisk/disk_params.h"
 #include "src/simdisk/sim_disk.h"
@@ -107,8 +109,26 @@ TEST_F(VldTest, OverwriteMonitoringFreesOldBlocks) {
 
 TEST_F(VldTest, RejectsBadRanges) {
   EXPECT_FALSE(vld_->Write(vld_->SectorCount(), Pattern(512, 0)).ok());
-  std::vector<std::byte> out(100);
-  EXPECT_FALSE(vld_->Read(0, out).ok());
+  std::vector<std::byte> ragged(100);
+  EXPECT_FALSE(vld_->Read(0, ragged).ok());
+  // Every entry point rejects an extent whose end wraps past 2^64, before touching anything.
+  const simdisk::Lba wrap = std::numeric_limits<simdisk::Lba>::max() - 3;  // 8 sectors wrap.
+  const auto block = Pattern(kBlockBytes, 1);
+  std::vector<std::byte> out(kBlockBytes);
+  const auto invalid = common::StatusCode::kInvalidArgument;
+  EXPECT_EQ(vld_->Read(wrap, out).code(), invalid);
+  EXPECT_EQ(vld_->Write(wrap, block).code(), invalid);
+  EXPECT_EQ(vld_->Trim(wrap, 8).code(), invalid);
+  EXPECT_EQ(vld_->SubmitRead(wrap, 8).status().code(), invalid);
+  EXPECT_EQ(vld_->SubmitWrite(wrap, block).status().code(), invalid);
+  // WriteAtomic wants block-aligned extents: the last aligned LBA wraps too.
+  const std::vector<Vld::AtomicWrite> atomic = {{wrap - 4, block}};
+  EXPECT_EQ(vld_->WriteAtomic(atomic).code(), invalid);
+  EXPECT_EQ(vld_->QueuedRequests(), 0u);
+  // In-range extents behave as before, an empty Trim included.
+  EXPECT_TRUE(vld_->Trim(0, 0).ok());
+  EXPECT_TRUE(vld_->Write(vld_->SectorCount() - 8, block).ok());
+  EXPECT_EQ(vld_->Write(vld_->SectorCount() - 4, block).code(), invalid);
 }
 
 TEST_F(VldTest, EagerWriteIsFasterThanHalfRotation) {
@@ -408,6 +428,31 @@ TEST_F(VldTest, GroupCommitUsesFewerLogWrites) {
   }
 }
 
+// Queued writes cost less than the same writes issued synchronously: the batch shares one map
+// commit and pipelines its controller overhead behind the media, so on the same fresh device
+// eight queued writes finish before eight synchronous ones do.
+TEST_F(VldTest, QueuedBatchFinishesBeforeTheSameSyncWrites) {
+  const common::Time sync_start = clock_.Now();
+  for (uint32_t i = 0; i < 8; ++i) {
+    ASSERT_TRUE(vld_->Write(i * 8, Pattern(kBlockBytes, i)).ok());
+  }
+  const common::Duration sync_elapsed = clock_.Now() - sync_start;
+
+  Reset(config_);
+  const common::Time queued_start = clock_.Now();
+  for (uint32_t i = 0; i < 8; ++i) {
+    ASSERT_TRUE(vld_->SubmitWrite(i * 8, Pattern(kBlockBytes, i)).ok());
+  }
+  auto done = vld_->FlushQueue();
+  ASSERT_TRUE(done.ok());
+  ASSERT_EQ(done->size(), 8u);
+  const common::Duration queued_elapsed = clock_.Now() - queued_start;
+  EXPECT_LT(queued_elapsed, sync_elapsed);
+  for (const Vld::QueuedCompletion& c : *done) {
+    EXPECT_LT(c.Latency(), sync_elapsed) << "request " << c.id;
+  }
+}
+
 TEST_F(VldTest, SubmitWriteRejectsWhenQueueFull) {
   for (uint32_t i = 0; i < vld_->queue_depth(); ++i) {
     ASSERT_TRUE(vld_->SubmitWrite(i * 8, Pattern(kBlockBytes, i)).ok());
@@ -494,22 +539,10 @@ TEST_F(VldTest, TornGroupCommitRollsBackWholeBatch) {
   }
 }
 
-// Live blocks the map accounts for: mapped data blocks plus live and pinned map blocks.
-uint64_t AccountedBlocks(const Vld& vld) {
-  uint64_t mapped = 0;
-  for (const uint32_t phys : vld.logical_map()) {
-    mapped += phys != kUnmappedBlock ? 1 : 0;
-  }
-  std::set<uint32_t> map_blocks;
-  for (uint32_t k = 0; k < vld.vlog().config().pieces; ++k) {
-    if (const auto block = vld.vlog().LiveBlockOfPiece(k)) {
-      map_blocks.insert(*block);
-    }
-  }
-  for (const uint32_t block : vld.vlog().PinnedBlocks()) {
-    map_blocks.insert(block);
-  }
-  return mapped + map_blocks.size();
+// The running device's map invariants, free-space accounting included: live blocks are exactly
+// the mapped data blocks plus the live and pinned map blocks.
+void ExpectMapInvariants(const Vld& vld) {
+  crashsim::CheckMapInvariants(vld, [](const std::string& what) { ADD_FAILURE() << what; });
 }
 
 // An overwrite that runs out of space while staging must give back the blocks it already
@@ -526,14 +559,14 @@ TEST(VldFailedWriteTest, OutOfSpaceOverwriteLeavesNoStagedBlocksLive) {
   }
   const auto rewrite = Pattern(kExtentBlocks * kBlockBytes, 99);
   EXPECT_EQ(vld.Write(0, rewrite).code(), common::StatusCode::kOutOfSpace);
-  EXPECT_EQ(vld.space().live_blocks(), AccountedBlocks(vld));
+  ExpectMapInvariants(vld);
   // The failed overwrite left blocks 0-63 as they were.
   std::vector<std::byte> out(kExtentBlocks * kBlockBytes);
   ASSERT_TRUE(vld.Read(0, out).ok());
   EXPECT_EQ(out, Pattern(kExtentBlocks * kBlockBytes, 0));
   // And the device still takes a write that fits.
   ASSERT_TRUE(vld.Write(0, Pattern(kBlockBytes, 7)).ok());
-  EXPECT_EQ(vld.space().live_blocks(), AccountedBlocks(vld));
+  ExpectMapInvariants(vld);
 }
 
 // The queued twin: a batch that runs out of space while staging is dropped whole, freeing what
@@ -558,7 +591,7 @@ TEST(VldFailedWriteTest, OutOfSpaceQueuedOverwriteLeavesNoStagedBlocksLive) {
   submit_extent(0, 99);
   EXPECT_EQ(vld.FlushQueue().status().code(), common::StatusCode::kOutOfSpace);
   EXPECT_EQ(vld.QueuedRequests(), 0u);
-  EXPECT_EQ(vld.space().live_blocks(), AccountedBlocks(vld));
+  ExpectMapInvariants(vld);
   for (const obs::TraceRecorder::Span& span : tracer.spans()) {
     EXPECT_FALSE(span.open);
   }
@@ -572,7 +605,71 @@ TEST(VldFailedWriteTest, OutOfSpaceQueuedOverwriteLeavesNoStagedBlocksLive) {
   ASSERT_TRUE(vld.SubmitWrite(0, Pattern(kBlockBytes, 7)).ok());
   ASSERT_TRUE(vld.FlushQueue().ok());
   ASSERT_TRUE(vld.Write(8, Pattern(kBlockBytes, 8)).ok());
-  EXPECT_EQ(vld.space().live_blocks(), AccountedBlocks(vld));
+  ExpectMapInvariants(vld);
+}
+
+// A write whose map sector finds no free block must fail before the map moves: block 0 keeps
+// its old bytes in memory and on the media, the blocks the write staged are free again, and
+// the device takes the next write. Writing each of the 4-cylinder disk's 658 logical blocks
+// once leaves exactly 16 blocks free, so a 16-block write stages into all of them.
+TEST(VldFailedWriteTest, MapSectorOutOfSpaceLeavesTheWriteInvisible) {
+  common::Clock clock;
+  simdisk::SimDisk disk(simdisk::Truncated(simdisk::Hp97560(), 4), &clock);
+  const VldConfig config{.compactor_enabled = false};
+  Vld vld(&disk, config);
+  ASSERT_TRUE(vld.Format().ok());
+  ASSERT_EQ(vld.logical_blocks(), 658u);
+  for (uint32_t b = 0; b < vld.logical_blocks(); ++b) {
+    ASSERT_TRUE(vld.Write(b * 8, Pattern(kBlockBytes, b)).ok()) << "block " << b;
+  }
+  ASSERT_EQ(vld.space().free_blocks(), 16u);
+  EXPECT_EQ(vld.Write(0, Pattern(16 * kBlockBytes, 99)).code(), common::StatusCode::kOutOfSpace);
+  EXPECT_EQ(vld.space().free_blocks(), 16u);
+  ExpectMapInvariants(vld);
+  std::vector<std::byte> out(kBlockBytes);
+  ASSERT_TRUE(vld.Read(0, out).ok());
+  EXPECT_EQ(out, Pattern(kBlockBytes, 0));
+  common::Clock fork_clock;
+  simdisk::SimDisk fork = disk.Fork(&fork_clock);
+  Vld recovered(&fork, config);
+  ASSERT_TRUE(recovered.Recover().ok());
+  ASSERT_TRUE(recovered.Read(0, out).ok());
+  EXPECT_EQ(out, Pattern(kBlockBytes, 0));
+  ASSERT_TRUE(vld.Write(0, Pattern(kBlockBytes, 7)).ok());
+  ExpectMapInvariants(vld);
+}
+
+// The queued twin: sixteen 1-block writes in one batch stage into the last 16 free blocks and
+// leave none for the packed map sector. The batch fails whole and ends every span it opened.
+TEST(VldFailedWriteTest, QueuedMapSectorOutOfSpaceLeavesTheBatchInvisible) {
+  common::Clock clock;
+  simdisk::SimDisk disk(simdisk::Truncated(simdisk::Hp97560(), 4), &clock);
+  obs::TraceRecorder tracer(&clock);
+  disk.set_tracer(&tracer);
+  Vld vld(&disk, VldConfig{.compactor_enabled = false, .queue_depth = 64});
+  ASSERT_TRUE(vld.Format().ok());
+  for (uint32_t b = 0; b < vld.logical_blocks(); ++b) {
+    ASSERT_TRUE(vld.Write(b * 8, Pattern(kBlockBytes, b)).ok()) << "block " << b;
+  }
+  ASSERT_EQ(vld.space().free_blocks(), 16u);
+  for (uint32_t b = 0; b < 16; ++b) {
+    ASSERT_TRUE(vld.SubmitWrite(b * 8, Pattern(kBlockBytes, 99 + b)).ok());
+  }
+  EXPECT_EQ(vld.FlushQueue().status().code(), common::StatusCode::kOutOfSpace);
+  EXPECT_EQ(vld.QueuedRequests(), 0u);
+  EXPECT_EQ(vld.space().free_blocks(), 16u);
+  ExpectMapInvariants(vld);
+  for (const obs::TraceRecorder::Span& span : tracer.spans()) {
+    EXPECT_FALSE(span.open);
+  }
+  std::vector<std::byte> out(kBlockBytes);
+  for (uint32_t b = 0; b < 16; ++b) {
+    ASSERT_TRUE(vld.Read(b * 8, out).ok());
+    EXPECT_EQ(out, Pattern(kBlockBytes, b)) << "block " << b;
+  }
+  ASSERT_TRUE(vld.SubmitWrite(0, Pattern(kBlockBytes, 7)).ok());
+  ASSERT_TRUE(vld.FlushQueue().ok());
+  ExpectMapInvariants(vld);
 }
 
 TEST_F(VldTest, RejectedWriteAtomicStagesNothing) {

@@ -6,7 +6,6 @@
 
 #include "src/common/time.h"
 #include "src/simdisk/disk_params.h"
-#include "src/simdisk/request_queue.h"
 #include "src/simdisk/sim_disk.h"
 
 namespace vlog::simdisk {
@@ -129,20 +128,17 @@ TEST_F(CachedDiskTest, CachedWriteAcksWithoutMechanicalWorkAndFlushPaysIt) {
 }
 
 // A queued read of an extent whose write is still dirty in the volatile cache must return the
-// acknowledged bytes (the media model is poked at ack time), without forcing a destage.
+// acknowledged bytes (the media model is poked at ack time), without forcing a destage. The
+// VLD's queue services it with the firmware calls used here: InternalWrite, then InternalRead.
 TEST_F(CachedDiskTest, QueuedReadOfCacheDirtyExtentReturnsAcknowledgedBytes) {
   SimDisk disk(Cached(256), &clock_);
-  RequestQueue queue(&disk, {.depth = 4, .policy = SchedulerPolicy::kSptf});
   const auto data = Pattern(3, 8 * 512);
-  ASSERT_TRUE(queue.SubmitWrite(120, data).ok());
-  ASSERT_TRUE(queue.ServiceOne().ok());
-  ASSERT_EQ(disk.cache_dirty_sectors(), 8u) << "the queued write must land dirty in the cache";
+  ASSERT_TRUE(disk.InternalWrite(120, data).ok());
+  ASSERT_EQ(disk.cache_dirty_sectors(), 8u) << "the write must land dirty in the cache";
 
-  ASSERT_TRUE(queue.SubmitRead(120, 8).ok());
-  auto done = queue.ServiceOne();
-  ASSERT_TRUE(done.ok());
-  EXPECT_FALSE(done->is_write);
-  EXPECT_EQ(done->data, data) << "the read must see the volatile acknowledged bytes";
+  std::vector<std::byte> out(data.size());
+  ASSERT_TRUE(disk.InternalRead(120, out).ok());
+  EXPECT_EQ(out, data) << "the read must see the volatile acknowledged bytes";
   EXPECT_EQ(disk.cache_dirty_sectors(), 8u) << "the read must not destage the cache";
   EXPECT_GE(disk.stats().cache_read_hits, 1u);
 }
