@@ -35,17 +35,17 @@ uint32_t EpochSeed(uint64_t epoch) {
 
 std::vector<std::byte> MapSector::Serialize(uint64_t epoch) const {
   std::vector<std::byte> raw(kMapSectorBytes);
-  SerializeInto(raw, epoch);
+  SerializeInto(raw, entries, epoch);
   return raw;
 }
 
-void MapSector::SerializeInto(std::span<std::byte> out, uint64_t epoch) const {
+void MapSector::SerializeInto(std::span<std::byte> out,
+                              std::span<const uint32_t> piece_entries, uint64_t epoch) const {
   out = out.first(kMapSectorBytes);
-  std::fill(out.begin(), out.end(), std::byte{0});
   common::StoreLe<uint64_t>(out, kOffMagic, kMapSectorMagic);
   common::StoreLe<uint64_t>(out, kOffSeq, seq);
   common::StoreLe<uint32_t>(out, kOffPiece, piece);
-  common::StoreLe<uint32_t>(out, kOffEntryCount, static_cast<uint32_t>(entries.size()));
+  common::StoreLe<uint32_t>(out, kOffEntryCount, static_cast<uint32_t>(piece_entries.size()));
   common::StoreLe<uint64_t>(out, kOffTxnId, txn_id);
   common::StoreLe<uint16_t>(out, kOffTxnIndex, txn_index);
   common::StoreLe<uint16_t>(out, kOffTxnTotal, txn_total);
@@ -53,9 +53,12 @@ void MapSector::SerializeInto(std::span<std::byte> out, uint64_t epoch) const {
   common::StoreLe<uint64_t>(out, kOffPrevSeq, prev.seq);
   common::StoreLe<uint64_t>(out, kOffBypassLba, bypass.lba);
   common::StoreLe<uint64_t>(out, kOffBypassSeq, bypass.seq);
-  for (size_t i = 0; i < entries.size() && i < kEntriesPerSector; ++i) {
-    common::StoreLe<uint32_t>(out, kOffEntries + i * 4, entries[i]);
-  }
+  const auto stored =
+      piece_entries.first(std::min<size_t>(piece_entries.size(), kEntriesPerSector));
+  common::StoreLeArray<uint32_t>(out, kOffEntries, stored);
+  // The header and entries cover every byte before the unused tail; zero the tail.
+  std::fill(out.begin() + kOffEntries + stored.size_bytes(), out.begin() + kOffCrc,
+            std::byte{0});
   const uint32_t crc = common::Crc32c(
       std::span<const std::byte>(out.data(), kOffCrc), EpochSeed(epoch));
   common::StoreLe<uint32_t>(out, kOffCrc, crc);
@@ -88,9 +91,7 @@ common::StatusOr<MapSector> MapSector::Parse(std::span<const std::byte> raw, uin
   s.bypass.lba = common::LoadLe<uint64_t>(raw, kOffBypassLba);
   s.bypass.seq = common::LoadLe<uint64_t>(raw, kOffBypassSeq);
   s.entries.resize(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    s.entries[i] = common::LoadLe<uint32_t>(raw, kOffEntries + i * 4);
-  }
+  common::LoadLeArray<uint32_t>(raw, kOffEntries, s.entries);
   return s;
 }
 

@@ -55,9 +55,12 @@ struct MapSector {
   // `epoch` (the format generation): sectors signed under one generation fail the CRC under any
   // other, so a post-reformat scan can never resurrect an old generation's map.
   std::vector<std::byte> Serialize(uint64_t epoch = 0) const;
-  // Same bytes as Serialize, written into `out` (>= kMapSectorBytes) — the append path reuses
-  // one scratch buffer instead of allocating a fresh vector per map write.
-  void SerializeInto(std::span<std::byte> out, uint64_t epoch = 0) const;
+  // The same bytes written into `out` (>= kMapSectorBytes), with `piece_entries` (at most
+  // kEntriesPerSector) in place of the `entries` member, which is not read. The append and
+  // checkpoint paths pass a slice of the owner's map and a reused buffer, so a map write
+  // copies nothing but the sector itself.
+  void SerializeInto(std::span<std::byte> out, std::span<const uint32_t> piece_entries,
+                     uint64_t epoch) const;
 
   // Cheap pre-filter: does `raw` start with the map-sector magic? Full-disk scans call this
   // per sector before paying for Parse's StatusOr (most sectors are data and fail here);

@@ -277,7 +277,7 @@ void VirtualLog::RemoveObsolete(uint32_t block, uint64_t seq) {
   }
 }
 
-common::Status VirtualLog::AppendOne(uint32_t piece, const std::vector<uint32_t>& entries,
+common::Status VirtualLog::AppendOne(uint32_t piece, std::span<const uint32_t> entries,
                                      uint64_t txn_id, uint16_t txn_index, uint16_t txn_total,
                                      std::vector<DeferredFree>* deferred_frees) {
   if (piece >= config_.pieces) {
@@ -286,7 +286,6 @@ common::Status VirtualLog::AppendOne(uint32_t piece, const std::vector<uint32_t>
   MapSector sector;
   sector.seq = next_seq_;
   sector.piece = piece;
-  sector.entries = entries;
   sector.txn_id = txn_id;
   sector.txn_index = txn_index;
   sector.txn_total = txn_total;
@@ -304,7 +303,7 @@ common::Status VirtualLog::AppendOne(uint32_t piece, const std::vector<uint32_t>
   }
   const simdisk::Lba lba = allocator_->space().BlockToLba(*block);
   append_scratch_.resize(kMapSectorBytes);
-  sector.SerializeInto(append_scratch_, epoch_);
+  sector.SerializeInto(append_scratch_, entries, epoch_);
   RETURN_IF_ERROR(disk_->InternalWrite(lba, append_scratch_));
   if (obs::TraceRecorder* tracer = disk_->tracer(); tracer != nullptr) {
     tracer->Annotate(obs::EventType::kMapAppend, obs::Layer::kVlog, piece, lba);
@@ -340,12 +339,8 @@ common::Status VirtualLog::MaybeAutoCheckpoint() {
   if (!AutoCheckpointDue()) {
     return common::OkStatus();
   }
-  std::vector<std::vector<uint32_t>> entries(config_.pieces);
-  for (uint32_t k = 0; k < config_.pieces; ++k) {
-    entries[k] = entries_provider_(k);
-  }
   ++stats_.auto_checkpoints;
-  return WriteCheckpoint(entries);
+  return WriteCheckpoint(entries_provider_);
 }
 
 common::Status VirtualLog::Barrier() {
@@ -355,7 +350,7 @@ common::Status VirtualLog::Barrier() {
   return disk_->Flush();
 }
 
-common::Status VirtualLog::AppendPiece(uint32_t piece, const std::vector<uint32_t>& entries) {
+common::Status VirtualLog::AppendPiece(uint32_t piece, std::span<const uint32_t> entries) {
   RETURN_IF_ERROR(MaybeAutoCheckpoint());
   // Pre-barrier: the data blocks this map sector will point at must be on media before the
   // sector can land (a reordered destage would otherwise commit a mapping to lost data).
@@ -441,7 +436,6 @@ common::Status VirtualLog::AppendTransactionPacked(const std::vector<PieceUpdate
     MapSector sector;
     sector.seq = next_seq_;
     sector.piece = piece;
-    sector.entries = updates[i].entries;
     sector.txn_id = txn_id;
     sector.txn_index = static_cast<uint16_t>(i);
     sector.txn_total = static_cast<uint16_t>(updates.size());
@@ -458,7 +452,7 @@ common::Status VirtualLog::AppendTransactionPacked(const std::vector<PieceUpdate
     sector.SerializeInto(
         std::span<std::byte>(buffers[i / per_block])
             .subspan(static_cast<size_t>(i % per_block) * kSectorBytes, kSectorBytes),
-        epoch_);
+        updates[i].entries, epoch_);
     if (!head.IsNull()) {
       SetCover(head.seq, sector.seq);
     }
@@ -509,11 +503,7 @@ bool VirtualLog::HasRoomFor(size_t updates, bool packed) const {
   return available >= blocks;
 }
 
-common::Status VirtualLog::WriteCheckpoint(
-    const std::vector<std::vector<uint32_t>>& entries_of_piece) {
-  if (entries_of_piece.size() != config_.pieces) {
-    return common::InvalidArgument("WriteCheckpoint: wrong piece count");
-  }
+common::Status VirtualLog::WriteCheckpoint(const EntriesOfPiece& entries_of_piece) {
   const uint64_t seq = next_seq_++;
   const uint32_t slot = next_ckpt_slot_;
   std::vector<std::byte> body(static_cast<size_t>(config_.pieces) * kSectorBytes);
@@ -521,10 +511,9 @@ common::Status VirtualLog::WriteCheckpoint(
     MapSector sector;
     sector.seq = seq;
     sector.piece = k;
-    sector.entries = entries_of_piece[k];
     sector.SerializeInto(
         std::span<std::byte>(body).subspan(static_cast<size_t>(k) * kSectorBytes, kSectorBytes),
-        epoch_);
+        entries_of_piece(k), epoch_);
   }
   // Piece sectors first, CRC-signed header last: the header write is the commit point. A crash
   // before it leaves the other slot's checkpoint (and the log it bounds) untouched. The barrier

@@ -47,6 +47,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -115,17 +116,21 @@ class VirtualLog {
   // for having marked the park/checkpoint region as system blocks.
   common::Status Format();
 
+  // Entries are passed as slices of the owner's map (at most kEntriesPerSector each) and are
+  // read only during the call they are passed to: a map write serializes them straight from
+  // the map instead of copying them first.
+  using EntriesOfPiece = std::function<std::span<const uint32_t>(uint32_t piece)>;
+
   // Supplies current entries of a piece, enabling automatic checkpoints (the valve above).
-  void SetEntriesProvider(std::function<std::vector<uint32_t>(uint32_t)> provider) {
-    entries_provider_ = std::move(provider);
-  }
+  void SetEntriesProvider(EntriesOfPiece provider) { entries_provider_ = std::move(provider); }
 
   // Appends a new version of `piece` as a standalone (single-sector, atomic) commit.
-  common::Status AppendPiece(uint32_t piece, const std::vector<uint32_t>& entries);
+  common::Status AppendPiece(uint32_t piece, std::span<const uint32_t> entries);
 
   struct PieceUpdate {
     uint32_t piece;
-    std::vector<uint32_t> entries;
+    // Must stay valid until the append returns: a span binds to a temporary vector too.
+    std::span<const uint32_t> entries;
   };
   // Atomically appends new versions of several distinct pieces. The sectors share a transaction
   // id; recovery discards a trailing transaction whose sectors are not all present, so either
@@ -146,8 +151,9 @@ class VirtualLog {
   bool HasRoomFor(size_t updates, bool packed) const;
 
   // Writes the whole map contiguously to the checkpoint region, frees all log blocks (live and
-  // pinned), and resets the chain. `entries_of_piece[k]` must be the current entries of piece k.
-  common::Status WriteCheckpoint(const std::vector<std::vector<uint32_t>>& entries_of_piece);
+  // pinned), and resets the chain. `entries_of_piece(k)` must return the current entries of
+  // piece k.
+  common::Status WriteCheckpoint(const EntriesOfPiece& entries_of_piece);
 
   // Firmware power-down: records the log tail (and checkpoint seq) at the park sector.
   common::Status Park();
@@ -240,7 +246,7 @@ class VirtualLog {
   // when the disk has no cache).
   common::Status Barrier();
 
-  common::Status AppendOne(uint32_t piece, const std::vector<uint32_t>& entries, uint64_t txn_id,
+  common::Status AppendOne(uint32_t piece, std::span<const uint32_t> entries, uint64_t txn_id,
                            uint16_t txn_index, uint16_t txn_total,
                            std::vector<DeferredFree>* deferred_frees);
   // The pinned-sector valve: every append first checkpoints when this holds.
@@ -281,7 +287,7 @@ class VirtualLog {
   std::unordered_map<uint64_t, uint64_t> cover_of_;
   std::unordered_map<uint64_t, uint32_t> carrier_load_;  // carrier -> number of cover targets.
   std::unordered_map<uint64_t, uint32_t> pinned_;  // Obsolete carrier seq -> its physical block.
-  std::function<std::vector<uint32_t>(uint32_t)> entries_provider_;
+  EntriesOfPiece entries_provider_;
   // Reused serialization buffer for the single-sector append path (one map write per update:
   // a fresh vector per append showed up in profiles).
   std::vector<std::byte> append_scratch_;

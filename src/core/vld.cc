@@ -102,10 +102,10 @@ void Vld::MarkSystemBlocks() {
   }
 }
 
-std::vector<uint32_t> Vld::PieceEntries(uint32_t piece) const {
+std::span<const uint32_t> Vld::PieceEntries(uint32_t piece) const {
   const uint32_t begin = piece * kEntriesPerSector;
   const uint32_t end = std::min<uint32_t>(begin + kEntriesPerSector, logical_blocks_);
-  return std::vector<uint32_t>(map_.begin() + begin, map_.begin() + end);
+  return std::span<const uint32_t>(map_).subspan(begin, end - begin);
 }
 
 common::Status Vld::Format() {
@@ -125,11 +125,7 @@ common::Status Vld::Format() {
 common::Status Vld::Park() { return vlog_.Park(); }
 
 common::Status Vld::Checkpoint() {
-  std::vector<std::vector<uint32_t>> entries(vlog_.config().pieces);
-  for (uint32_t k = 0; k < vlog_.config().pieces; ++k) {
-    entries[k] = PieceEntries(k);
-  }
-  return vlog_.WriteCheckpoint(entries);
+  return vlog_.WriteCheckpoint([this](uint32_t piece) { return PieceEntries(piece); });
 }
 
 common::StatusOr<VldRecoveryInfo> Vld::Recover() {
@@ -666,24 +662,33 @@ common::Status Vld::Trim(simdisk::Lba lba, uint64_t sectors) {
   // Only whole blocks are dropped; partial edges are ignored.
   uint32_t first = static_cast<uint32_t>((lba + bs - 1) / bs);
   uint32_t end = static_cast<uint32_t>((lba + sectors) / bs);
+  std::vector<uint32_t> trimmed;  // Mapped logical blocks in the range.
+  std::vector<uint32_t> freed;    // Their physical blocks.
   std::vector<uint32_t> affected_pieces;
-  std::vector<uint32_t> freed;
   for (uint32_t b = first; b < end; ++b) {
     if (map_[b] == kUnmappedBlock) {
       continue;
     }
+    trimmed.push_back(b);
     freed.push_back(map_[b]);
-    map_[b] = kUnmappedBlock;
     const uint32_t piece = PieceOf(b);
     if (std::find(affected_pieces.begin(), affected_pieces.end(), piece) ==
         affected_pieces.end()) {
       affected_pieces.push_back(piece);
     }
-    ++stats_.trims;
   }
-  if (freed.empty()) {
+  if (trimmed.empty()) {
     return common::OkStatus();
   }
+  // As in CommitStaged: when the map sectors would find no free block, fail before the map
+  // moves, so every trimmed block stays mapped and the free-space accounting stays whole.
+  if (!vlog_.HasRoomFor(affected_pieces.size(), /*packed=*/false)) {
+    return common::OutOfSpace("Trim: no free block for the map sectors");
+  }
+  for (const uint32_t b : trimmed) {
+    map_[b] = kUnmappedBlock;
+  }
+  stats_.trims += trimmed.size();
   std::vector<VirtualLog::PieceUpdate> updates;
   for (const uint32_t piece : affected_pieces) {
     updates.push_back(VirtualLog::PieceUpdate{piece, PieceEntries(piece)});

@@ -225,7 +225,8 @@ class Vld : public simdisk::BlockDevice, public CompactionBackend {
   static Layout ComputeLayout(const simdisk::DiskGeometry& geometry, const VldConfig& config);
 
   void MarkSystemBlocks();
-  std::vector<uint32_t> PieceEntries(uint32_t piece) const;
+  // Piece `piece`'s slice of map_ (the last piece may be short).
+  std::span<const uint32_t> PieceEntries(uint32_t piece) const;
   uint32_t PieceOf(uint32_t logical_block) const { return logical_block / kEntriesPerSector; }
 
   // Stages one logical-block write: allocates and writes the data block; records the map change

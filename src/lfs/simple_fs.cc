@@ -12,38 +12,14 @@ using ufs::Inode;
 using ufs::InodeType;
 using ufs::kBlockBytes;
 using ufs::kDirectPtrs;
+using ufs::kDirEntriesPerBlock;
 using ufs::kDirEntryBytes;
 using ufs::kInodesPerBlock;
-using ufs::kMaxNameLen;
 using ufs::kNoAddr;
 using ufs::kNoInode;
 using ufs::kPtrsPerBlock;
 using ufs::kRootInode;
-
-namespace {
-
-common::StatusOr<std::vector<std::string>> SplitPath(const std::string& path) {
-  if (path.empty() || path[0] != '/') {
-    return common::InvalidArgument("path must be absolute: " + path);
-  }
-  std::vector<std::string> parts;
-  size_t i = 1;
-  while (i < path.size()) {
-    const size_t j = path.find('/', i);
-    const size_t end = j == std::string::npos ? path.size() : j;
-    if (end > i) {
-      const std::string part = path.substr(i, end - i);
-      if (part.size() > kMaxNameLen) {
-        return common::InvalidArgument("name too long: " + part);
-      }
-      parts.push_back(part);
-    }
-    i = end + 1;
-  }
-  return parts;
-}
-
-}  // namespace
+using ufs::SplitPath;
 
 SimpleFs::SimpleFs(LogStructuredDisk* disk, simdisk::HostModel* host, SimpleFsConfig config)
     : disk_(disk), host_(host), config_(config) {}
@@ -332,12 +308,8 @@ common::StatusOr<uint32_t> SimpleFs::DirFind(const Inode& dir, const std::string
       continue;
     }
     ASSIGN_OR_RETURN(Buffer * buffer, GetBlock(addr, true));
-    for (uint32_t e = 0; e < kBlockBytes / kDirEntryBytes; ++e) {
-      const DirEntry entry =
-          DirEntry::Decode(std::span<const std::byte>(buffer->data).subspan(e * kDirEntryBytes));
-      if (entry.ino != kNoInode && entry.name == name) {
-        return entry.ino;
-      }
+    if (const auto slot = DirEntry::Find(buffer->data, name)) {
+      return slot->ino;
     }
   }
   return common::NotFound("no such file: " + name);
@@ -349,18 +321,14 @@ common::Status SimpleFs::DirAdd(uint32_t dir_ino, Inode& dir, const std::string&
   for (uint64_t fbi = 0; fbi < blocks; ++fbi) {
     ASSIGN_OR_RETURN(const uint32_t addr, BmapRead(dir, fbi));
     ASSIGN_OR_RETURN(Buffer * buffer, GetBlock(addr, true));
-    for (uint32_t e = 0; e < kBlockBytes / kDirEntryBytes; ++e) {
-      const DirEntry entry =
-          DirEntry::Decode(std::span<const std::byte>(buffer->data).subspan(e * kDirEntryBytes));
-      if (entry.ino == kNoInode) {
-        DirEntry fresh{child, name};
-        fresh.EncodeTo(std::span<std::byte>(buffer->data).subspan(e * kDirEntryBytes));
-        buffer->dirty = true;
-        if (sync) {
-          RETURN_IF_ERROR(FlushBlock(addr, *buffer));
-        }
-        return common::OkStatus();
+    if (const auto slot = DirEntry::FindFree(buffer->data)) {
+      DirEntry fresh{child, name};
+      fresh.EncodeTo(std::span<std::byte>(buffer->data).subspan(*slot * kDirEntryBytes));
+      buffer->dirty = true;
+      if (sync) {
+        RETURN_IF_ERROR(FlushBlock(addr, *buffer));
       }
+      return common::OkStatus();
     }
   }
   ASSIGN_OR_RETURN(const uint32_t addr, BmapAlloc(dir, blocks));
@@ -382,18 +350,14 @@ common::Status SimpleFs::DirRemove(const Inode& dir, const std::string& name, bo
   for (uint64_t fbi = 0; fbi < blocks; ++fbi) {
     ASSIGN_OR_RETURN(const uint32_t addr, BmapRead(dir, fbi));
     ASSIGN_OR_RETURN(Buffer * buffer, GetBlock(addr, true));
-    for (uint32_t e = 0; e < kBlockBytes / kDirEntryBytes; ++e) {
-      const DirEntry entry =
-          DirEntry::Decode(std::span<const std::byte>(buffer->data).subspan(e * kDirEntryBytes));
-      if (entry.ino != kNoInode && entry.name == name) {
-        DirEntry empty;
-        empty.EncodeTo(std::span<std::byte>(buffer->data).subspan(e * kDirEntryBytes));
-        buffer->dirty = true;
-        if (sync) {
-          RETURN_IF_ERROR(FlushBlock(addr, *buffer));
-        }
-        return common::OkStatus();
+    if (const auto slot = DirEntry::Find(buffer->data, name)) {
+      DirEntry empty;
+      empty.EncodeTo(std::span<std::byte>(buffer->data).subspan(slot->index * kDirEntryBytes));
+      buffer->dirty = true;
+      if (sync) {
+        RETURN_IF_ERROR(FlushBlock(addr, *buffer));
       }
+      return common::OkStatus();
     }
   }
   return common::NotFound("no such entry: " + name);
@@ -556,7 +520,7 @@ common::StatusOr<std::vector<std::string>> SimpleFs::List(const std::string& dir
   for (uint64_t fbi = 0; fbi < blocks; ++fbi) {
     ASSIGN_OR_RETURN(const uint32_t addr, BmapRead(dir, fbi));
     ASSIGN_OR_RETURN(Buffer * buffer, GetBlock(addr, true));
-    for (uint32_t e = 0; e < kBlockBytes / kDirEntryBytes; ++e) {
+    for (uint32_t e = 0; e < kDirEntriesPerBlock; ++e) {
       const DirEntry entry =
           DirEntry::Decode(std::span<const std::byte>(buffer->data).subspan(e * kDirEntryBytes));
       if (entry.ino != kNoInode) {

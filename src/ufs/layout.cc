@@ -83,6 +83,58 @@ DirEntry DirEntry::Decode(std::span<const std::byte> in) {
   return e;
 }
 
+std::optional<DirEntry::Slot> DirEntry::Find(std::span<const std::byte> block,
+                                             std::string_view name) {
+  if (name.size() > kMaxNameLen || name.find('\0') != std::string_view::npos) {
+    return std::nullopt;
+  }
+  for (uint32_t e = 0; e < kDirEntriesPerBlock; ++e) {
+    const auto slot = block.subspan(e * kDirEntryBytes, kDirEntryBytes);
+    const uint32_t ino = common::LoadLe<uint32_t>(slot, 0);
+    // Decode's name ends at the first NUL or after kMaxNameLen bytes. `name` holds no NUL, so
+    // it is the decoded name exactly when it leads the stored bytes and the stored name ends
+    // right after it.
+    if (ino != kNoInode && std::memcmp(slot.data() + 4, name.data(), name.size()) == 0 &&
+        (name.size() == kMaxNameLen || slot[4 + name.size()] == std::byte{0})) {
+      return Slot{e, ino};
+    }
+  }
+  return std::nullopt;
+}
+
+std::optional<uint32_t> DirEntry::FindFree(std::span<const std::byte> block) {
+  for (uint32_t e = 0; e < kDirEntriesPerBlock; ++e) {
+    if (common::LoadLe<uint32_t>(block, e * kDirEntryBytes) == kNoInode) {
+      return e;
+    }
+  }
+  return std::nullopt;
+}
+
+common::StatusOr<std::vector<std::string>> SplitPath(const std::string& path) {
+  if (path.empty() || path[0] != '/') {
+    return common::InvalidArgument("path must be absolute: " + path);
+  }
+  std::vector<std::string> parts;
+  size_t i = 1;
+  while (i < path.size()) {
+    const size_t j = path.find('/', i);
+    const size_t end = j == std::string::npos ? path.size() : j;
+    if (end > i) {
+      std::string part = path.substr(i, end - i);
+      if (part.size() > kMaxNameLen) {
+        return common::InvalidArgument("name too long: " + part);
+      }
+      if (part.find('\0') != std::string::npos) {
+        return common::InvalidArgument("name holds a NUL byte");
+      }
+      parts.push_back(std::move(part));
+    }
+    i = end + 1;
+  }
+  return parts;
+}
+
 CylinderGroup::CylinderGroup(uint32_t data_blocks, uint32_t inodes)
     : frag_used_(static_cast<size_t>(data_blocks) * kFragsPerBlock, false),
       inode_used_(inodes, false),

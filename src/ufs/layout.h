@@ -12,6 +12,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/status.h"
@@ -30,6 +31,7 @@ inline constexpr uint32_t kNoInode = 0;
 inline constexpr uint32_t kRootInode = 1;
 inline constexpr uint32_t kMaxNameLen = 59;
 inline constexpr uint32_t kDirEntryBytes = 64;
+inline constexpr uint32_t kDirEntriesPerBlock = kBlockBytes / kDirEntryBytes;
 inline constexpr uint64_t kUfsMagic = 0x5546535f464653ULL;  // "UFS_FFS"
 
 enum class InodeType : uint16_t { kFree = 0, kFile = 1, kDirectory = 2 };
@@ -74,12 +76,31 @@ struct Inode {
   static Inode Decode(std::span<const std::byte> in);
 };
 
+// Splits an absolute path into its components (empty = the root directory). Shared by UFS, LFS
+// and VLFS. Rejects a component longer than kMaxNameLen or holding a NUL byte: EncodeTo stores
+// every byte of a name but Decode stops at the first NUL, so such an entry could be created
+// and never found again.
+common::StatusOr<std::vector<std::string>> SplitPath(const std::string& path);
+
 struct DirEntry {
   uint32_t ino = kNoInode;
   std::string name;
 
   void EncodeTo(std::span<std::byte> out) const;  // Exactly kDirEntryBytes.
-  static DirEntry Decode(std::span<const std::byte> in);
+  static DirEntry Decode(std::span<const std::byte> in);  // Listing; lookups use Find.
+
+  // In-place scans of one directory block (kDirEntriesPerBlock slots). A lookup visits every
+  // slot of the directory (the linear FFS scan), so these read each slot's inode number and
+  // compare its name bytes where they lie instead of decoding the slot.
+  struct Slot {
+    uint32_t index;  // Slot number within the block.
+    uint32_t ino;
+  };
+  // The first live slot whose Decode would give `name`. A name Decode never produces (longer
+  // than kMaxNameLen, or holding a NUL) matches nothing.
+  static std::optional<Slot> Find(std::span<const std::byte> block, std::string_view name);
+  // The first free slot (inode kNoInode).
+  static std::optional<uint32_t> FindFree(std::span<const std::byte> block);
 };
 
 // A cylinder group's header: fragment and inode bitmaps plus counters, serialized into the

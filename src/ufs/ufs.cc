@@ -7,31 +7,6 @@
 #include "src/common/bytes.h"
 
 namespace vlog::ufs {
-namespace {
-
-// Splits an absolute path into components; empty result means the root directory.
-common::StatusOr<std::vector<std::string>> SplitPath(const std::string& path) {
-  if (path.empty() || path[0] != '/') {
-    return common::InvalidArgument("path must be absolute: " + path);
-  }
-  std::vector<std::string> parts;
-  size_t i = 1;
-  while (i < path.size()) {
-    const size_t j = path.find('/', i);
-    const size_t end = j == std::string::npos ? path.size() : j;
-    if (end > i) {
-      const std::string part = path.substr(i, end - i);
-      if (part.size() > kMaxNameLen) {
-        return common::InvalidArgument("name too long: " + part);
-      }
-      parts.push_back(part);
-    }
-    i = end + 1;
-  }
-  return parts;
-}
-
-}  // namespace
 
 Ufs::Ufs(simdisk::BlockDevice* device, simdisk::HostModel* host, UfsConfig config)
     : device_(device), host_(host), config_(config) {}
@@ -453,12 +428,8 @@ common::StatusOr<uint32_t> Ufs::DirFind(const Inode& dir, const std::string& nam
       continue;
     }
     ASSIGN_OR_RETURN(Buffer * buffer, GetBlock(addr / kFragsPerBlock, true));
-    for (uint32_t e = 0; e < kBlockBytes / kDirEntryBytes; ++e) {
-      const DirEntry entry = DirEntry::Decode(
-          std::span<const std::byte>(buffer->data).subspan(e * kDirEntryBytes));
-      if (entry.ino != kNoInode && entry.name == name) {
-        return entry.ino;
-      }
+    if (const auto slot = DirEntry::Find(buffer->data, name)) {
+      return slot->ino;
     }
   }
   return common::NotFound("no such file: " + name);
@@ -471,15 +442,11 @@ common::Status Ufs::DirAdd(uint32_t dir_ino, Inode& dir, const std::string& name
   for (uint64_t fbi = 0; fbi < blocks; ++fbi) {
     ASSIGN_OR_RETURN(const uint32_t addr, BmapRead(dir, fbi));
     ASSIGN_OR_RETURN(Buffer * buffer, GetBlock(addr / kFragsPerBlock, true));
-    for (uint32_t e = 0; e < kBlockBytes / kDirEntryBytes; ++e) {
-      const DirEntry entry = DirEntry::Decode(
-          std::span<const std::byte>(buffer->data).subspan(e * kDirEntryBytes));
-      if (entry.ino == kNoInode) {
-        DirEntry fresh{child, name};
-        fresh.EncodeTo(std::span<std::byte>(buffer->data).subspan(e * kDirEntryBytes));
-        ++stats_.sync_metadata_writes;
-        return WriteFragsThrough(addr / kFragsPerBlock, 0, kFragsPerBlock);
-      }
+    if (const auto slot = DirEntry::FindFree(buffer->data)) {
+      DirEntry fresh{child, name};
+      fresh.EncodeTo(std::span<std::byte>(buffer->data).subspan(*slot * kDirEntryBytes));
+      ++stats_.sync_metadata_writes;
+      return WriteFragsThrough(addr / kFragsPerBlock, 0, kFragsPerBlock);
     }
   }
   // Grow the directory by one block.
@@ -501,15 +468,11 @@ common::Status Ufs::DirRemove(uint32_t dir_ino, Inode& dir, const std::string& n
   for (uint64_t fbi = 0; fbi < blocks; ++fbi) {
     ASSIGN_OR_RETURN(const uint32_t addr, BmapRead(dir, fbi));
     ASSIGN_OR_RETURN(Buffer * buffer, GetBlock(addr / kFragsPerBlock, true));
-    for (uint32_t e = 0; e < kBlockBytes / kDirEntryBytes; ++e) {
-      const DirEntry entry = DirEntry::Decode(
-          std::span<const std::byte>(buffer->data).subspan(e * kDirEntryBytes));
-      if (entry.ino != kNoInode && entry.name == name) {
-        DirEntry empty;
-        empty.EncodeTo(std::span<std::byte>(buffer->data).subspan(e * kDirEntryBytes));
-        ++stats_.sync_metadata_writes;
-        return WriteFragsThrough(addr / kFragsPerBlock, 0, kFragsPerBlock);
-      }
+    if (const auto slot = DirEntry::Find(buffer->data, name)) {
+      DirEntry empty;
+      empty.EncodeTo(std::span<std::byte>(buffer->data).subspan(slot->index * kDirEntryBytes));
+      ++stats_.sync_metadata_writes;
+      return WriteFragsThrough(addr / kFragsPerBlock, 0, kFragsPerBlock);
     }
   }
   (void)dir_ino;
@@ -734,7 +697,7 @@ common::StatusOr<std::vector<std::string>> Ufs::List(const std::string& dir_path
   for (uint64_t fbi = 0; fbi < blocks; ++fbi) {
     ASSIGN_OR_RETURN(const uint32_t addr, BmapRead(dir, fbi));
     ASSIGN_OR_RETURN(Buffer * buffer, GetBlock(addr / kFragsPerBlock, true));
-    for (uint32_t e = 0; e < kBlockBytes / kDirEntryBytes; ++e) {
+    for (uint32_t e = 0; e < kDirEntriesPerBlock; ++e) {
       const DirEntry entry = DirEntry::Decode(
           std::span<const std::byte>(buffer->data).subspan(e * kDirEntryBytes));
       if (entry.ino != kNoInode) {

@@ -13,38 +13,18 @@ using ufs::Inode;
 using ufs::InodeType;
 using ufs::kBlockBytes;
 using ufs::kDirectPtrs;
+using ufs::kDirEntriesPerBlock;
 using ufs::kDirEntryBytes;
 using ufs::kInodesPerBlock;
-using ufs::kMaxNameLen;
 using ufs::kNoAddr;
 using ufs::kNoInode;
 using ufs::kPtrsPerBlock;
 using ufs::kRootInode;
+using ufs::SplitPath;
 
 namespace {
 
 constexpr uint32_t kIndirectFbi = 0xFFFFFFFF;  // Owner tag for a file's indirect block.
-
-common::StatusOr<std::vector<std::string>> SplitPath(const std::string& path) {
-  if (path.empty() || path[0] != '/') {
-    return common::InvalidArgument("path must be absolute: " + path);
-  }
-  std::vector<std::string> parts;
-  size_t i = 1;
-  while (i < path.size()) {
-    const size_t j = path.find('/', i);
-    const size_t end = j == std::string::npos ? path.size() : j;
-    if (end > i) {
-      const std::string part = path.substr(i, end - i);
-      if (part.size() > kMaxNameLen) {
-        return common::InvalidArgument("name too long: " + part);
-      }
-      parts.push_back(part);
-    }
-    i = end + 1;
-  }
-  return parts;
-}
 
 uint32_t PiecesFor(uint32_t inode_blocks) {
   return (inode_blocks + core::kEntriesPerSector - 1) / core::kEntriesPerSector;
@@ -82,11 +62,11 @@ Vlfs::Vlfs(simdisk::SimDisk* disk, simdisk::HostModel* host, VlfsConfig config)
   disk_->set_read_ahead_policy(simdisk::ReadAheadPolicy::kAggressiveTrack);
 }
 
-std::vector<uint32_t> Vlfs::MapPieceEntries(uint32_t piece) const {
+std::span<const uint32_t> Vlfs::MapPieceEntries(uint32_t piece) const {
   const uint32_t begin = piece * core::kEntriesPerSector;
   const uint32_t end =
       std::min<uint32_t>(begin + core::kEntriesPerSector, config_.inode_blocks);
-  return std::vector<uint32_t>(inode_map_.begin() + begin, inode_map_.begin() + end);
+  return std::span<const uint32_t>(inode_map_).subspan(begin, end - begin);
 }
 
 common::Status Vlfs::Format() {
@@ -376,12 +356,8 @@ common::StatusOr<uint32_t> Vlfs::DirFind(const Inode& dir, const std::string& na
       continue;
     }
     ASSIGN_OR_RETURN(Buffer * buffer, GetDataBlock(phys, true));
-    for (uint32_t e = 0; e < kBlockBytes / kDirEntryBytes; ++e) {
-      const DirEntry entry =
-          DirEntry::Decode(std::span<const std::byte>(buffer->data).subspan(e * kDirEntryBytes));
-      if (entry.ino != kNoInode && entry.name == name) {
-        return entry.ino;
-      }
+    if (const auto slot = DirEntry::Find(buffer->data, name)) {
+      return slot->ino;
     }
   }
   return common::NotFound("no such file: " + name);
@@ -394,24 +370,20 @@ common::Status Vlfs::DirAdd(uint32_t dir_ino, Inode& dir, const std::string& nam
   for (uint64_t fbi = 0; fbi < blocks; ++fbi) {
     ASSIGN_OR_RETURN(const uint32_t phys, BmapRead(dir, fbi));
     ASSIGN_OR_RETURN(Buffer * buffer, GetDataBlock(phys, true));
-    for (uint32_t e = 0; e < kBlockBytes / kDirEntryBytes; ++e) {
-      const DirEntry entry =
-          DirEntry::Decode(std::span<const std::byte>(buffer->data).subspan(e * kDirEntryBytes));
-      if (entry.ino == kNoInode) {
-        std::vector<std::byte> contents = buffer->data;
-        DirEntry fresh_entry{child, name};
-        fresh_entry.EncodeTo(std::span<std::byte>(contents).subspan(e * kDirEntryBytes));
-        ASSIGN_OR_RETURN(const uint32_t fresh,
-                         EagerWriteBlock(contents, kOwnerData |
-                                                       (static_cast<uint64_t>(dir_ino) << 32) |
-                                                       fbi));
-        StageFree(phys);
-        ForgetDataBlock(phys);
-        ASSIGN_OR_RETURN(Buffer * warm, GetDataBlock(fresh, false));
-        warm->data = std::move(contents);
-        ++stats_.data_blocks_written;
-        return BmapSet(dir_ino, dir, fbi, fresh, sync);
-      }
+    if (const auto slot = DirEntry::FindFree(buffer->data)) {
+      std::vector<std::byte> contents = buffer->data;
+      DirEntry fresh_entry{child, name};
+      fresh_entry.EncodeTo(std::span<std::byte>(contents).subspan(*slot * kDirEntryBytes));
+      ASSIGN_OR_RETURN(const uint32_t fresh,
+                       EagerWriteBlock(contents, kOwnerData |
+                                                     (static_cast<uint64_t>(dir_ino) << 32) |
+                                                     fbi));
+      StageFree(phys);
+      ForgetDataBlock(phys);
+      ASSIGN_OR_RETURN(Buffer * warm, GetDataBlock(fresh, false));
+      warm->data = std::move(contents);
+      ++stats_.data_blocks_written;
+      return BmapSet(dir_ino, dir, fbi, fresh, sync);
     }
   }
   // Grow the directory by one block.
@@ -436,24 +408,20 @@ common::Status Vlfs::DirRemove(uint32_t dir_ino, Inode& dir, const std::string& 
   for (uint64_t fbi = 0; fbi < blocks; ++fbi) {
     ASSIGN_OR_RETURN(const uint32_t phys, BmapRead(dir, fbi));
     ASSIGN_OR_RETURN(Buffer * buffer, GetDataBlock(phys, true));
-    for (uint32_t e = 0; e < kBlockBytes / kDirEntryBytes; ++e) {
-      const DirEntry entry =
-          DirEntry::Decode(std::span<const std::byte>(buffer->data).subspan(e * kDirEntryBytes));
-      if (entry.ino != kNoInode && entry.name == name) {
-        std::vector<std::byte> contents = buffer->data;
-        DirEntry empty;
-        empty.EncodeTo(std::span<std::byte>(contents).subspan(e * kDirEntryBytes));
-        ASSIGN_OR_RETURN(const uint32_t fresh,
-                         EagerWriteBlock(contents, kOwnerData |
-                                                       (static_cast<uint64_t>(dir_ino) << 32) |
-                                                       fbi));
-        StageFree(phys);
-        ForgetDataBlock(phys);
-        ASSIGN_OR_RETURN(Buffer * warm, GetDataBlock(fresh, false));
-        warm->data = std::move(contents);
-        ++stats_.data_blocks_written;
-        return BmapSet(dir_ino, dir, fbi, fresh, sync);
-      }
+    if (const auto slot = DirEntry::Find(buffer->data, name)) {
+      std::vector<std::byte> contents = buffer->data;
+      DirEntry empty;
+      empty.EncodeTo(std::span<std::byte>(contents).subspan(slot->index * kDirEntryBytes));
+      ASSIGN_OR_RETURN(const uint32_t fresh,
+                       EagerWriteBlock(contents, kOwnerData |
+                                                     (static_cast<uint64_t>(dir_ino) << 32) |
+                                                     fbi));
+      StageFree(phys);
+      ForgetDataBlock(phys);
+      ASSIGN_OR_RETURN(Buffer * warm, GetDataBlock(fresh, false));
+      warm->data = std::move(contents);
+      ++stats_.data_blocks_written;
+      return BmapSet(dir_ino, dir, fbi, fresh, sync);
     }
   }
   return common::NotFound("no such entry: " + name);
@@ -626,7 +594,7 @@ common::StatusOr<std::vector<std::string>> Vlfs::List(const std::string& dir_pat
       continue;
     }
     ASSIGN_OR_RETURN(Buffer * buffer, GetDataBlock(phys, true));
-    for (uint32_t e = 0; e < kBlockBytes / kDirEntryBytes; ++e) {
+    for (uint32_t e = 0; e < kDirEntriesPerBlock; ++e) {
       const DirEntry entry =
           DirEntry::Decode(std::span<const std::byte>(buffer->data).subspan(e * kDirEntryBytes));
       if (entry.ino != kNoInode) {
@@ -658,11 +626,7 @@ common::Status Vlfs::Park() {
 
 common::Status Vlfs::Checkpoint() {
   RETURN_IF_ERROR(CommitGroup());
-  std::vector<std::vector<uint32_t>> entries(vlog_.config().pieces);
-  for (uint32_t k = 0; k < vlog_.config().pieces; ++k) {
-    entries[k] = MapPieceEntries(k);
-  }
-  return vlog_.WriteCheckpoint(entries);
+  return vlog_.WriteCheckpoint([this](uint32_t piece) { return MapPieceEntries(piece); });
 }
 
 void Vlfs::RunIdle(common::Duration budget) {

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -152,7 +153,7 @@ class Vlfs : public fs::FileSystem, public core::CompactionBackend {
   // since the previous flush.
   common::Status CommitGroup();
 
-  std::vector<uint32_t> MapPieceEntries(uint32_t piece) const;
+  std::span<const uint32_t> MapPieceEntries(uint32_t piece) const;
 
   simdisk::SimDisk* disk_;
   simdisk::HostModel* host_;

@@ -80,7 +80,31 @@ TEST(Crc32, KnownVector) {
   for (const char* p = s; *p; ++p) {
     data.push_back(static_cast<std::byte>(*p));
   }
+  EXPECT_EQ(Crc32cTable(data), 0xE3069283u);
+  // Crc32c runs on the SSE4.2 instruction where the CPU has it, else on the same table.
   EXPECT_EQ(Crc32c(data), 0xE3069283u);
+}
+
+// The hardware path must reproduce the table reference exactly: every length 0..4200 (so every
+// 0..7-byte tail after the 8-byte steps), at every start offset 0..7, chained from random seeds.
+TEST(Crc32, HardwareMatchesTableReference) {
+  if (!Crc32cUsesHardware()) {
+    GTEST_SKIP() << "no SSE4.2 crc32 instruction on this CPU: Crc32c is the table path";
+  }
+  constexpr size_t kMaxLen = 4200;
+  Rng rng(16);
+  std::vector<std::byte> buf(kMaxLen + 8);
+  for (std::byte& b : buf) {
+    b = static_cast<std::byte>(rng.Next());
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      const std::span<const std::byte> data(buf.data() + offset, len);
+      const uint32_t seed = static_cast<uint32_t>(rng.Next());
+      ASSERT_EQ(Crc32c(data, seed), Crc32cTable(data, seed))
+          << "offset " << offset << " length " << len << " seed " << seed;
+    }
+  }
 }
 
 TEST(Crc32, DetectsBitFlip) {

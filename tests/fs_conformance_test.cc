@@ -172,6 +172,24 @@ TEST_P(FsConformanceTest, RelativePathsRejected) {
   EXPECT_EQ(fs().Create("nope").code(), common::StatusCode::kInvalidArgument);
 }
 
+// A name holding a NUL byte is rejected on every path. Directory entries store every byte of a
+// name but read it back only up to the first NUL, so such a file could be created and never
+// found again, and a second Create would add a duplicate entry.
+TEST_P(FsConformanceTest, NameWithNulByteRejected) {
+  const std::string nul_name("/a\0b", 4);
+  EXPECT_EQ(fs().Create(nul_name).code(), common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(fs().Mkdir(nul_name).code(), common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(fs().Stat(nul_name).status().code(), common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(fs().Remove(nul_name).code(), common::StatusCode::kInvalidArgument);
+  // Nothing was created under the name's NUL-free prefix.
+  EXPECT_EQ(fs().Stat("/a").status().code(), common::StatusCode::kNotFound);
+  ASSERT_TRUE(fs().Mkdir("/a").ok());
+  EXPECT_EQ(fs().Create(std::string("/a/\0", 4)).code(), common::StatusCode::kInvalidArgument);
+  auto names = fs().List("/a");
+  ASSERT_TRUE(names.ok());
+  EXPECT_TRUE(names->empty());
+}
+
 TEST_P(FsConformanceTest, WriteReadByteExact) {
   ASSERT_TRUE(fs().Create("/f").ok());
   for (const size_t size : {1ul, 511ul, 512ul, 4095ul, 4096ul, 4097ul, 70000ul}) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 
 #include "src/core/map_sector.h"
 
@@ -112,6 +114,80 @@ TEST(MapSector, RejectsOversizedEntryCount) {
   MapSector s = Sample();
   s.entries.resize(kEntriesPerSector);  // Max allowed — fine.
   EXPECT_TRUE(MapSector::Parse(s.Serialize()).ok());
+}
+
+// Known answers: the exact bytes of two sectors, pinned as a 64-bit FNV-1a of all 512 bytes
+// plus the stored CRC word. Round trips alone would still pass if the encoder and the parser
+// drifted together; these values were captured from the byte-loop encoder that wrote every
+// existing image, so any change to the on-media layout fails here.
+uint64_t Fnv1a(std::span<const std::byte> bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::byte b : bytes) {
+    h = (h ^ static_cast<uint8_t>(b)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+uint32_t StoredCrc(std::span<const std::byte> raw) {
+  uint32_t crc = 0;
+  for (size_t i = 0; i < 4; ++i) {
+    crc |= static_cast<uint32_t>(static_cast<uint8_t>(raw[kMapSectorBytes - 4 + i])) << (8 * i);
+  }
+  return crc;
+}
+
+void ExpectSameFields(const MapSector& parsed, const MapSector& s) {
+  EXPECT_EQ(parsed.seq, s.seq);
+  EXPECT_EQ(parsed.piece, s.piece);
+  EXPECT_EQ(parsed.txn_id, s.txn_id);
+  EXPECT_EQ(parsed.txn_index, s.txn_index);
+  EXPECT_EQ(parsed.txn_total, s.txn_total);
+  EXPECT_EQ(parsed.prev, s.prev);
+  EXPECT_EQ(parsed.bypass, s.bypass);
+  EXPECT_EQ(parsed.entries, s.entries);
+}
+
+TEST(MapSector, FullSectorBytesArePinned) {
+  constexpr uint64_t kEpoch = 0x0000002a00000007ULL;
+  MapSector s;
+  s.seq = 0x1122334455667788ULL;
+  s.piece = 0x0a0b0c0d;
+  s.txn_id = 0x8877665544332211ULL;
+  s.txn_index = 0x1234;
+  s.txn_total = 0x5678;
+  s.prev = DiskPtr{0x0000000123456789ULL, 0x0000000abcdef012ULL};
+  s.bypass = DiskPtr{0x00000000fedcba98ULL, 0x0000000076543210ULL};
+  s.entries.resize(kEntriesPerSector);
+  for (uint32_t i = 0; i < kEntriesPerSector; ++i) {
+    s.entries[i] = (i * 0x01010101u) ^ 0xdeadbeefu;
+  }
+  const auto raw = s.Serialize(kEpoch);
+  ASSERT_EQ(raw.size(), kMapSectorBytes);
+  EXPECT_EQ(Fnv1a(raw), 0x811489cad3ab76b3ULL);
+  EXPECT_EQ(StoredCrc(raw), 0xb28b080du);
+  auto parsed = MapSector::Parse(raw, kEpoch);
+  ASSERT_TRUE(parsed.ok());
+  ExpectSameFields(*parsed, s);
+}
+
+TEST(MapSector, PartialPieceBytesArePinned) {
+  constexpr uint64_t kEpoch = 3;
+  MapSector s;
+  s.seq = 4242;
+  s.piece = 19;  // The map's last piece holds fewer than kEntriesPerSector entries.
+  s.prev = DiskPtr{};
+  s.bypass = DiskPtr{};
+  s.entries.resize(37);
+  for (uint32_t i = 0; i < 37; ++i) {
+    s.entries[i] = i % 5 == 0 ? kUnmappedBlock : 1000 + i * 17;
+  }
+  const auto raw = s.Serialize(kEpoch);
+  ASSERT_EQ(raw.size(), kMapSectorBytes);
+  EXPECT_EQ(Fnv1a(raw), 0xa61c24f859f4e6d5ULL);
+  EXPECT_EQ(StoredCrc(raw), 0x98ecfc5du);
+  auto parsed = MapSector::Parse(raw, kEpoch);
+  ASSERT_TRUE(parsed.ok());
+  ExpectSameFields(*parsed, s);
 }
 
 TEST(DiskPtr, NullSemantics) {

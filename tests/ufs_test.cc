@@ -2,6 +2,8 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -221,6 +223,43 @@ TEST_F(UfsTest, UtilizationTracksData) {
 
 // The headline integration check: the same UFS code runs on a VLD and gets identical
 // functional behaviour (Figure 5's architecture).
+// Directory lookups compare names in place instead of decoding each slot. They must stop at
+// exactly the slot a decode-and-compare scan stops at: for a prefix or an extension of a stored
+// name, a name of kMaxNameLen bytes, a free slot that still holds a name, and names no entry
+// can hold (too long, or holding a NUL).
+TEST(DirEntryTest, FindStopsWhereADecodingScanStops) {
+  std::vector<std::byte> block(kBlockBytes);
+  const std::string longest(kMaxNameLen, 'z');
+  const std::vector<DirEntry> slots = {{100, "ab"},  {101, "a"},        {102, "abc"},
+                                       {103, longest}, {kNoInode, "gone"}, {105, "b"}};
+  for (uint32_t e = 0; e < slots.size(); ++e) {
+    slots[e].EncodeTo(std::span<std::byte>(block).subspan(e * kDirEntryBytes));
+  }
+  const auto decoding_scan = [&](const std::string& name) -> std::optional<uint32_t> {
+    for (uint32_t e = 0; e < kDirEntriesPerBlock; ++e) {
+      const DirEntry entry =
+          DirEntry::Decode(std::span<const std::byte>(block).subspan(e * kDirEntryBytes));
+      if (entry.ino != kNoInode && entry.name == name) {
+        return e;
+      }
+    }
+    return std::nullopt;
+  };
+  const std::vector<std::string> names = {
+      "a",  "ab", "abc", "abcd", "b", "gone", "", longest, longest.substr(1), longest + "z",
+      std::string("a\0", 2), std::string("ab\0c", 4)};
+  for (const std::string& name : names) {
+    const auto slot = DirEntry::Find(block, name);
+    const auto expected = decoding_scan(name);
+    ASSERT_EQ(slot.has_value(), expected.has_value()) << "name size " << name.size();
+    if (slot) {
+      EXPECT_EQ(slot->index, *expected) << name;
+      EXPECT_EQ(slot->ino, slots[*expected].ino) << name;
+    }
+  }
+  EXPECT_EQ(DirEntry::FindFree(block), 4u);
+}
+
 TEST(UfsOnVld, FunctionalParityWithRegularDisk) {
   common::Clock clock;
   simdisk::SimDisk raw(simdisk::Truncated(simdisk::SeagateSt19101(), 3), &clock);

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <deque>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -59,6 +61,15 @@ class VirtualLogTest : public ::testing::Test {
     return e;
   }
 
+  // Entries(fill), owned by the fixture until the test ends. Appends take spans, and a span
+  // bound to a temporary vector (say in a PieceUpdate) dangles once the temporary dies.
+  std::span<const uint32_t> Owned(uint32_t fill) { return owned_.emplace_back(Entries(fill)); }
+
+  // An entries provider over per-piece vectors the caller keeps alive.
+  static VirtualLog::EntriesOfPiece SlicesOf(const std::vector<std::vector<uint32_t>>& pieces) {
+    return [&pieces](uint32_t piece) { return std::span<const uint32_t>(pieces[piece]); };
+  }
+
   // After recovery, live map blocks must be re-marked before further appends.
   void RemarkLiveBlocks() {
     for (uint32_t k = 0; k < kPieces; ++k) {
@@ -76,6 +87,7 @@ class VirtualLogTest : public ::testing::Test {
   std::optional<FreeSpaceMap> space_;
   std::optional<EagerAllocator> allocator_;
   std::optional<VirtualLog> vlog_;
+  std::deque<std::vector<uint32_t>> owned_;
 };
 
 TEST_F(VirtualLogTest, FreshLogRecoversEmpty) {
@@ -90,8 +102,8 @@ TEST_F(VirtualLogTest, FreshLogRecoversEmpty) {
 }
 
 TEST_F(VirtualLogTest, AppendParkRecoverRoundTrip) {
-  ASSERT_TRUE(vlog_->AppendPiece(0, Entries(10)).ok());
-  ASSERT_TRUE(vlog_->AppendPiece(3, Entries(20)).ok());
+  ASSERT_TRUE(vlog_->AppendPiece(0, Owned(10)).ok());
+  ASSERT_TRUE(vlog_->AppendPiece(3, Owned(20)).ok());
   ASSERT_TRUE(vlog_->Park().ok());
   Reopen();
   auto result = vlog_->Recover();
@@ -105,7 +117,7 @@ TEST_F(VirtualLogTest, AppendParkRecoverRoundTrip) {
 
 TEST_F(VirtualLogTest, YoungestVersionWinsAfterOverwrites) {
   for (uint32_t v = 0; v < 25; ++v) {
-    ASSERT_TRUE(vlog_->AppendPiece(1, Entries(v)).ok());
+    ASSERT_TRUE(vlog_->AppendPiece(1, Owned(v)).ok());
   }
   ASSERT_TRUE(vlog_->Park().ok());
   Reopen();
@@ -116,7 +128,7 @@ TEST_F(VirtualLogTest, YoungestVersionWinsAfterOverwrites) {
 
 TEST_F(VirtualLogTest, OverwritingRecyclesBlocks) {
   for (uint32_t v = 0; v < 25; ++v) {
-    ASSERT_TRUE(vlog_->AppendPiece(1, Entries(v)).ok());
+    ASSERT_TRUE(vlog_->AppendPiece(1, Owned(v)).ok());
   }
   // One live sector plus maybe a few pinned: nearly all 25 appends were recycled.
   EXPECT_GE(vlog_->stats().recycled_blocks, 20u);
@@ -124,7 +136,7 @@ TEST_F(VirtualLogTest, OverwritingRecyclesBlocks) {
 }
 
 TEST_F(VirtualLogTest, CrashWithoutParkFallsBackToScan) {
-  ASSERT_TRUE(vlog_->AppendPiece(2, Entries(7)).ok());
+  ASSERT_TRUE(vlog_->AppendPiece(2, Owned(7)).ok());
   // No Park: a crash. The stale park sector was cleared at Format.
   Reopen();
   auto result = vlog_->Recover();
@@ -134,12 +146,12 @@ TEST_F(VirtualLogTest, CrashWithoutParkFallsBackToScan) {
 }
 
 TEST_F(VirtualLogTest, ParkIsClearedAfterRecovery) {
-  ASSERT_TRUE(vlog_->AppendPiece(0, Entries(1)).ok());
+  ASSERT_TRUE(vlog_->AppendPiece(0, Owned(1)).ok());
   ASSERT_TRUE(vlog_->Park().ok());
   Reopen();
   ASSERT_TRUE(vlog_->Recover().ok());
   RemarkLiveBlocks();
-  ASSERT_TRUE(vlog_->AppendPiece(0, Entries(2)).ok());
+  ASSERT_TRUE(vlog_->AppendPiece(0, Owned(2)).ok());
   // Crash now: the old park record must not be trusted (it was cleared), so scan runs and
   // finds the newer version.
   Reopen();
@@ -151,9 +163,9 @@ TEST_F(VirtualLogTest, ParkIsClearedAfterRecovery) {
 
 TEST_F(VirtualLogTest, TransactionAppliedAtomicallyWhenComplete) {
   std::vector<VirtualLog::PieceUpdate> updates;
-  updates.push_back({0, Entries(100)});
-  updates.push_back({1, Entries(101)});
-  updates.push_back({2, Entries(102)});
+  updates.push_back({0, Owned(100)});
+  updates.push_back({1, Owned(101)});
+  updates.push_back({2, Owned(102)});
   ASSERT_TRUE(vlog_->AppendTransaction(updates).ok());
   ASSERT_TRUE(vlog_->Park().ok());
   Reopen();
@@ -166,13 +178,13 @@ TEST_F(VirtualLogTest, TransactionAppliedAtomicallyWhenComplete) {
 }
 
 TEST_F(VirtualLogTest, InterruptedTransactionRollsBackEveryPiece) {
-  ASSERT_TRUE(vlog_->AppendPiece(0, Entries(1)).ok());
-  ASSERT_TRUE(vlog_->AppendPiece(1, Entries(2)).ok());
+  ASSERT_TRUE(vlog_->AppendPiece(0, Owned(1)).ok());
+  ASSERT_TRUE(vlog_->AppendPiece(1, Owned(2)).ok());
   // Crash after the first sector of a two-piece transaction hits the disk.
   disk_->SetWriteFailureAfter(1);
   std::vector<VirtualLog::PieceUpdate> updates;
-  updates.push_back({0, Entries(50)});
-  updates.push_back({1, Entries(51)});
+  updates.push_back({0, Owned(50)});
+  updates.push_back({1, Owned(51)});
   EXPECT_FALSE(vlog_->AppendTransaction(updates).ok());
   disk_->SetWriteFailureAfter(std::nullopt);
   Reopen();
@@ -190,10 +202,10 @@ TEST_F(VirtualLogTest, CheckpointSeedsRecoveryAndFreesLog) {
     ASSERT_TRUE(vlog_->AppendPiece(k, all[k]).ok());
   }
   const uint64_t live_before = space_->live_blocks();
-  ASSERT_TRUE(vlog_->WriteCheckpoint(all).ok());
+  ASSERT_TRUE(vlog_->WriteCheckpoint(SlicesOf(all)).ok());
   EXPECT_LT(space_->live_blocks(), live_before);
   // Post-checkpoint append, then clean shutdown.
-  ASSERT_TRUE(vlog_->AppendPiece(2, Entries(99)).ok());
+  ASSERT_TRUE(vlog_->AppendPiece(2, Owned(99)).ok());
   ASSERT_TRUE(vlog_->Park().ok());
   Reopen();
   auto result = vlog_->Recover();
@@ -211,8 +223,8 @@ TEST_F(VirtualLogTest, ScanRecoveryHonorsCheckpointBoundary) {
   }
   all[1] = Entries(500);
   ASSERT_TRUE(vlog_->AppendPiece(1, all[1]).ok());
-  ASSERT_TRUE(vlog_->WriteCheckpoint(all).ok());
-  ASSERT_TRUE(vlog_->AppendPiece(0, Entries(700)).ok());
+  ASSERT_TRUE(vlog_->WriteCheckpoint(SlicesOf(all)).ok());
+  ASSERT_TRUE(vlog_->AppendPiece(0, Owned(700)).ok());
   Reopen();  // Crash (no park) -> scan.
   auto result = vlog_->Recover();
   ASSERT_TRUE(result.ok());
@@ -224,7 +236,7 @@ TEST_F(VirtualLogTest, ScanRecoveryHonorsCheckpointBoundary) {
 TEST_F(VirtualLogTest, AutoCheckpointValveBoundsPinnedSectors) {
   Reset(/*pinned_limit=*/0);
   std::vector<std::vector<uint32_t>> shadow(kPieces);
-  vlog_->SetEntriesProvider([this, &shadow](uint32_t piece) { return shadow[piece]; });
+  vlog_->SetEntriesProvider(SlicesOf(shadow));
   common::Rng rng(3);
   for (int i = 0; i < 300; ++i) {
     const uint32_t piece = static_cast<uint32_t>(rng.Below(kPieces));
@@ -312,7 +324,7 @@ TEST_F(VirtualLogTest, RandomizedCrashRecoveryMatchesShadow) {
 
 TEST_F(VirtualLogTest, RecoveryCostIsProportionalToLiveLog) {
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(vlog_->AppendPiece(static_cast<uint32_t>(i) % kPieces, Entries(i)).ok());
+    ASSERT_TRUE(vlog_->AppendPiece(static_cast<uint32_t>(i) % kPieces, Owned(i)).ok());
   }
   ASSERT_TRUE(vlog_->Park().ok());
   Reopen();
@@ -331,11 +343,11 @@ TEST_F(VirtualLogTest, RecoveryCostIsProportionalToLiveLog) {
 // machinery must keep recovery correct regardless, including when the freed blocks are
 // overwritten with garbage.
 TEST_F(VirtualLogTest, DoubleRecycleOfBypassCarrierKeepsLogConnected) {
-  ASSERT_TRUE(vlog_->AppendPiece(2, Entries(300)).ok());  // W_c (oldest, stays live).
-  ASSERT_TRUE(vlog_->AppendPiece(1, Entries(301)).ok());  // W_b.
-  ASSERT_TRUE(vlog_->AppendPiece(0, Entries(302)).ok());  // W_a.
-  ASSERT_TRUE(vlog_->AppendPiece(1, Entries(303)).ok());  // N_b: bypass covers W_c, frees W_b.
-  ASSERT_TRUE(vlog_->AppendPiece(1, Entries(304)).ok());  // N_b2: frees (or pins) N_b.
+  ASSERT_TRUE(vlog_->AppendPiece(2, Owned(300)).ok());  // W_c (oldest, stays live).
+  ASSERT_TRUE(vlog_->AppendPiece(1, Owned(301)).ok());  // W_b.
+  ASSERT_TRUE(vlog_->AppendPiece(0, Owned(302)).ok());  // W_a.
+  ASSERT_TRUE(vlog_->AppendPiece(1, Owned(303)).ok());  // N_b: bypass covers W_c, frees W_b.
+  ASSERT_TRUE(vlog_->AppendPiece(1, Owned(304)).ok());  // N_b2: frees (or pins) N_b.
   // Destroy every freed block's contents, simulating data reuse.
   common::Rng rng(1);
   for (uint32_t block = 0; block < space_->total_blocks(); ++block) {
@@ -360,15 +372,15 @@ TEST_F(VirtualLogTest, DoubleRecycleOfBypassCarrierKeepsLogConnected) {
 // When a sector that still carries covers is obsoleted, it must be pinned (its block stays
 // unallocatable) until its targets are re-covered — observable through PinnedCount.
 TEST_F(VirtualLogTest, LoadBearingObsoleteSectorsArePinnedThenReleased) {
-  ASSERT_TRUE(vlog_->AppendPiece(0, Entries(1)).ok());
+  ASSERT_TRUE(vlog_->AppendPiece(0, Owned(1)).ok());
   // The head sector of piece 0 is covered by the next append's prev pointer...
-  ASSERT_TRUE(vlog_->AppendPiece(1, Entries(2)).ok());
+  ASSERT_TRUE(vlog_->AppendPiece(1, Owned(2)).ok());
   // ...so obsoleting piece 1 (the current head, which carries that cover) pins it.
-  ASSERT_TRUE(vlog_->AppendPiece(1, Entries(3)).ok());
+  ASSERT_TRUE(vlog_->AppendPiece(1, Owned(3)).ok());
   const size_t pinned_after = vlog_->PinnedCount();
   // Rewriting piece 0 re-covers it with the new sector, unpinning the old carrier eventually.
-  ASSERT_TRUE(vlog_->AppendPiece(0, Entries(4)).ok());
-  ASSERT_TRUE(vlog_->AppendPiece(0, Entries(5)).ok());
+  ASSERT_TRUE(vlog_->AppendPiece(0, Owned(4)).ok());
+  ASSERT_TRUE(vlog_->AppendPiece(0, Owned(5)).ok());
   EXPECT_LE(vlog_->PinnedCount(), pinned_after + 1);
   // Regardless of pinning dynamics, recovery stays exact.
   ASSERT_TRUE(vlog_->Park().ok());
@@ -380,15 +392,15 @@ TEST_F(VirtualLogTest, LoadBearingObsoleteSectorsArePinnedThenReleased) {
 }
 
 TEST_F(VirtualLogTest, AppendRejectsOutOfRangePiece) {
-  EXPECT_FALSE(vlog_->AppendPiece(kPieces, Entries(0)).ok());
+  EXPECT_FALSE(vlog_->AppendPiece(kPieces, Owned(0)).ok());
 }
 
 // Satellite (a) regression: map sectors from a previous format generation must not be
 // resurrected by a crash scan after reformat, even though they are internally consistent.
 TEST_F(VirtualLogTest, ReformatRejectsStaleGenerationSectorsInScan) {
   EXPECT_EQ(vlog_->Epoch(), 1u);
-  ASSERT_TRUE(vlog_->AppendPiece(0, Entries(10)).ok());
-  ASSERT_TRUE(vlog_->AppendPiece(4, Entries(11)).ok());
+  ASSERT_TRUE(vlog_->AppendPiece(0, Owned(10)).ok());
+  ASSERT_TRUE(vlog_->AppendPiece(4, Owned(11)).ok());
   // Sanity: a crash scan in the same generation finds them.
   Reopen();
   {
@@ -419,14 +431,14 @@ TEST_F(VirtualLogTest, EpochSurvivesParkAndCrashRecovery) {
   Reopen();
   ASSERT_TRUE(vlog_->Format().ok());
   EXPECT_EQ(vlog_->Epoch(), 3u);
-  ASSERT_TRUE(vlog_->AppendPiece(1, Entries(5)).ok());
+  ASSERT_TRUE(vlog_->AppendPiece(1, Owned(5)).ok());
   ASSERT_TRUE(vlog_->Park().ok());
   Reopen();
   ASSERT_TRUE(vlog_->Recover().ok());
   EXPECT_EQ(vlog_->Epoch(), 3u);
   RemarkLiveBlocks();
   // New appends in epoch 3 are found by a crash scan after a restart without park.
-  ASSERT_TRUE(vlog_->AppendPiece(1, Entries(6)).ok());
+  ASSERT_TRUE(vlog_->AppendPiece(1, Owned(6)).ok());
   Reopen();
   auto result = vlog_->Recover();
   ASSERT_TRUE(result.ok());
@@ -439,7 +451,7 @@ TEST_F(VirtualLogTest, EpochSurvivesParkAndCrashRecovery) {
 TEST_F(VirtualLogTest, PackedTransactionUsesOneWritePerBlock) {
   std::vector<VirtualLog::PieceUpdate> updates;
   for (uint32_t k = 0; k < 5; ++k) {
-    updates.push_back({.piece = k, .entries = Entries(30 + k)});
+    updates.push_back({.piece = k, .entries = Owned(30 + k)});
   }
   const uint64_t writes_before = disk_->stats().write_requests;
   ASSERT_TRUE(vlog_->AppendTransactionPacked(updates).ok());
@@ -459,10 +471,10 @@ TEST_F(VirtualLogTest, PackedTransactionUsesOneWritePerBlock) {
 }
 
 TEST_F(VirtualLogTest, PackedTransactionSurvivesCrashScan) {
-  ASSERT_TRUE(vlog_->AppendPiece(0, Entries(1)).ok());
+  ASSERT_TRUE(vlog_->AppendPiece(0, Owned(1)).ok());
   std::vector<VirtualLog::PieceUpdate> updates;
   for (uint32_t k = 0; k < kPieces; ++k) {
-    updates.push_back({.piece = k, .entries = Entries(50 + k)});
+    updates.push_back({.piece = k, .entries = Owned(50 + k)});
   }
   ASSERT_TRUE(vlog_->AppendTransactionPacked(updates).ok());
   Reopen();
@@ -476,11 +488,11 @@ TEST_F(VirtualLogTest, PackedTransactionSurvivesCrashScan) {
 
 TEST_F(VirtualLogTest, TornPackedTransactionRollsBackEveryPiece) {
   for (uint32_t k = 0; k < kPieces; ++k) {
-    ASSERT_TRUE(vlog_->AppendPiece(k, Entries(k)).ok());
+    ASSERT_TRUE(vlog_->AppendPiece(k, Owned(k)).ok());
   }
   std::vector<VirtualLog::PieceUpdate> updates;
   for (uint32_t k = 0; k < kPieces; ++k) {
-    updates.push_back({.piece = k, .entries = Entries(70 + k)});
+    updates.push_back({.piece = k, .entries = Owned(70 + k)});
   }
   // All six sectors pack into one 8-sector block write; tear it so only the first three
   // sectors persist.
@@ -502,8 +514,8 @@ TEST_F(VirtualLogTest, TornPackedTransactionRollsBackEveryPiece) {
 
 TEST_F(VirtualLogTest, PackedTransactionRejectsDuplicatePieces) {
   std::vector<VirtualLog::PieceUpdate> updates;
-  updates.push_back({.piece = 1, .entries = Entries(1)});
-  updates.push_back({.piece = 1, .entries = Entries(2)});
+  updates.push_back({.piece = 1, .entries = Owned(1)});
+  updates.push_back({.piece = 1, .entries = Owned(2)});
   EXPECT_FALSE(vlog_->AppendTransactionPacked(updates).ok());
 }
 

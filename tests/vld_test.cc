@@ -672,6 +672,42 @@ TEST(VldFailedWriteTest, QueuedMapSectorOutOfSpaceLeavesTheBatchInvisible) {
   ExpectMapInvariants(vld);
 }
 
+// A Trim whose map sectors would not all find a free block fails before the map moves. Writing
+// each of the 12-cylinder disk's 2,010 logical blocks once leaves 16 blocks free, and trimming
+// them all rewrites 20 pieces: the unpacked transaction used to unmap every block, append 16
+// of its 20 sectors and fail, leaving no free block and a map that no longer matched the disk.
+TEST(VldFailedWriteTest, TrimWithoutRoomForItsMapSectorsLeavesTheMapAlone) {
+  common::Clock clock;
+  simdisk::SimDisk disk(simdisk::Truncated(simdisk::Hp97560(), 12), &clock);
+  const VldConfig config{.compactor_enabled = false};
+  Vld vld(&disk, config);
+  ASSERT_TRUE(vld.Format().ok());
+  ASSERT_EQ(vld.logical_blocks(), 2010u);
+  ASSERT_EQ(vld.vlog().config().pieces, 20u);
+  for (uint32_t b = 0; b < vld.logical_blocks(); ++b) {
+    ASSERT_TRUE(vld.Write(b * 8, Pattern(kBlockBytes, b)).ok()) << "block " << b;
+  }
+  ASSERT_EQ(vld.space().free_blocks(), 16u);
+  EXPECT_EQ(vld.Trim(0, uint64_t{2010} * 8).code(), common::StatusCode::kOutOfSpace);
+  EXPECT_EQ(vld.space().free_blocks(), 16u);
+  EXPECT_EQ(vld.stats().trims, 0u);
+  ExpectMapInvariants(vld);
+  std::vector<std::byte> out(kBlockBytes);
+  ASSERT_TRUE(vld.Read(0, out).ok());
+  EXPECT_EQ(out, Pattern(kBlockBytes, 0));
+  common::Clock fork_clock;
+  simdisk::SimDisk fork = disk.Fork(&fork_clock);
+  Vld recovered(&fork, config);
+  ASSERT_TRUE(recovered.Recover().ok());
+  ASSERT_TRUE(recovered.Read(0, out).ok());
+  EXPECT_EQ(out, Pattern(kBlockBytes, 0));
+  // A trim of one piece still fits.
+  ASSERT_TRUE(vld.Trim(0, 8).ok());
+  ExpectMapInvariants(vld);
+  ASSERT_TRUE(vld.Read(0, out).ok());
+  EXPECT_EQ(out, std::vector<std::byte>(kBlockBytes));
+}
+
 TEST_F(VldTest, RejectedWriteAtomicStagesNothing) {
   const uint64_t live = vld_->space().live_blocks();
   const auto block = Pattern(kBlockBytes, 1);
