@@ -23,18 +23,10 @@ void Compactor::AbandonResume() {
 
 bool Compactor::Compactable(uint64_t track) const {
   const FreeSpaceMap& space = allocator_->space();
-  if (space.LiveInTrack(track) == 0 || space.TrackHasSystem(track)) {
-    return false;
-  }
   // Pinned map sectors cannot be moved (their on-disk pointers are load-bearing); skip
-  // tracks containing one — the pinned-sector valve bounds how long that lasts.
-  const uint32_t base = static_cast<uint32_t>(track * space.blocks_per_track());
-  for (uint32_t b = 0; b < space.blocks_per_track(); ++b) {
-    if (space.state(base + b) == BlockState::kLive && vlog_->IsPinnedBlock(base + b)) {
-      return false;
-    }
-  }
-  return true;
+  // tracks containing one until a checkpoint releases it.
+  return space.LiveInTrack(track) != 0 && !space.TrackHasSystem(track) &&
+         vlog_->PinnedInTrack(track) == 0;
 }
 
 std::optional<uint64_t> Compactor::PickVictim() {

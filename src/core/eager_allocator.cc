@@ -149,30 +149,16 @@ std::optional<EagerAllocator::Candidate> EagerAllocator::FillPick() {
 }
 
 std::optional<EagerAllocator::Candidate> EagerAllocator::HolePlugPick() {
-  // Pack the fullest tracks first; break ties toward the current fill track's neighbourhood is
-  // unnecessary — compaction runs during idle time, so cost matters less than packing quality.
-  std::optional<uint64_t> best_track;
-  uint32_t best_live = 0;
-  const uint32_t bpt = space_->blocks_per_track();
-  for (uint64_t t = 0; t < space_->total_tracks(); ++t) {
-    if (space_->FreeInTrack(t) == 0 || (excluded_track_ && *excluded_track_ == t)) {
-      continue;
-    }
-    const uint32_t live = space_->LiveInTrack(t);
-    if (live == 0 || live >= bpt) {
-      continue;  // Keep empty tracks empty; full tracks have no holes.
-    }
-    if (!best_track || live > best_live) {
-      best_track = t;
-      best_live = live;
-    }
-  }
-  if (!best_track) {
+  // Pack the fullest partly filled track first, whatever its distance from the head:
+  // compaction runs in idle time, so packing quality matters more than positioning cost.
+  // Empty tracks stay empty and full tracks have no holes.
+  const auto track = space_->FullestPartialTrack(excluded_track_);
+  if (!track) {
     return GreedyPick();
   }
   const common::Duration move = disk_->ArmMoveCost(
-      space_->BlockToLba(static_cast<uint32_t>(*best_track * bpt)));
-  if (auto cand = BestInTrack(*best_track, move)) {
+      space_->BlockToLba(static_cast<uint32_t>(*track * space_->blocks_per_track())));
+  if (auto cand = BestInTrack(*track, move)) {
     return cand;
   }
   return GreedyPick();

@@ -1,5 +1,6 @@
 #include "src/core/free_space.h"
 
+#include <bit>
 #include <cassert>
 
 namespace vlog::core {
@@ -17,6 +18,7 @@ FreeSpaceMap::FreeSpaceMap(const simdisk::DiskGeometry& geometry, uint32_t block
   track_free_.assign(tracks, blocks_per_track_);
   track_live_.assign(tracks, 0);
   track_system_.assign(tracks, 0);
+  track_words_ = (tracks + 63) / 64;
   free_blocks_ = states_.size();
   empty_tracks_ = tracks;
 }
@@ -28,9 +30,11 @@ void FreeSpaceMap::MarkSystem(uint32_t block) {
   if (TrackEmpty(track)) {
     --empty_tracks_;
   }
+  IndexPartial(track, /*add=*/false);
   --track_free_[track];
   --cyl_free_[CylinderOfTrack(track)];
   ++track_system_[track];
+  IndexPartial(track, /*add=*/true);
   --free_blocks_;
   ++system_blocks_;
 }
@@ -42,9 +46,11 @@ void FreeSpaceMap::MarkLive(uint32_t block) {
   if (TrackEmpty(track)) {
     --empty_tracks_;
   }
+  IndexPartial(track, /*add=*/false);
   --track_free_[track];
   --cyl_free_[CylinderOfTrack(track)];
   ++track_live_[track];
+  IndexPartial(track, /*add=*/true);
   --free_blocks_;
   ++live_blocks_;
 }
@@ -53,14 +59,59 @@ void FreeSpaceMap::Free(uint32_t block) {
   assert(states_[block] == BlockState::kLive);
   states_[block] = BlockState::kFree;
   const uint64_t track = TrackOfBlock(block);
+  IndexPartial(track, /*add=*/false);
   ++track_free_[track];
   ++cyl_free_[CylinderOfTrack(track)];
   --track_live_[track];
+  IndexPartial(track, /*add=*/true);
   ++free_blocks_;
   --live_blocks_;
   if (TrackEmpty(track)) {
     ++empty_tracks_;
   }
+}
+
+void FreeSpaceMap::IndexPartial(uint64_t track, bool add) {
+  const uint32_t live = track_live_[track];
+  if (partial_bits_.empty() || live == 0 || track_free_[track] == 0) {
+    return;  // Index not built yet, or no live block or no free block: not a target.
+  }
+  uint64_t& word = partial_bits_[live * track_words_ + track / 64];
+  const uint64_t bit = uint64_t{1} << (track % 64);
+  if (add) {
+    word |= bit;
+    ++partial_in_bucket_[live];
+  } else {
+    word &= ~bit;
+    --partial_in_bucket_[live];
+  }
+}
+
+std::optional<uint64_t> FreeSpaceMap::FullestPartialTrack(std::optional<uint64_t> excluded) {
+  if (partial_bits_.empty()) {
+    partial_bits_.assign(blocks_per_track_ * track_words_, 0);
+    partial_in_bucket_.assign(blocks_per_track_, 0);
+    for (uint64_t t = 0; t < track_live_.size(); ++t) {
+      IndexPartial(t, /*add=*/true);
+    }
+  }
+  // A partly filled track has at most blocks_per_track_ - 1 live blocks.
+  for (uint32_t live = blocks_per_track_ - 1; live > 0; --live) {
+    if (partial_in_bucket_[live] == 0) {
+      continue;
+    }
+    const uint64_t* bucket = partial_bits_.data() + live * track_words_;
+    for (size_t w = 0; w < track_words_; ++w) {
+      uint64_t word = bucket[w];
+      if (excluded && *excluded / 64 == w) {
+        word &= ~(uint64_t{1} << (*excluded % 64));
+      }
+      if (word != 0) {
+        return w * 64 + static_cast<uint64_t>(std::countr_zero(word));
+      }
+    }
+  }
+  return std::nullopt;
 }
 
 bool FreeSpaceMap::TrackEmpty(uint64_t track) const {

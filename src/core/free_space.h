@@ -3,6 +3,9 @@
 // The VLD allocates and frees fixed-size physical blocks (4 KB by default — §4.2 chooses the
 // file system block size per Appendix A.1). This map tracks per-block state plus per-track
 // free/live counts so the eager allocator and the compactor can reason at track granularity.
+// It also indexes the partly filled tracks (some live and some free blocks) by live count, so
+// the compactor's hole-plug target is found without scanning every track. The index is built
+// on the first hole-plug pick, so a map that is never compacted never pays for it.
 #ifndef SRC_CORE_FREE_SPACE_H_
 #define SRC_CORE_FREE_SPACE_H_
 
@@ -62,6 +65,11 @@ class FreeSpaceMap {
   std::optional<uint32_t> NearestFreeInTrack(uint64_t track, uint32_t from_sector,
                                              uint32_t* skip_sectors) const;
 
+  // The hole-plug target: among tracks holding both live and free blocks, one with the most
+  // live blocks, the lowest-numbered on ties, never `excluded`. nullopt when there is none.
+  // The first call builds the partial-track index; Mark*/Free keep it up to date after that.
+  std::optional<uint64_t> FullestPartialTrack(std::optional<uint64_t> excluded);
+
   // Fraction of allocatable (non-system) blocks that are live.
   double Utilization() const;
 
@@ -73,6 +81,10 @@ class FreeSpaceMap {
 
  private:
   uint64_t CylinderOfTrack(uint64_t track) const { return track / tracks_per_cylinder_; }
+  // Adds `track` to (or removes it from) the bucket of its live count when it is partly
+  // filled. Mark*/Free remove a track before they change its counts and add it back after.
+  // A no-op until FullestPartialTrack has built the index.
+  void IndexPartial(uint64_t track, bool add);
 
   uint32_t block_sectors_;
   uint32_t blocks_per_track_;
@@ -83,6 +95,13 @@ class FreeSpaceMap {
   std::vector<uint32_t> track_free_;
   std::vector<uint32_t> track_live_;
   std::vector<uint32_t> track_system_;
+  // Partly filled tracks bucketed by live count: bit t of bucket `live` (words
+  // [live * track_words_, (live + 1) * track_words_)) is set iff track t has `live` live blocks
+  // and at least one free block. partial_in_bucket_[live] counts the bucket's tracks. Both are
+  // empty until the first FullestPartialTrack call.
+  size_t track_words_ = 0;
+  std::vector<uint64_t> partial_bits_;
+  std::vector<uint64_t> partial_in_bucket_;
   uint64_t free_blocks_ = 0;
   uint64_t live_blocks_ = 0;
   uint64_t system_blocks_ = 0;

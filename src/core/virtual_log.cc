@@ -98,6 +98,8 @@ std::optional<CkptHeader> ParseCkptHeader(std::span<const std::byte> raw) {
 VirtualLog::VirtualLog(simdisk::SimDisk* disk, EagerAllocator* allocator, VirtualLogConfig config)
     : disk_(disk), allocator_(allocator), config_(config) {
   piece_state_.resize(config_.pieces);
+  assert(disk_->geometry().sectors_per_track <= UINT16_MAX && "pinned_in_track_ is 16-bit");
+  pinned_in_track_.assign(allocator_->space().total_tracks(), 0);
 }
 
 common::StatusOr<uint64_t> VirtualLog::EpochFromCheckpointHeaders() {
@@ -135,7 +137,7 @@ common::Status VirtualLog::Format() {
   block_sector_count_.clear();
   cover_of_.clear();
   carrier_load_.clear();
-  pinned_.clear();
+  ClearPins();
   chain_.reserve(config_.pieces * 2);
   cover_of_.reserve(config_.pieces * 2);
   carrier_load_.reserve(config_.pieces * 2);
@@ -259,6 +261,7 @@ void VirtualLog::DecrementLoad(uint64_t carrier_seq) {
   if (pin != pinned_.end()) {
     const uint32_t block = pin->second;
     pinned_.erase(pin);
+    --pinned_in_track_[allocator_->space().TrackOfBlock(block)];
     DropCover(carrier_seq);
     ReleaseSectorInBlock(block);
   }
@@ -269,12 +272,24 @@ void VirtualLog::RemoveObsolete(uint32_t block, uint64_t seq) {
   if (carrier_load_.contains(seq)) {
     // Still the designated cover of a younger removal's bypass target: keep the sector readable
     // until every dependent has been re-covered or removed. Its block refcount is kept too.
-    pinned_.emplace(seq, block);
-    stats_.pinned_peak = std::max<uint64_t>(stats_.pinned_peak, pinned_.size());
+    Pin(seq, block);
   } else {
     DropCover(seq);
     ReleaseSectorInBlock(block);
   }
+}
+
+void VirtualLog::Pin(uint64_t seq, uint32_t block) {
+  pinned_.emplace(seq, block);
+  ++pinned_in_track_[allocator_->space().TrackOfBlock(block)];
+  stats_.pinned_peak = std::max<uint64_t>(stats_.pinned_peak, pinned_.size());
+}
+
+void VirtualLog::ClearPins() {
+  for (const auto& [seq, block] : pinned_) {
+    --pinned_in_track_[allocator_->space().TrackOfBlock(block)];
+  }
+  pinned_.clear();
 }
 
 common::Status VirtualLog::AppendOne(uint32_t piece, std::span<const uint32_t> entries,
@@ -540,7 +555,7 @@ common::Status VirtualLog::WriteCheckpoint(const EntriesOfPiece& entries_of_piec
   ChainClear();
   cover_of_.clear();
   carrier_load_.clear();
-  pinned_.clear();
+  ClearPins();
   for (auto& state : piece_state_) {
     state = PieceState{DiskPtr{}, true};
   }
@@ -580,7 +595,7 @@ common::StatusOr<RecoveryResult> VirtualLog::Recover() {
   carrier_load_.reserve(config_.pieces * 2);
   cover_of_.clear();
   carrier_load_.clear();
-  pinned_.clear();
+  ClearPins();
 
   std::vector<std::byte> raw(kSectorBytes);
   RETURN_IF_ERROR(disk_->InternalRead(config_.park_lba, raw));
@@ -796,9 +811,8 @@ common::StatusOr<RecoveryResult> VirtualLog::ApplyRecovered(
       if (!is_live(carrier->second.seq, carrier->first) &&
           !pinned_.contains(carrier->second.seq)) {
         const uint32_t carrier_block = allocator_->space().LbaToBlock(carrier->first);
-        pinned_.emplace(carrier->second.seq, carrier_block);
+        Pin(carrier->second.seq, carrier_block);
         NoteSectorInBlock(carrier_block);
-        stats_.pinned_peak = std::max<uint64_t>(stats_.pinned_peak, pinned_.size());
         // A pinned carrier must itself stay reachable: cover it too.
         if (!queued.contains(carrier->second.seq)) {
           queued.insert(carrier->second.seq);
@@ -886,6 +900,9 @@ std::optional<uint32_t> VirtualLog::LiveBlockOfPiece(uint32_t piece) const {
 
 std::vector<uint32_t> VirtualLog::PiecesAtBlock(uint32_t block) const {
   std::vector<uint32_t> pieces;
+  if (!block_sector_count_.contains(block)) {
+    return pieces;  // Not a log block (the compactor asks this of every data block it moves).
+  }
   for (uint64_t seq = chain_oldest_; seq != 0; seq = chain_.at(seq).newer) {
     const ChainNode& node = chain_.at(seq);
     if (allocator_->space().LbaToBlock(node.lba) == block) {
@@ -902,15 +919,6 @@ std::vector<uint32_t> VirtualLog::PinnedBlocks() const {
     blocks.push_back(block);
   }
   return blocks;
-}
-
-bool VirtualLog::IsPinnedBlock(uint32_t block) const {
-  for (const auto& [seq, b] : pinned_) {
-    if (b == block) {
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace vlog::core

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "src/common/rng.h"
 #include "src/core/free_space.h"
 #include "src/simdisk/disk_params.h"
 
@@ -98,6 +101,78 @@ TEST(FreeSpace, SecondTrackIndexing) {
   ASSERT_TRUE(block.has_value());
   EXPECT_EQ(*block, 5u);
   EXPECT_EQ(skip, 8u);
+}
+
+// The linear scan the hole-plug pick made before the partial-track buckets: the first track
+// with a strictly larger live count wins, over tracks with both live and free blocks.
+std::optional<uint64_t> ScanFullestPartial(const FreeSpaceMap& space,
+                                           std::optional<uint64_t> excluded) {
+  std::optional<uint64_t> best_track;
+  uint32_t best_live = 0;
+  for (uint64_t t = 0; t < space.total_tracks(); ++t) {
+    if (space.FreeInTrack(t) == 0 || (excluded && *excluded == t)) {
+      continue;
+    }
+    const uint32_t live = space.LiveInTrack(t);
+    if (live == 0 || live >= space.blocks_per_track()) {
+      continue;
+    }
+    if (!best_track || live > best_live) {
+      best_track = t;
+      best_live = live;
+    }
+  }
+  return best_track;
+}
+
+TEST(FreeSpace, FullestPartialTrackMatchesLinearScan) {
+  // 150 tracks of 9 blocks: three bitmap words per bucket, so picks cross word boundaries.
+  const simdisk::DiskGeometry geom{.cylinders = 50, .tracks_per_cylinder = 3,
+                                   .sectors_per_track = 72, .sector_bytes = 512};
+  for (const uint64_t seed : {1u, 42u, 31337u}) {
+    // `space` is asked after every operation, so its index is built on an empty map and kept
+    // up to date from then on. `late` sees the same history but is first asked after a whole
+    // phase, so its index is built from a populated map.
+    FreeSpaceMap space(geom, 8);
+    FreeSpaceMap late(geom, 8);
+    // A system region that fills track 0 and part of track 1, plus a lone system block in a
+    // later track: system blocks count as neither live nor free.
+    for (uint32_t b = 0; b < 13; ++b) {
+      space.MarkSystem(b);
+      late.MarkSystem(b);
+    }
+    space.MarkSystem(9 * 77 + 4);
+    late.MarkSystem(9 * 77 + 4);
+    common::Rng rng(seed);
+    // Phases that fill, churn and drain, so every bucket is visited and emptied again.
+    for (const double live_bias : {0.8, 0.5, 0.2, 0.65}) {
+      for (int op = 0; op < 3000; ++op) {
+        const uint32_t block = static_cast<uint32_t>(rng.Below(space.total_blocks()));
+        if (space.state(block) == BlockState::kFree && rng.Chance(live_bias)) {
+          space.MarkLive(block);
+          late.MarkLive(block);
+        } else if (space.state(block) == BlockState::kLive && !rng.Chance(live_bias)) {
+          space.Free(block);
+          late.Free(block);
+        }
+        const auto pick = ScanFullestPartial(space, std::nullopt);
+        ASSERT_EQ(space.FullestPartialTrack(std::nullopt), pick) << "seed " << seed << " op " << op;
+        // Excluding the winner falls through to the next track of its bucket, or the next
+        // bucket; excluding any other track changes nothing.
+        const std::optional<uint64_t> others[] = {
+            pick, rng.Below(space.total_tracks()), space.TrackOfBlock(block)};
+        for (const std::optional<uint64_t>& excluded : others) {
+          ASSERT_EQ(space.FullestPartialTrack(excluded), ScanFullestPartial(space, excluded))
+              << "seed " << seed << " op " << op << " excluded " << excluded.value_or(~0ull);
+        }
+      }
+      const auto late_pick = ScanFullestPartial(late, std::nullopt);
+      ASSERT_EQ(late.FullestPartialTrack(std::nullopt), late_pick)
+          << "seed " << seed << " bias " << live_bias;
+      ASSERT_EQ(late.FullestPartialTrack(late_pick), ScanFullestPartial(late, late_pick))
+          << "seed " << seed << " bias " << live_bias;
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <deque>
 #include <optional>
@@ -79,6 +80,17 @@ class VirtualLogTest : public ::testing::Test {
     }
     for (const uint32_t block : vlog_->PinnedBlocks()) {
       space_->MarkLive(block);
+    }
+  }
+
+  // PinnedInTrack is an incremental index; it must always equal a recount of PinnedBlocks().
+  void ExpectPinnedInTrackMatchesRecount(const char* where) {
+    std::vector<uint32_t> recount(space_->total_tracks(), 0);
+    for (const uint32_t block : vlog_->PinnedBlocks()) {
+      ++recount[space_->TrackOfBlock(block)];
+    }
+    for (uint64_t t = 0; t < space_->total_tracks(); ++t) {
+      ASSERT_EQ(vlog_->PinnedInTrack(t), recount[t]) << where << ": track " << t;
     }
   }
 
@@ -389,6 +401,58 @@ TEST_F(VirtualLogTest, LoadBearingObsoleteSectorsArePinnedThenReleased) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->pieces[0], Entries(5));
   EXPECT_EQ(result->pieces[1], Entries(3));
+}
+
+TEST_F(VirtualLogTest, PinnedInTrackMatchesRecountThroughEveryPath) {
+  std::vector<std::vector<uint32_t>> shadow(kPieces);
+  vlog_->SetEntriesProvider(SlicesOf(shadow));
+  common::Rng rng(17);
+  uint32_t version = 0;
+  size_t max_pinned = 0;
+  // Single appends and packed commits, checked after every one.
+  auto churn = [&](int ops) {
+    for (int op = 0; op < ops; ++op) {
+      if (rng.Chance(0.3)) {
+        std::vector<VirtualLog::PieceUpdate> updates;
+        for (uint32_t k = 0; k < kPieces; ++k) {
+          if (rng.Chance(0.5)) {
+            shadow[k] = Entries(++version);
+            updates.push_back({k, shadow[k]});
+          }
+        }
+        ASSERT_TRUE(vlog_->AppendTransactionPacked(updates).ok());
+      } else {
+        const uint32_t piece = static_cast<uint32_t>(rng.Below(kPieces));
+        shadow[piece] = Entries(++version);
+        ASSERT_TRUE(vlog_->AppendPiece(piece, shadow[piece]).ok());
+      }
+      max_pinned = std::max(max_pinned, vlog_->PinnedCount());
+      ExpectPinnedInTrackMatchesRecount("append");
+    }
+  };
+  auto recover = [&](const char* where) {
+    Reopen();
+    vlog_->SetEntriesProvider(SlicesOf(shadow));
+    auto result = vlog_->Recover();
+    ASSERT_TRUE(result.ok());
+    RemarkLiveBlocks();
+    for (const uint32_t piece : result->uncovered_pieces) {
+      ASSERT_TRUE(vlog_->AppendPiece(piece, shadow[piece]).ok());
+    }
+    ExpectPinnedInTrackMatchesRecount(where);
+  };
+
+  churn(200);
+  ASSERT_GT(max_pinned, 0u) << "the history must pin sectors for the index to be tested";
+  ASSERT_TRUE(vlog_->WriteCheckpoint(SlicesOf(shadow)).ok());
+  ExpectPinnedInTrackMatchesRecount("checkpoint");
+  EXPECT_EQ(vlog_->PinnedCount(), 0u);
+  churn(200);
+  ASSERT_TRUE(vlog_->Park().ok());
+  recover("park recovery");
+  churn(200);
+  recover("scan recovery");  // No park: a crash.
+  churn(200);
 }
 
 TEST_F(VirtualLogTest, AppendRejectsOutOfRangePiece) {
