@@ -149,6 +149,13 @@ struct LongHaulLeg {
   double worst_outside_ms = 0;       // Worst window p99 outside burst+margin windows.
   bool steady = false;
   uint64_t steady_windows = 0;
+  // The checkpoint trade: how many checkpoints the run took (and how many of them the
+  // pinned-sector valve forced in the foreground), the device sectors written per host sector,
+  // and what the log left behind costs a parked recovery on a fresh VLD.
+  uint64_t checkpoints = 0;
+  uint64_t auto_checkpoints = 0;
+  double device_per_host_sector = 0;
+  double parked_recovery_ms = 0;
 };
 
 LongHaulLeg RunLongHaulLeg(workload::OpenLoopOptions options, common::Duration window,
@@ -188,11 +195,21 @@ LongHaulLeg RunLongHaulLeg(workload::OpenLoopOptions options, common::Duration w
   governor.RegisterTimelineProbes(timeline, "");
   LongHaulLeg leg;
   leg.empties_before = vld.space().EmptyTrackCount();
+  const simdisk::DiskStats disk_before = disk.stats();
+  const core::VldStats vld_before = vld.stats();
+  const core::VirtualLogStats vlog_before = vld.vlog().stats();
   leg.result = bench::CheckOk(
       workload::RunGovernedOpenLoop(vld, options, governed ? &governor : nullptr, &timeline,
                                     &latency),
       "long-haul leg");
   timeline.Finish(clock.Now());
+  const core::VirtualLogStats vlog_delta = vld.vlog().stats() - vlog_before;
+  leg.checkpoints = vlog_delta.checkpoints;
+  leg.auto_checkpoints = vlog_delta.auto_checkpoints;
+  const uint64_t host_sectors =
+      (vld.stats() - vld_before).blocks_written * vld.block_sectors();
+  leg.device_per_host_sector = static_cast<double>((disk.stats() - disk_before).sectors_written) /
+                               static_cast<double>(std::max<uint64_t>(host_sectors, 1));
   leg.empties_after = vld.space().EmptyTrackCount();
   leg.tracks_compacted = vld.compactor().stats().tracks_compacted;
   leg.idle_grants = governor.stats().idle_grants;
@@ -222,6 +239,13 @@ LongHaulLeg RunLongHaulLeg(workload::OpenLoopOptions options, common::Duration w
     leg.worst_outside_ms = std::max(leg.worst_outside_ms, w.histograms[0].Percentile(99) / 1e6);
   }
   leg.min_empty_tracks = min_empty;
+  // Power down, then bring the final state up on a fresh VLD: the parked recovery walks the
+  // log written since the last checkpoint, so fewer checkpoints make it longer.
+  bench::Check(vld.Park(), "long-haul park");
+  core::Vld restarted(&disk, core::VldConfig{.queue_depth = 32});
+  const common::Time recover_start = clock.Now();
+  bench::CheckOk(restarted.Recover(), "long-haul parked recovery");
+  leg.parked_recovery_ms = bench::Ms(clock.Now() - recover_start);
   return leg;
 }
 
@@ -617,8 +641,13 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(lh_control.empties_before),
               static_cast<unsigned long long>(lh_control.empties_after));
   for (const LongHaulLeg* l : {&lh_governed, &lh_control}) {
-    report.AddRow(l == &lh_governed ? "longhaul-gov" : "longhaul-off",
-                  l->result.achieved_iops, l->result.latency_hist, l->result.breakdown,
+    const char* label = l == &lh_governed ? "longhaul-gov" : "longhaul-off";
+    std::printf("%-16s %llu checkpoint(s), %llu forced by the valve; %.3f device sectors per "
+                "host sector; parked recovery %.1f ms\n",
+                label, static_cast<unsigned long long>(l->checkpoints),
+                static_cast<unsigned long long>(l->auto_checkpoints), l->device_per_host_sector,
+                l->parked_recovery_ms);
+    report.AddRow(label, l->result.achieved_iops, l->result.latency_hist, l->result.breakdown,
                   {{"empties_before", static_cast<double>(l->empties_before)},
                    {"empties_after", static_cast<double>(l->empties_after)},
                    {"min_empty_tracks", static_cast<double>(l->min_empty_tracks)},
@@ -627,7 +656,11 @@ int main(int argc, char** argv) {
                    {"backoffs", static_cast<double>(l->backoffs)},
                    {"windows", static_cast<double>(l->windows)},
                    {"slo_violations", static_cast<double>(l->violations)},
-                   {"steady_windows", static_cast<double>(l->steady_windows)}});
+                   {"steady_windows", static_cast<double>(l->steady_windows)},
+                   {"checkpoints", static_cast<double>(l->checkpoints)},
+                   {"auto_checkpoints", static_cast<double>(l->auto_checkpoints)},
+                   {"device_sectors_per_host_sector", l->device_per_host_sector},
+                   {"parked_recovery_ms", l->parked_recovery_ms}});
   }
   const bool lh_steady = lh_governed.steady;
   const bool lh_floor =
@@ -637,6 +670,8 @@ int main(int argc, char** argv) {
   const bool lh_spiral = lh_control.empties_after < lh_control.empties_before &&
                          lh_governed.empties_after > lh_control.empties_after &&
                          lh_governed.tracks_compacted > 0;
+  // Idle time must release piled-up pins before the foreground valve has to checkpoint.
+  const bool lh_valve_idle = lh_governed.auto_checkpoints == 0;
 
   bench::Note("");
   // Acceptance gates: depth-1 latency identical to the sync path (tracing attached — it must
@@ -680,10 +715,13 @@ int main(int argc, char** argv) {
               lh_spiral ? "yes" : "NO",
               static_cast<unsigned long long>(lh_control.empties_before),
               static_cast<unsigned long long>(lh_control.empties_after));
+  std::printf("long-haul pinned-sector valve never fires under the governor: %s (x%llu)\n",
+              lh_valve_idle ? "yes" : "NO",
+              static_cast<unsigned long long>(lh_governed.auto_checkpoints));
   if (!depth1_matches || !monotonic || !doubled || !breakdown_sums || !cached_flush_seen ||
       !sptf_beats_fcfs || !ol_deterministic || !ol_windows || !ol_breach || !leg.recovered ||
       !leg.merge_exact || !ol_clock_pure || !lh_steady || !lh_floor || !lh_contained ||
-      !lh_spiral) {
+      !lh_spiral || !lh_valve_idle) {
     std::fprintf(stderr, "FATAL: queue-depth acceptance gates failed\n");
     return 1;
   }

@@ -42,10 +42,11 @@ void CompactionGovernor::ConsumeWindows() {
 }
 
 bool CompactionGovernor::NeedsWork() const {
-  // Mirrors what RunIdle would actually do with the time: a pinned map sector means a
-  // checkpoint is due, and a shortfall of empty tracks means the compactor has a target to
-  // chase. When neither holds, RunIdle is a no-op and a grant would be too.
-  return vld_->vlog().PinnedCount() > 0 ||
+  // Mirrors what RunIdle would actually do with the time: pins piled up past half the
+  // valve's limit mean a checkpoint is due, and a shortfall of empty tracks means the
+  // compactor has a target to chase. When neither holds, RunIdle is a no-op and a grant
+  // would be too.
+  return vld_->vlog().IdleCheckpointDue() ||
          vld_->space().EmptyTrackCount() < config_.target_empty_tracks;
 }
 

@@ -7,8 +7,9 @@
 // tail latency. The governor converts observed pressure into a compaction duty cycle:
 //
 //   inputs    free-space gauges read straight from the VLD (empty tracks vs the allocator's
-//             fill target, pinned map sectors awaiting a checkpoint) and the windowed p99 of
-//             a foreground latency histogram on an obs::Timeline.
+//             fill target, and pinned map sectors piled up past half the valve's limit, which
+//             a checkpoint releases) and the windowed p99 of a foreground latency histogram
+//             on an obs::Timeline.
 //   control   AIMD on the duty cycle: each closed timeline window whose p99 exceeds the
 //             budget multiplies the duty by `backoff`; each clean window adds `ramp`.
 //   actuation between foreground batches the driver asks for a grant; elapsed simulated time
@@ -91,7 +92,7 @@ class CompactionGovernor {
  private:
   // Applies AIMD for every timeline window closed since the last call.
   void ConsumeWindows();
-  // Compaction (or a pinned-sector checkpoint) is still worth granting time for.
+  // Compaction (or a checkpoint to release piled-up pins) is still worth granting time for.
   bool NeedsWork() const;
 
   Vld* vld_;

@@ -17,6 +17,9 @@ void Vld::RegisterTimelineProbes(obs::Timeline& timeline, const std::string& pre
   timeline.AddCounter(prefix + "vld.relocations", [this] { return stats_.relocations; });
   timeline.AddCounter(prefix + "vld.group_commits", [this] { return stats_.group_commits; });
   timeline.AddCounter(prefix + "vld.log_appends", [this] { return vlog_.stats().appends; });
+  timeline.AddCounter(prefix + "vld.checkpoints", [this] { return vlog_.stats().checkpoints; });
+  timeline.AddCounter(prefix + "vld.auto_checkpoints",
+                      [this] { return vlog_.stats().auto_checkpoints; });
   timeline.AddCounter(prefix + "vld.compactor_tracks",
                       [this] { return compactor_->stats().tracks_compacted; });
   timeline.AddCounter(prefix + "vld.compactor_busy_ns", [this] {
@@ -34,6 +37,9 @@ void Vld::RegisterTimelineProbes(obs::Timeline& timeline, const std::string& pre
   timeline.AddGauge(prefix + "vld.compaction_debt_tracks", [this] {
     return space_.TracksBelowFreeFraction(config_.track_switch_threshold);
   });
+  // Pins build up between checkpoints; with the counters above they show when one fired.
+  timeline.AddGauge(prefix + "vld.pinned_sectors",
+                    [this] { return static_cast<uint64_t>(vlog_.PinnedCount()); });
   disk_->RegisterTimelineProbes(timeline, prefix);
 }
 
@@ -707,8 +713,9 @@ void Vld::RunIdle(common::Duration budget) {
   }
   const common::Time deadline = disk_->clock()->Now() + budget;
   // Idle time is also when checkpoints are cheap (§3.3); a checkpoint releases every pinned
-  // map sector, which in turn lets the compactor empty the tracks holding them.
-  if (vlog_.PinnedCount() > 0) {
+  // map sector, which in turn lets the compactor empty the tracks holding them. It rewrites
+  // the whole map, though, so it waits until pins pile up; a few pins block only their tracks.
+  if (vlog_.IdleCheckpointDue()) {
     (void)Checkpoint();
   }
   if (disk_->clock()->Now() < deadline) {
@@ -723,7 +730,7 @@ void Vld::RunGovernedBurst(common::Duration budget, uint32_t target_empty_tracks
   const common::Time deadline = disk_->clock()->Now() + budget;
   // Mirror RunIdle step for step (the governor-vs-idle differential depends on it); the only
   // difference is that the compactor run is preemptible at block granularity.
-  if (vlog_.PinnedCount() > 0) {
+  if (vlog_.IdleCheckpointDue()) {
     (void)Checkpoint();
   }
   if (disk_->clock()->Now() < deadline) {

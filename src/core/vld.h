@@ -5,7 +5,9 @@
 // one virtual-log map-sector write that commits the new logical-to-physical translation — so
 // every host write is synchronous *and* atomic. Reads translate through the in-memory
 // indirection map. Deletes are inferred by monitoring logical overwrites (plus an explicit
-// Trim extension). A free-space compactor runs during idle time.
+// Trim extension). A free-space compactor runs during idle time, and idle time also takes a
+// checkpoint once pinned map sectors pile up (VirtualLog::IdleCheckpointDue): a checkpoint
+// rewrites the whole map, so idle time does not spend one on a few pins.
 //
 // Layout: sector 0 is the park sector (the "landing zone" record written by the power-down
 // sequence); a double-buffered checkpoint region of 2*(pieces+1) sectors follows; everything
@@ -179,7 +181,8 @@ class Vld : public simdisk::BlockDevice, public CompactionBackend {
   // paper notes is missing from the unmodified interface.
   common::Status Trim(simdisk::Lba lba, uint64_t sectors);
 
-  // Gives the in-disk compactor an idle interval of `budget`.
+  // Gives the in-disk compactor an idle interval of `budget`, after a checkpoint when
+  // VirtualLog::IdleCheckpointDue holds.
   void RunIdle(common::Duration budget);
 
   // Governed compaction burst: like RunIdle, but preemptible — the compactor may stop
@@ -208,11 +211,11 @@ class Vld : public simdisk::BlockDevice, public CompactionBackend {
   const Compactor& compactor() const { return *compactor_; }
   const FreeSpaceMap& space() const { return space_; }
 
-  // Registers this VLD's timeline series under `prefix` — throughput and log/compactor
-  // counters plus queue-depth, free-space, utilization, and compaction-debt gauges — and the
-  // underlying disk's probes under the same prefix. Closures capture `this`; the timeline must
-  // not be polled after the VLD (or its disk) is destroyed. Pure reads: registering and
-  // sampling never advance the virtual clock.
+  // Registers this VLD's timeline series under `prefix` — throughput, log, checkpoint and
+  // compactor counters plus queue-depth, free-space, utilization, compaction-debt and
+  // pinned-sector gauges — and the underlying disk's probes under the same prefix. Closures
+  // capture `this`; the timeline must not be polled after the VLD (or its disk) is destroyed.
+  // Pure reads: registering and sampling never advance the virtual clock.
   void RegisterTimelineProbes(obs::Timeline& timeline, const std::string& prefix) const;
 
  private:

@@ -100,9 +100,11 @@ common::Status CompactorActiveWorkload(ShadowVld& dev) {
 
 // Duty-cycled compaction under foreground load (the governed-burst path): queued group-commit
 // batches interleave with bounded compaction bursts small enough to stop mid-track, so crash
-// points land inside a burst's checkpoint, between its relocations, at the preemption cut
-// itself, and in the packed map commits of the surrounding batches. Recovery must see every
-// acknowledged batch all-old-or-all-new regardless of how much of a burst persisted.
+// points land between a burst's relocations, at the preemption cut itself, in the packed map
+// commits of the surrounding batches, and inside a checkpoint taken between two governed
+// rounds (the bursts themselves checkpoint only once pins pile up). Recovery must see every
+// acknowledged batch all-old-or-all-new regardless of how much of a burst persisted, and every
+// crash after that checkpoint seeds its recovery from a checkpoint.
 common::Status CompactionUnderLoadWorkload(ShadowVld& dev) {
   const uint32_t blocks = dev.vld().logical_blocks();
   const uint32_t used = blocks * 3 / 5;
@@ -129,9 +131,9 @@ common::Status CompactionUnderLoadWorkload(ShadowVld& dev) {
     ++version;
     // Alternate trough-shaped grants (idle hint: the whole gap) with credit-shaped ones, the
     // two grant paths the governor exposes; route the burst through the shadow so its media
-    // writes are attributed to the burst op, not the next batch. The hint is sized to survive
-    // the burst's leading checkpoint and start a victim track without finishing it, so the
-    // mid-track preemption cut is part of the recorded trace.
+    // writes are attributed to the burst op, not the next batch. The hint is sized to start a
+    // victim track without finishing it, so the mid-track preemption cut is part of the
+    // recorded trace.
     const common::Duration hint = round % 2 == 0 ? common::Milliseconds(60) : 0;
     const common::Duration grant = governor.Grant(hint);
     if (grant > 0) {
@@ -140,6 +142,11 @@ common::Status CompactionUnderLoadWorkload(ShadowVld& dev) {
     if (round % 3 == 1) {
       RETURN_IF_ERROR(dev.Trim(static_cast<simdisk::Lba>(used / 2) * kBlockSectors,
                                static_cast<uint64_t>(4) * kBlockSectors));
+    }
+    if (round == 2) {
+      // A checkpoint amid the bursts: crash points land in its body and header writes, and
+      // every later one seeds its recovery from a checkpoint.
+      RETURN_IF_ERROR(dev.Checkpoint());
     }
   }
   // Self-check the coverage claims: the sweep is only exercising the governed path if bursts

@@ -10,8 +10,8 @@
 //                           idle-time compaction moving both data and map blocks;
 //   kCompactionUnderLoad:   queued group-commit batches interleaved with governed compaction
 //                           bursts bounded tightly enough to stop mid-track, so crash points
-//                           cut bursts at their checkpoint, between relocations, and at the
-//                           preemption boundary itself;
+//                           cut bursts between relocations and at the preemption boundary
+//                           itself, plus a checkpoint taken between two governed rounds;
 //   kCheckpointInterrupted: repeated checkpoints so crash points land inside the multi-sector
 //                           checkpoint-region writes themselves, plus a final park.
 //   kQueuedGroupCommit:     batches of queued writes whose map entries land in single packed

@@ -635,7 +635,7 @@ void Vlfs::RunIdle(common::Duration budget) {
   }
   const common::Time deadline = disk_->clock()->Now() + budget;
   (void)CommitGroup();
-  if (vlog_.PinnedCount() > 0 && disk_->clock()->Now() < deadline) {
+  if (vlog_.IdleCheckpointDue() && disk_->clock()->Now() < deadline) {
     (void)Checkpoint();
   }
   if (disk_->clock()->Now() < deadline) {

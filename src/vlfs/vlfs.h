@@ -87,7 +87,8 @@ class Vlfs : public fs::FileSystem, public core::CompactionBackend {
   common::Status Sync() override;
   common::Status DropCaches() override;
 
-  // Idle-time work: checkpoint when pinned sectors demand it, then compact free space.
+  // Idle-time work: checkpoint once pinned sectors pile up (VirtualLog::IdleCheckpointDue),
+  // then compact free space.
   void RunIdle(common::Duration budget);
 
   // CompactionBackend: relocates data, indirect, or inode blocks.

@@ -185,9 +185,10 @@ TEST_F(CompactorTest, PreemptedBurstResumesWithoutLosingOrRepeatingWork) {
 
 TEST_F(CompactorTest, GenerousGovernedBurstMatchesIdleRunExactly) {
   // A governed burst whose deadline never truncates a track makes the exact same call
-  // sequence as RunIdle (checkpoint-if-pinned, then the same victim draws and relocations),
-  // so media, clock, and stats must be bit-identical. This is the per-grant half of the
-  // governor-vs-idle differential; governor_test drives the full multi-round version.
+  // sequence as RunIdle (a checkpoint if VirtualLog::IdleCheckpointDue holds, then the same
+  // victim draws and relocations), so media, clock, and stats must be bit-identical. This is
+  // the per-grant half of the governor-vs-idle differential; governor_test drives the full
+  // multi-round version.
   VldConfig config;
   config.target_empty_tracks = 6;
   common::Clock burst_clock;

@@ -131,6 +131,25 @@ TEST_F(GovernorTest, NoGrantWhenNothingNeedsCompacting) {
   EXPECT_EQ(governor.stats().bursts, 0u);
 }
 
+TEST_F(GovernorTest, NoGrantForAFewPinsWhileTheReserveIsMet) {
+  // A few pinned map sectors are not worth a whole-map checkpoint, so with the empty-track
+  // reserve met there is nothing to grant time for.
+  common::Rng rng(9);
+  const uint32_t blocks = rig_.vld->logical_blocks();
+  for (int i = 0; i < 2000 && rig_.vld->vlog().PinnedCount() == 0; ++i) {
+    const uint32_t b = static_cast<uint32_t>(rng.Below(blocks));
+    ASSERT_TRUE(rig_.vld->Write(static_cast<simdisk::Lba>(b) * 8, Pattern(4096, b)).ok());
+  }
+  ASSERT_GT(rig_.vld->vlog().PinnedCount(), 0u);
+  ASSERT_FALSE(rig_.vld->vlog().IdleCheckpointDue());
+  ASSERT_GE(rig_.vld->space().EmptyTrackCount(), rig_.vld->target_empty_tracks());
+  CompactionGovernor governor(rig_.vld.get(), nullptr, {});
+  rig_.clock.Advance(common::Seconds(1));
+  EXPECT_EQ(governor.Grant(0), 0);
+  EXPECT_EQ(governor.Grant(common::Milliseconds(10)), 0);
+  EXPECT_EQ(governor.stats().bursts, 0u);
+}
+
 TEST_F(GovernorTest, IdleHintGrantsTheWholeGapFreeOfCredit) {
   CreateDebt();
   CompactionGovernor governor(rig_.vld.get(), nullptr, {});

@@ -305,6 +305,52 @@ TEST_F(VldTest, CompactionSurvivesRecovery) {
   }
 }
 
+// Idle time checkpoints only once pins pile up past half the valve's limit: a checkpoint
+// rewrites the whole map, and a few pins keep no more than their own tracks from compaction.
+TEST(VldIdleCheckpointTest, CheckpointsOnlyAboveHalfThePinnedSectorValve) {
+  for (const bool governed : {false, true}) {
+    // With 163 map pieces, random sync overwrites pile up more than half the valve's 64 pins
+    // within a few hundred writes, while nearly every track is still empty.
+    common::Clock clock;
+    simdisk::SimDisk disk(simdisk::Truncated(simdisk::Hp97560(), 100), &clock);
+    Vld vld(&disk);
+    ASSERT_TRUE(vld.Format().ok());
+    const size_t half = vld.vlog().config().pinned_limit / 2;
+    const uint32_t blocks = vld.logical_blocks();
+    common::Rng rng(5);
+    // Random overwrites pin map sectors; write until `done` holds for the pinned count.
+    auto write_until = [&](auto done) {
+      for (int i = 0; i < 20000 && !done(vld.vlog().PinnedCount()); ++i) {
+        const uint32_t b = static_cast<uint32_t>(rng.Below(blocks));
+        ASSERT_TRUE(vld.Write(static_cast<simdisk::Lba>(b) * 8, Pattern(kBlockBytes, b)).ok());
+      }
+    };
+    auto idle = [&] {
+      // Plenty of empty tracks remain, so the compactor has nothing to do: only the
+      // checkpoint decision is under test.
+      if (governed) {
+        vld.RunGovernedBurst(common::Milliseconds(5));
+      } else {
+        vld.RunIdle(common::Milliseconds(5));
+      }
+    };
+    write_until([&](size_t pinned) { return pinned == half; });
+    ASSERT_EQ(vld.vlog().PinnedCount(), half);
+    ASSERT_GE(vld.space().EmptyTrackCount(), vld.target_empty_tracks());
+    const uint64_t checkpoints = vld.vlog().stats().checkpoints;
+    idle();
+    EXPECT_EQ(vld.vlog().stats().checkpoints, checkpoints) << "governed " << governed;
+    EXPECT_EQ(vld.vlog().PinnedCount(), half);
+
+    write_until([&](size_t pinned) { return pinned > half; });
+    ASSERT_GT(vld.vlog().PinnedCount(), half);
+    ASSERT_EQ(vld.vlog().stats().auto_checkpoints, 0u);
+    idle();
+    EXPECT_EQ(vld.vlog().stats().checkpoints, checkpoints + 1) << "governed " << governed;
+    EXPECT_EQ(vld.vlog().PinnedCount(), 0u);
+  }
+}
+
 TEST_F(VldTest, CheckpointShrinksRecoveryWork) {
   for (int i = 0; i < 60; ++i) {
     ASSERT_TRUE(vld_->Write((i % 30) * 8, Pattern(kBlockBytes, i)).ok());
