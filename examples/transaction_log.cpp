@@ -83,11 +83,12 @@ int main() {
 
       const bool inject = t == 24;  // Crash during the last transfer of each round.
       if (inject) {
-        raw.SetWriteFailureAfter(rng.Below(4));  // Die 0-3 writes into the commit.
+        // Die 0-3 writes into the commit (a fail-stop power cut).
+        raw.SetWriteFault(simdisk::SimDisk::WriteFault{.after_writes = rng.Below(4)});
       }
       const auto status = vld->WriteAtomic(txn);
       if (inject) {
-        raw.SetWriteFailureAfter(std::nullopt);
+        raw.SetWriteFault(std::nullopt);
         // Reboot and recover from whatever reached the media.
         vld = std::make_unique<core::Vld>(&raw);
         if (!vld->Recover().ok()) {

@@ -98,6 +98,7 @@ std::optional<CkptHeader> ParseCkptHeader(std::span<const std::byte> raw) {
 VirtualLog::VirtualLog(simdisk::SimDisk* disk, EagerAllocator* allocator, VirtualLogConfig config)
     : disk_(disk), allocator_(allocator), config_(config) {
   piece_state_.resize(config_.pieces);
+  in_commit_.assign(config_.pieces, false);
   assert(disk_->geometry().sectors_per_track <= UINT16_MAX && "pinned_in_track_ is 16-bit");
   pinned_in_track_.assign(allocator_->space().total_tracks(), 0);
 }
@@ -292,64 +293,6 @@ void VirtualLog::ClearPins() {
   pinned_.clear();
 }
 
-common::Status VirtualLog::AppendOne(uint32_t piece, std::span<const uint32_t> entries,
-                                     uint64_t txn_id, uint16_t txn_index, uint16_t txn_total,
-                                     std::vector<DeferredFree>* deferred_frees) {
-  if (piece >= config_.pieces) {
-    return common::InvalidArgument("AppendPiece: piece out of range");
-  }
-  MapSector sector;
-  sector.seq = next_seq_;
-  sector.piece = piece;
-  sector.txn_id = txn_id;
-  sector.txn_index = txn_index;
-  sector.txn_total = txn_total;
-  const DiskPtr head = ChainHead();
-  sector.prev = head;
-  const PieceState old = piece_state_[piece];
-  const bool old_live = !old.loc.IsNull() && !old.in_checkpoint;
-  if (old_live) {
-    sector.bypass = ChainSuccessorOf(old.loc.seq);
-  }
-
-  const auto block = allocator_->Allocate();
-  if (!block) {
-    return common::OutOfSpace("virtual log: no free block for map sector");
-  }
-  const simdisk::Lba lba = allocator_->space().BlockToLba(*block);
-  append_scratch_.resize(kMapSectorBytes);
-  sector.SerializeInto(append_scratch_, entries, epoch_);
-  RETURN_IF_ERROR(disk_->InternalWrite(lba, append_scratch_));
-  if (obs::TraceRecorder* tracer = disk_->tracer(); tracer != nullptr) {
-    tracer->Annotate(obs::EventType::kMapAppend, obs::Layer::kVlog, piece, lba);
-  }
-
-  // Designated covers: the new sector's prev edge covers the old head (even when the head is
-  // the sector being obsoleted — if it ends up pinned, this edge is what keeps it reachable)
-  // and its bypass edge covers the obsoleted sector's chain successor.
-  if (!head.IsNull()) {
-    SetCover(head.seq, sector.seq);
-  }
-  if (!sector.bypass.IsNull()) {
-    SetCover(sector.bypass.seq, sector.seq);
-  }
-
-  if (old_live) {
-    const uint32_t old_block = allocator_->space().LbaToBlock(old.loc.lba);
-    if (deferred_frees != nullptr) {
-      deferred_frees->push_back(DeferredFree{old_block, old.loc.seq});
-    } else {
-      RemoveObsolete(old_block, old.loc.seq);
-    }
-  }
-  ChainPushNewest(sector.seq, piece, lba);
-  NoteSectorInBlock(*block);
-  piece_state_[piece] = PieceState{DiskPtr{lba, sector.seq}, false};
-  ++next_seq_;
-  ++stats_.appends;
-  return common::OkStatus();
-}
-
 common::Status VirtualLog::MaybeAutoCheckpoint() {
   if (!AutoCheckpointDue()) {
     return common::OkStatus();
@@ -365,152 +308,146 @@ common::Status VirtualLog::Barrier() {
   return disk_->Flush();
 }
 
-common::Status VirtualLog::AppendPiece(uint32_t piece, std::span<const uint32_t> entries) {
-  RETURN_IF_ERROR(MaybeAutoCheckpoint());
-  // Pre-barrier: the data blocks this map sector will point at must be on media before the
-  // sector can land (a reordered destage would otherwise commit a mapping to lost data).
-  // Post-barrier: the commit is durable before the host write is acknowledged.
-  RETURN_IF_ERROR(Barrier());
-  RETURN_IF_ERROR(AppendOne(piece, entries, /*txn_id=*/0, /*txn_index=*/0, /*txn_total=*/1,
-                            /*deferred_frees=*/nullptr));
-  return Barrier();
-}
-
-common::Status VirtualLog::AppendTransaction(const std::vector<PieceUpdate>& updates) {
-  if (updates.empty()) {
-    return common::OkStatus();
+common::Status VirtualLog::CheckPieces(std::span<const PieceUpdate> updates) {
+  size_t checked = 0;
+  while (checked < updates.size()) {
+    const uint32_t piece = updates[checked].piece;
+    if (piece >= config_.pieces || in_commit_[piece]) {
+      break;
+    }
+    in_commit_[piece] = true;
+    ++checked;
   }
-  if (updates.size() == 1) {
-    return AppendPiece(updates[0].piece, updates[0].entries);
+  for (size_t i = 0; i < checked; ++i) {
+    in_commit_[updates[i].piece] = false;
   }
-  RETURN_IF_ERROR(MaybeAutoCheckpoint());
-  // One barrier pair brackets the whole transaction: its sectors may destage in any order (an
-  // incomplete set rolls back wholesale at recovery), but none may precede its data blocks and
-  // the commit must be durable before acknowledgement.
-  RETURN_IF_ERROR(Barrier());
-  // The first sector's sequence number doubles as a never-reused transaction id.
-  const uint64_t txn_id = next_seq_;
-  std::vector<DeferredFree> deferred;
-  for (size_t i = 0; i < updates.size(); ++i) {
-    RETURN_IF_ERROR(AppendOne(updates[i].piece, updates[i].entries, txn_id,
-                              static_cast<uint16_t>(i), static_cast<uint16_t>(updates.size()),
-                              &deferred));
-  }
-  RETURN_IF_ERROR(Barrier());
-  // Commit point passed: the obsoleted sectors are no longer needed for rollback.
-  for (const DeferredFree& d : deferred) {
-    RemoveObsolete(d.block, d.seq);
+  if (checked < updates.size()) {
+    return common::InvalidArgument(
+        "VirtualLog::Commit: piece out of range or repeated (merge entries first)");
   }
   return common::OkStatus();
 }
 
-common::Status VirtualLog::AppendTransactionPacked(const std::vector<PieceUpdate>& updates) {
+common::Status VirtualLog::Commit(std::span<const PieceUpdate> updates) {
   if (updates.empty()) {
     return common::OkStatus();
   }
-  if (updates.size() == 1) {
-    return AppendPiece(updates[0].piece, updates[0].entries);
-  }
-  {
-    std::unordered_set<uint32_t> seen;
-    for (const PieceUpdate& u : updates) {
-      if (u.piece >= config_.pieces) {
-        return common::InvalidArgument("AppendTransactionPacked: piece out of range");
-      }
-      if (!seen.insert(u.piece).second) {
-        return common::InvalidArgument(
-            "AppendTransactionPacked: duplicate piece (merge entries first)");
-      }
-    }
-  }
+  RETURN_IF_ERROR(CheckPieces(updates));
   RETURN_IF_ERROR(MaybeAutoCheckpoint());
+  // Pre-barrier: the data blocks these map sectors point at must be on media before the sectors
+  // can land (a reordered destage would otherwise commit a mapping to lost data).
+  RETURN_IF_ERROR(Barrier());
 
-  // Allocate every block up front so an out-of-space failure rolls back cleanly before any
-  // chain state has changed.
+  // A single piece is one standalone sector; a transaction fills whole blocks, so a block
+  // holds sectors of one commit only.
+  const size_t n = updates.size();
   const uint32_t per_block = config_.block_sectors;
-  const size_t blocks_needed = (updates.size() + per_block - 1) / per_block;
-  std::vector<uint32_t> blocks;
-  blocks.reserve(blocks_needed);
-  for (size_t b = 0; b < blocks_needed; ++b) {
+  const size_t write_sectors = n == 1 ? 1 : per_block;
+  const size_t blocks = (n + per_block - 1) / per_block;
+  const auto free_blocks = [this] {
+    for (const uint32_t block : commit_blocks_) {
+      allocator_->Free(block);
+    }
+  };
+  commit_blocks_.clear();
+  for (size_t b = 0; b < blocks; ++b) {
     const auto block = allocator_->Allocate();
     if (!block) {
-      for (const uint32_t rollback : blocks) {
-        allocator_->Free(rollback);
-      }
-      return common::OutOfSpace("virtual log: no free block for packed map sectors");
+      free_blocks();
+      return common::OutOfSpace("virtual log: no free block for map sectors");
     }
-    blocks.push_back(*block);
+    commit_blocks_.push_back(*block);
   }
 
-  const uint64_t txn_id = next_seq_;
-  std::vector<DeferredFree> deferred;
-  std::vector<std::vector<std::byte>> buffers(
-      blocks_needed, std::vector<std::byte>(static_cast<size_t>(per_block) * kSectorBytes));
-  for (size_t i = 0; i < updates.size(); ++i) {
+  // The first sector's sequence number doubles as a never-reused transaction id. Each sector's
+  // prev is the one before it (the old log tail for the first); its bypass is the chain
+  // successor of the sector it obsoletes.
+  const uint64_t first_seq = next_seq_;
+  commit_sectors_.clear();
+  commit_buffer_.assign(blocks * write_sectors * kSectorBytes, std::byte{0});
+  DiskPtr prev = ChainHead();
+  for (size_t i = 0; i < n; ++i) {
     const uint32_t piece = updates[i].piece;
+    CommitSector cs{allocator_->space().BlockToLba(commit_blocks_[i / per_block]) + i % per_block,
+                    DiskPtr{}, DiskPtr{}};
+    const PieceState& old = piece_state_[piece];
+    if (!old.loc.IsNull() && !old.in_checkpoint) {
+      cs.obsoleted = old.loc;
+      cs.bypass = ChainSuccessorOf(old.loc.seq);
+    }
     MapSector sector;
-    sector.seq = next_seq_;
+    sector.seq = first_seq + i;
     sector.piece = piece;
-    sector.txn_id = txn_id;
+    sector.txn_id = n == 1 ? 0 : first_seq;
     sector.txn_index = static_cast<uint16_t>(i);
-    sector.txn_total = static_cast<uint16_t>(updates.size());
-    const DiskPtr head = ChainHead();
-    sector.prev = head;
-    const PieceState old = piece_state_[piece];
-    const bool old_live = !old.loc.IsNull() && !old.in_checkpoint;
-    if (old_live) {
-      sector.bypass = ChainSuccessorOf(old.loc.seq);
-    }
-    const uint32_t block = blocks[i / per_block];
-    const simdisk::Lba lba =
-        allocator_->space().BlockToLba(block) + static_cast<simdisk::Lba>(i % per_block);
+    sector.txn_total = static_cast<uint16_t>(n);
+    sector.prev = prev;
+    sector.bypass = cs.bypass;
     sector.SerializeInto(
-        std::span<std::byte>(buffers[i / per_block])
-            .subspan(static_cast<size_t>(i % per_block) * kSectorBytes, kSectorBytes),
+        std::span<std::byte>(commit_buffer_).subspan(i * kSectorBytes, kSectorBytes),
         updates[i].entries, epoch_);
-    if (!head.IsNull()) {
-      SetCover(head.seq, sector.seq);
-    }
-    if (!sector.bypass.IsNull()) {
-      SetCover(sector.bypass.seq, sector.seq);
-    }
-    if (old_live) {
-      deferred.push_back(
-          DeferredFree{allocator_->space().LbaToBlock(old.loc.lba), old.loc.seq});
-    }
-    ChainPushNewest(sector.seq, piece, lba);
-    NoteSectorInBlock(block);
-    piece_state_[piece] = PieceState{DiskPtr{lba, sector.seq}, false};
-    ++next_seq_;
-    ++stats_.appends;
+    prev = DiskPtr{cs.lba, sector.seq};
+    commit_sectors_.push_back(cs);
   }
-  // One media write per packed block. A crash tearing any of these leaves an incomplete
-  // transaction whose surviving sectors recovery discards wholesale (all-or-nothing). The
-  // barrier pair orders the group's data blocks before its map sectors and makes the commit
-  // durable before any of the batched requests is acknowledged.
-  RETURN_IF_ERROR(Barrier());
-  for (size_t b = 0; b < blocks_needed; ++b) {
-    const simdisk::Lba block_lba = allocator_->space().BlockToLba(blocks[b]);
-    RETURN_IF_ERROR(disk_->InternalWrite(block_lba, buffers[b]));
+
+  // One media write per block. A crash tearing any of them leaves an incomplete transaction
+  // whose surviving sectors recovery discards wholesale (all-or-nothing). The post-barrier makes
+  // the commit durable before any request it covers is acknowledged.
+  const size_t write_bytes = write_sectors * kSectorBytes;
+  for (size_t b = 0; b < blocks; ++b) {
+    const simdisk::Lba lba = allocator_->space().BlockToLba(commit_blocks_[b]);
+    if (const common::Status st = disk_->InternalWrite(
+            lba, std::span<const std::byte>(commit_buffer_).subspan(b * write_bytes, write_bytes));
+        !st.ok()) {
+      free_blocks();
+      return st;
+    }
     if (obs::TraceRecorder* tracer = disk_->tracer(); tracer != nullptr) {
-      const size_t in_block =
-          std::min<size_t>(per_block, updates.size() - b * static_cast<size_t>(per_block));
-      tracer->Annotate(obs::EventType::kMapAppend, obs::Layer::kVlog, in_block, block_lba);
+      tracer->Annotate(obs::EventType::kMapAppend, obs::Layer::kVlog,
+                       std::min<size_t>(per_block, n - b * per_block), lba);
     }
   }
-  RETURN_IF_ERROR(Barrier());
-  // Commit point passed: recycle the obsoleted sectors.
-  for (const DeferredFree& d : deferred) {
-    RemoveObsolete(d.block, d.seq);
+  if (const common::Status st = Barrier(); !st.ok()) {
+    free_blocks();
+    return st;
   }
-  ++stats_.packed_transactions;
-  stats_.packed_sectors += updates.size();
+
+  // Commit point passed: move the chain. Designated covers: each sector's prev edge covers the
+  // sector before it (even the one being obsoleted: if it ends up pinned, this edge is what keeps
+  // it reachable) and its bypass edge covers the obsoleted sector's chain successor.
+  DiskPtr head = ChainHead();
+  for (size_t i = 0; i < n; ++i) {
+    const CommitSector& cs = commit_sectors_[i];
+    const uint64_t seq = first_seq + i;
+    if (!head.IsNull()) {
+      SetCover(head.seq, seq);
+    }
+    if (!cs.bypass.IsNull()) {
+      SetCover(cs.bypass.seq, seq);
+    }
+    ChainPushNewest(seq, updates[i].piece, cs.lba);
+    NoteSectorInBlock(commit_blocks_[i / per_block]);
+    piece_state_[updates[i].piece] = PieceState{DiskPtr{cs.lba, seq}, false};
+    head = DiskPtr{cs.lba, seq};
+  }
+  next_seq_ += n;
+  stats_.appends += n;
+  // Recycle the obsoleted sectors only after every new one is chained: a later sector's
+  // bypass may cover an earlier sector's obsoleted one.
+  for (const CommitSector& cs : commit_sectors_) {
+    if (!cs.obsoleted.IsNull()) {
+      RemoveObsolete(allocator_->space().LbaToBlock(cs.obsoleted.lba), cs.obsoleted.seq);
+    }
+  }
+  if (n > 1) {
+    ++stats_.packed_transactions;
+    stats_.packed_sectors += n;
+  }
   return common::OkStatus();
 }
 
-bool VirtualLog::HasRoomFor(size_t updates, bool packed) const {
-  const size_t blocks = packed ? (updates + config_.block_sectors - 1) / config_.block_sectors
-                               : updates;
+bool VirtualLog::HasRoomFor(size_t updates) const {
+  const size_t blocks = (updates + config_.block_sectors - 1) / config_.block_sectors;
   uint64_t available = allocator_->space().free_blocks();
   if (AutoCheckpointDue()) {
     available += block_sector_count_.size();  // The checkpoint recycles every log block.

@@ -38,11 +38,15 @@
 // damaged sector; a cleared park record still carries it (with `parked` false, which routes
 // recovery to the scan path exactly like the old zeroed-sector clearing did).
 //
-// Group commit. AppendTransactionPacked() is the queued-write commit path: the transaction's
-// sectors are packed contiguously into whole physical blocks (block_sectors map sectors per
-// block) and written with one media write per block, so a queue's worth of eager writes costs
-// one or two log writes instead of one per request. Packing means a log block can hold several
-// live (or pinned) sectors; a block is recycled only when its last live/pinned sector leaves.
+// One commit (Commit()). Every map update, of one piece or of many, is the same step: new map
+// sectors are written near the head and chained by prev/bypass pointers. A single piece is one
+// standalone sector (txn_id 0). Several pieces form one transaction: their sectors share a
+// txn_id and are packed contiguously into whole physical blocks (block_sectors map sectors per
+// block), one media write per block, so a queue's worth of eager writes costs one or two log
+// writes instead of one per request (§4.2's group commit). Packing means a log block can hold
+// several live (or pinned) sectors; a block is recycled only when its last live/pinned sector
+// leaves. In-memory state moves only once every write of the commit has landed, so a failed
+// commit leaves the log as it was.
 #ifndef SRC_CORE_VIRTUAL_LOG_H_
 #define SRC_CORE_VIRTUAL_LOG_H_
 
@@ -95,8 +99,8 @@ struct VirtualLogStats {
   uint64_t pinned_peak = 0;      // High-water mark of simultaneously pinned sectors.
   uint64_t checkpoints = 0;
   uint64_t auto_checkpoints = 0;  // Checkpoints forced by the pinned-sector valve.
-  uint64_t packed_transactions = 0;  // Group commits that packed sectors into shared blocks.
-  uint64_t packed_sectors = 0;       // Map sectors written through the packed path.
+  uint64_t packed_transactions = 0;  // Multi-piece commits (their sectors share blocks).
+  uint64_t packed_sectors = 0;       // Map sectors written by multi-piece commits.
 
   // Snapshot/diff: stats are plain values, so a measurement window is a copy + subtraction.
   VirtualLogStats operator-(const VirtualLogStats& rhs) const {
@@ -129,31 +133,25 @@ class VirtualLog {
   // Supplies current entries of a piece, enabling automatic checkpoints (the valve above).
   void SetEntriesProvider(EntriesOfPiece provider) { entries_provider_ = std::move(provider); }
 
-  // Appends a new version of `piece` as a standalone (single-sector, atomic) commit.
-  common::Status AppendPiece(uint32_t piece, std::span<const uint32_t> entries);
-
   struct PieceUpdate {
     uint32_t piece;
-    // Must stay valid until the append returns: a span binds to a temporary vector too.
+    // Must stay valid until the commit returns: a span binds to a temporary vector too.
     std::span<const uint32_t> entries;
   };
-  // Atomically appends new versions of several distinct pieces. The sectors share a transaction
-  // id; recovery discards a trailing transaction whose sectors are not all present, so either
-  // every piece update takes effect or none does. The obsoleted map sectors are recycled only
-  // after the last sector of the transaction is on disk.
-  common::Status AppendTransaction(const std::vector<PieceUpdate>& updates);
+  // Atomically writes new versions of distinct pieces. One update writes one standalone
+  // sector; N >= 2 share a transaction id and pack into ceil(N / block_sectors) whole-block
+  // writes. Recovery discards a trailing transaction whose sectors are not all present, so
+  // either every piece update takes effect or none does. The sequence is the same for every
+  // commit: the automatic checkpoint (the valve above), a barrier, allocation, the writes and a
+  // second barrier; only then do the chain, covers and pins move and the obsoleted sectors get
+  // recycled. A commit that fails frees the blocks it allocated and changes no in-memory state.
+  common::Status Commit(std::span<const PieceUpdate> updates);
 
-  // Group commit (queued writes): same atomicity contract as AppendTransaction, but the
-  // transaction's sectors are packed contiguously into whole blocks and written with one media
-  // write per block — ceil(N / block_sectors) writes instead of N. A single update degenerates
-  // to AppendPiece so depth-1 behaviour is identical to the standalone path.
-  common::Status AppendTransactionPacked(const std::vector<PieceUpdate>& updates);
-
-  // Whether a commit of `updates` piece updates (through AppendTransactionPacked when `packed`,
-  // else AppendTransaction) finds a free block for every map sector it writes, counting the
-  // log blocks its automatic checkpoint would free first. A commit that fails this check
-  // would fail before writing anything, so callers check it before changing their own state.
-  bool HasRoomFor(size_t updates, bool packed) const;
+  // Whether a commit of `updates` piece updates finds a free block for every block it writes,
+  // counting the log blocks its automatic checkpoint would free first. A commit that fails this
+  // check would fail before writing anything, so callers check it before changing their own
+  // state.
+  bool HasRoomFor(size_t updates) const;
 
   // Writes the whole map contiguously to the checkpoint region, frees all log blocks (live and
   // pinned), and resets the chain. `entries_of_piece(k)` must return the current entries of
@@ -215,9 +213,11 @@ class VirtualLog {
     uint64_t older = 0;
     uint64_t newer = 0;
   };
-  struct DeferredFree {
-    uint32_t block;
-    uint64_t seq;
+  // One sector of the commit in flight, from serialization until its state is applied.
+  struct CommitSector {
+    simdisk::Lba lba;
+    DiskPtr bypass;     // As written: the chain successor of `obsoleted`.
+    DiskPtr obsoleted;  // The piece's live sector before the commit (null when none).
   };
 
   DiskPtr ChainHead() const;
@@ -261,10 +261,9 @@ class VirtualLog {
   // when the disk has no cache).
   common::Status Barrier();
 
-  common::Status AppendOne(uint32_t piece, std::span<const uint32_t> entries, uint64_t txn_id,
-                           uint16_t txn_index, uint16_t txn_total,
-                           std::vector<DeferredFree>* deferred_frees);
-  // The pinned-sector valve: every append first checkpoints when this holds.
+  // Commit's argument check: every piece in range, none twice.
+  common::Status CheckPieces(std::span<const PieceUpdate> updates);
+  // The pinned-sector valve: every commit first checkpoints when this holds.
   bool AutoCheckpointDue() const {
     return pinned_.size() > config_.pinned_limit && entries_provider_ != nullptr;
   }
@@ -306,9 +305,12 @@ class VirtualLog {
   // occupies its own sector of the track, and no modeled track has 65,536 sectors.
   std::vector<uint16_t> pinned_in_track_;
   EntriesOfPiece entries_provider_;
-  // Reused serialization buffer for the single-sector append path (one map write per update:
-  // a fresh vector per append showed up in profiles).
-  std::vector<std::byte> append_scratch_;
+  // Commit's working state, kept across calls so a commit reuses its buffers instead of
+  // allocating them: the blocks it writes, its sectors, their bytes, and the pieces it has seen.
+  std::vector<uint32_t> commit_blocks_;
+  std::vector<CommitSector> commit_sectors_;
+  std::vector<std::byte> commit_buffer_;
+  std::vector<bool> in_commit_;
   VirtualLogStats stats_;
 };
 

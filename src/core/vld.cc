@@ -252,11 +252,13 @@ common::Status Vld::StageBlockWrite(uint32_t logical_block, std::span<const std:
 
 void Vld::Unstage(const std::vector<StagedWrite>& staged) {
   for (const StagedWrite& s : staged) {
-    allocator_.Free(s.new_phys);
+    if (s.new_phys != kUnmappedBlock) {
+      allocator_.Free(s.new_phys);
+    }
   }
 }
 
-common::Status Vld::CommitStaged(const std::vector<StagedWrite>& staged, bool packed) {
+common::Status Vld::CommitStaged(const std::vector<StagedWrite>& staged) {
   if (staged.empty()) {
     return common::OkStatus();
   }
@@ -268,12 +270,12 @@ common::Status Vld::CommitStaged(const std::vector<StagedWrite>& staged, bool pa
       affected_pieces.push_back(piece);
     }
   }
-  if (!vlog_.HasRoomFor(affected_pieces.size(), packed)) {
+  if (!vlog_.HasRoomFor(affected_pieces.size())) {
     Unstage(staged);
     return common::OutOfSpace("VLD full: no free block for the map sectors");
   }
   // Apply the map changes in memory first so PieceEntries sees the new translations, then
-  // persist every affected piece in one transaction.
+  // persist every affected piece in one commit.
   for (const StagedWrite& s : staged) {
     map_[s.logical_block] = s.new_phys;
   }
@@ -282,8 +284,15 @@ common::Status Vld::CommitStaged(const std::vector<StagedWrite>& staged, bool pa
   for (const uint32_t piece : affected_pieces) {
     updates.push_back(VirtualLog::PieceUpdate{piece, PieceEntries(piece)});
   }
-  RETURN_IF_ERROR(packed ? vlog_.AppendTransactionPacked(updates)
-                         : vlog_.AppendTransaction(updates));
+  if (const common::Status st = vlog_.Commit(updates); !st.ok()) {
+    // The map sectors did not land: put the map back (in reverse, so a block staged twice ends
+    // at its first old value) and free what was staged. The device reads all-old again.
+    for (auto s = staged.rbegin(); s != staged.rend(); ++s) {
+      map_[s->logical_block] = s->old_phys;
+    }
+    Unstage(staged);
+    return st;
+  }
   if (updates.size() > 1) {
     ++stats_.atomic_commits;
   }
@@ -293,7 +302,9 @@ common::Status Vld::CommitStaged(const std::vector<StagedWrite>& staged, bool pa
       allocator_.Free(s.old_phys);
       reverse_[s.old_phys] = kUnmappedBlock;
     }
-    reverse_[s.new_phys] = s.logical_block;
+    if (s.new_phys != kUnmappedBlock) {
+      reverse_[s.new_phys] = s.logical_block;
+    }
   }
   return common::OkStatus();
 }
@@ -592,7 +603,7 @@ common::StatusOr<std::vector<Vld::QueuedCompletion>> Vld::FlushQueue() {
                                ->span
                          : 0;
     obs::SpanScope span(span_id != 0 ? tracer : nullptr, span_id);
-    if (const common::Status st = CommitStaged(staged, /*packed=*/true); !st.ok()) {
+    if (const common::Status st = CommitStaged(staged); !st.ok()) {
       return drop_batch(st);
     }
   }
@@ -665,45 +676,18 @@ common::Status Vld::Trim(simdisk::Lba lba, uint64_t sectors) {
   obs::SpanScope span(disk_->tracer(), obs::Layer::kVld, lba, sectors);
   disk_->ChargeHostCommand();
   const uint32_t bs = config_.block_sectors;
-  // Only whole blocks are dropped; partial edges are ignored.
-  uint32_t first = static_cast<uint32_t>((lba + bs - 1) / bs);
-  uint32_t end = static_cast<uint32_t>((lba + sectors) / bs);
-  std::vector<uint32_t> trimmed;  // Mapped logical blocks in the range.
-  std::vector<uint32_t> freed;    // Their physical blocks.
-  std::vector<uint32_t> affected_pieces;
+  // Only whole blocks are dropped; partial edges are ignored. Each mapped block becomes a
+  // staged write to kUnmappedBlock, committed like any other write.
+  const uint32_t first = static_cast<uint32_t>((lba + bs - 1) / bs);
+  const uint32_t end = static_cast<uint32_t>((lba + sectors) / bs);
+  std::vector<StagedWrite> staged;
   for (uint32_t b = first; b < end; ++b) {
-    if (map_[b] == kUnmappedBlock) {
-      continue;
-    }
-    trimmed.push_back(b);
-    freed.push_back(map_[b]);
-    const uint32_t piece = PieceOf(b);
-    if (std::find(affected_pieces.begin(), affected_pieces.end(), piece) ==
-        affected_pieces.end()) {
-      affected_pieces.push_back(piece);
+    if (map_[b] != kUnmappedBlock) {
+      staged.push_back(StagedWrite{b, kUnmappedBlock, map_[b]});
     }
   }
-  if (trimmed.empty()) {
-    return common::OkStatus();
-  }
-  // As in CommitStaged: when the map sectors would find no free block, fail before the map
-  // moves, so every trimmed block stays mapped and the free-space accounting stays whole.
-  if (!vlog_.HasRoomFor(affected_pieces.size(), /*packed=*/false)) {
-    return common::OutOfSpace("Trim: no free block for the map sectors");
-  }
-  for (const uint32_t b : trimmed) {
-    map_[b] = kUnmappedBlock;
-  }
-  stats_.trims += trimmed.size();
-  std::vector<VirtualLog::PieceUpdate> updates;
-  for (const uint32_t piece : affected_pieces) {
-    updates.push_back(VirtualLog::PieceUpdate{piece, PieceEntries(piece)});
-  }
-  RETURN_IF_ERROR(vlog_.AppendTransaction(updates));
-  for (const uint32_t phys : freed) {
-    allocator_.Free(phys);
-    reverse_[phys] = kUnmappedBlock;
-  }
+  RETURN_IF_ERROR(CommitStaged(staged));
+  stats_.trims += staged.size();
   return common::OkStatus();
 }
 
@@ -755,7 +739,8 @@ common::Status Vld::RelocateDataBlock(uint32_t phys_block) {
 }
 
 common::Status Vld::RewritePiece(uint32_t piece) {
-  return vlog_.AppendPiece(piece, PieceEntries(piece));
+  const VirtualLog::PieceUpdate update{piece, PieceEntries(piece)};
+  return vlog_.Commit({&update, 1});
 }
 
 }  // namespace vlog::core

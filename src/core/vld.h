@@ -234,10 +234,10 @@ class Vld : public simdisk::BlockDevice, public CompactionBackend {
 
   // Stages one logical-block write: allocates and writes the data block; records the map change
   // and the obsoleted physical block without touching the map yet. On failure nothing is
-  // staged: the allocated block is freed again.
+  // staged: the allocated block is freed again. Trim stages writes of kUnmappedBlock.
   struct StagedWrite {
     uint32_t logical_block;
-    uint32_t new_phys;
+    uint32_t new_phys;  // kUnmappedBlock for a trimmed block.
     uint32_t old_phys;  // kUnmappedBlock if previously unmapped.
   };
   common::Status StageBlockWrite(uint32_t logical_block, std::span<const std::byte> data,
@@ -253,11 +253,12 @@ class Vld : public simdisk::BlockDevice, public CompactionBackend {
   // unmapped blocks, and issues one InternalRead per physically contiguous run. No span, no
   // command charge — shared by the sync Read and the queued read service path.
   common::Status ReadMapped(simdisk::Lba lba, std::span<std::byte> out);
-  // Commits staged writes: appends the affected map pieces (transactionally when more than one;
-  // `packed` selects the group-commit packed encoding) then frees the obsoleted data blocks.
-  // When the map sectors would find no free block, fails before the map changes and frees
-  // the staged blocks, so the device is left as it was.
-  common::Status CommitStaged(const std::vector<StagedWrite>& staged, bool packed = false);
+  // Commits staged writes: the affected map pieces go down in one VirtualLog::Commit, then the
+  // obsoleted data blocks are freed. The VLD's only map commit: sync and queued writes,
+  // WriteAtomic, Trim and relocation all end here. When the map sectors would find no free
+  // block, or their commit fails, the map is left as it was and the staged blocks are freed, so
+  // the device reads all-old.
+  common::Status CommitStaged(const std::vector<StagedWrite>& staged);
 
   simdisk::SimDisk* disk_;
   VldConfig config_;

@@ -230,14 +230,6 @@ common::StatusOr<uint64_t> NvmStage::DestageStep() {
   }
   // Live sectors owned by the batch's records, ascending by LBA for run coalescing.
   std::vector<std::pair<simdisk::Lba, uint64_t>> live;
-  uint64_t min_seq_kept = 0;
-  {
-    uint64_t max_seq = 0;
-    for (uint64_t r = 0; r < batch; ++r) {
-      max_seq = std::max(max_seq, records_[r].seq);
-    }
-    min_seq_kept = max_seq;
-  }
   for (uint64_t r = 0; r < batch; ++r) {
     const LogRecord& rec = records_[r];
     for (uint64_t s = 0; s < rec.sectors; ++s) {
@@ -273,7 +265,6 @@ common::StatusOr<uint64_t> NvmStage::DestageStep() {
     tracer_->Annotate(obs::EventType::kNvmDestageEnd, obs::Layer::kNvm, batch,
                       destaged_sectors);
   }
-  (void)min_seq_kept;
   return batch;
 }
 

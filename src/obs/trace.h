@@ -64,7 +64,7 @@ enum class EventType : uint8_t {
   kReadForward,   // A queued read served sectors from a pending (unserviced) write's payload
                   // instead of the media (a=first lba forwarded, b=sectors forwarded).
   kFlush,         // A Flush command completed (a=extents destaged, b=sectors destaged).
-  kMapAppend,     // Map sector(s) joined the virtual log (a=piece, or packed count; b=lba).
+  kMapAppend,     // One map write joined the virtual log (a=map sectors in it; b=lba).
   kGroupCommit,   // A packed group commit covering a whole queue (a=requests, b=staged blocks).
   kCheckpoint,    // A full-map checkpoint (a=sequence number).
   kCompactStart,  // Idle-time compaction began (a=victim track).

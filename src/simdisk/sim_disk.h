@@ -187,17 +187,6 @@ class SimDisk : public BlockDevice {
     write_fault_fired_ = false;
   }
 
-  // Legacy interface: after `writes` more successful writes, every subsequent write fails with
-  // kIoError and leaves the media untouched — a fail-stop power cut. Kept as a thin wrapper over
-  // SetWriteFault.
-  void SetWriteFailureAfter(std::optional<uint64_t> writes) {
-    if (writes.has_value()) {
-      SetWriteFault(WriteFault{.mode = WriteFaultMode::kFailStop, .after_writes = *writes});
-    } else {
-      SetWriteFault(std::nullopt);
-    }
-  }
-
   // Zero-cost, like PokeMedia: persists what `fault` says survives of a write of `in` at `lba`
   // cut by a power failure (after_writes is ignored). The armed fault and the crash sweep's
   // torn and corrupt-tail points both materialize through this one function.

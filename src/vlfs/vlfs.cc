@@ -302,7 +302,7 @@ common::Status Vlfs::CommitGroup() {
     for (const uint32_t piece : affected_pieces) {
       updates.push_back({piece, MapPieceEntries(piece)});
     }
-    RETURN_IF_ERROR(vlog_.AppendTransaction(updates));
+    RETURN_IF_ERROR(vlog_.Commit(updates));
     ++stats_.map_transactions;
     if (dirty_iblocks.size() > 1) {
       ++stats_.group_commits;
@@ -758,8 +758,7 @@ common::Status Vlfs::RelocateDataBlock(uint32_t phys_block) {
     const uint32_t iblock = static_cast<uint32_t>(owner & 0xFFFFFFFF);
     ASSIGN_OR_RETURN(const uint32_t fresh, EagerWriteBlock(raw, owner));
     inode_map_[iblock] = fresh;
-    RETURN_IF_ERROR(vlog_.AppendPiece(PieceOfInodeBlock(iblock),
-                                      MapPieceEntries(PieceOfInodeBlock(iblock))));
+    RETURN_IF_ERROR(RewritePiece(PieceOfInodeBlock(iblock)));
     allocator_.Free(phys_block);
     owner_[phys_block] = kOwnerNone;
     inode_cache_.erase(iblock);  // Cached copy is still valid, but keep bookkeeping simple.
@@ -785,7 +784,8 @@ common::Status Vlfs::RelocateDataBlock(uint32_t phys_block) {
 }
 
 common::Status Vlfs::RewritePiece(uint32_t piece) {
-  return vlog_.AppendPiece(piece, MapPieceEntries(piece));
+  const core::VirtualLog::PieceUpdate update{piece, MapPieceEntries(piece)};
+  return vlog_.Commit({&update, 1});
 }
 
 }  // namespace vlog::vlfs

@@ -235,13 +235,13 @@ TEST_F(SimDiskTest, EstimatePositionMatchesCharge) {
 
 TEST_F(SimDiskTest, InjectedWriteFailureLeavesMediaIntact) {
   ASSERT_TRUE(disk_.Write(8, Pattern(512, 1)).ok());
-  disk_.SetWriteFailureAfter(1);
+  disk_.SetWriteFault(SimDisk::WriteFault{.after_writes = 1});
   EXPECT_TRUE(disk_.Write(16, Pattern(512, 2)).ok());   // One more succeeds.
   EXPECT_FALSE(disk_.Write(24, Pattern(512, 3)).ok());  // Then the power is gone.
   std::vector<std::byte> out(512);
   disk_.PeekMedia(24, out);
   EXPECT_EQ(out, std::vector<std::byte>(512));  // Untouched.
-  disk_.SetWriteFailureAfter(std::nullopt);
+  disk_.SetWriteFault(std::nullopt);
   EXPECT_TRUE(disk_.Write(24, Pattern(512, 3)).ok());
 }
 
@@ -463,7 +463,7 @@ TEST(SimDiskForkTest, ForkIsAFreshDiskHoldingTheSameBytes) {
   std::vector<std::byte> out(8 * 512);
   ASSERT_TRUE(disk.Read(1000, out).ok());
   ASSERT_GT(disk.cache_dirty_sectors(), 0u);
-  disk.SetWriteFailureAfter(0);
+  disk.SetWriteFault(SimDisk::WriteFault{.after_writes = 0});
 
   Clock fork_clock;
   SimDisk fork = disk.Fork(&fork_clock);

@@ -62,9 +62,15 @@ class VirtualLogTest : public ::testing::Test {
     return e;
   }
 
-  // Entries(fill), owned by the fixture until the test ends. Appends take spans, and a span
+  // Entries(fill), owned by the fixture until the test ends. Commits take spans, and a span
   // bound to a temporary vector (say in a PieceUpdate) dangles once the temporary dies.
   std::span<const uint32_t> Owned(uint32_t fill) { return owned_.emplace_back(Entries(fill)); }
+
+  // A one-piece commit: a standalone map sector.
+  common::Status CommitOne(uint32_t piece, std::span<const uint32_t> entries) {
+    const VirtualLog::PieceUpdate update{piece, entries};
+    return vlog_->Commit({&update, 1});
+  }
 
   // An entries provider over per-piece vectors the caller keeps alive.
   static VirtualLog::EntriesOfPiece SlicesOf(const std::vector<std::vector<uint32_t>>& pieces) {
@@ -114,8 +120,8 @@ TEST_F(VirtualLogTest, FreshLogRecoversEmpty) {
 }
 
 TEST_F(VirtualLogTest, AppendParkRecoverRoundTrip) {
-  ASSERT_TRUE(vlog_->AppendPiece(0, Owned(10)).ok());
-  ASSERT_TRUE(vlog_->AppendPiece(3, Owned(20)).ok());
+  ASSERT_TRUE(CommitOne(0, Owned(10)).ok());
+  ASSERT_TRUE(CommitOne(3, Owned(20)).ok());
   ASSERT_TRUE(vlog_->Park().ok());
   Reopen();
   auto result = vlog_->Recover();
@@ -129,7 +135,7 @@ TEST_F(VirtualLogTest, AppendParkRecoverRoundTrip) {
 
 TEST_F(VirtualLogTest, YoungestVersionWinsAfterOverwrites) {
   for (uint32_t v = 0; v < 25; ++v) {
-    ASSERT_TRUE(vlog_->AppendPiece(1, Owned(v)).ok());
+    ASSERT_TRUE(CommitOne(1, Owned(v)).ok());
   }
   ASSERT_TRUE(vlog_->Park().ok());
   Reopen();
@@ -140,7 +146,7 @@ TEST_F(VirtualLogTest, YoungestVersionWinsAfterOverwrites) {
 
 TEST_F(VirtualLogTest, OverwritingRecyclesBlocks) {
   for (uint32_t v = 0; v < 25; ++v) {
-    ASSERT_TRUE(vlog_->AppendPiece(1, Owned(v)).ok());
+    ASSERT_TRUE(CommitOne(1, Owned(v)).ok());
   }
   // One live sector plus maybe a few pinned: nearly all 25 appends were recycled.
   EXPECT_GE(vlog_->stats().recycled_blocks, 20u);
@@ -148,7 +154,7 @@ TEST_F(VirtualLogTest, OverwritingRecyclesBlocks) {
 }
 
 TEST_F(VirtualLogTest, CrashWithoutParkFallsBackToScan) {
-  ASSERT_TRUE(vlog_->AppendPiece(2, Owned(7)).ok());
+  ASSERT_TRUE(CommitOne(2, Owned(7)).ok());
   // No Park: a crash. The stale park sector was cleared at Format.
   Reopen();
   auto result = vlog_->Recover();
@@ -158,12 +164,12 @@ TEST_F(VirtualLogTest, CrashWithoutParkFallsBackToScan) {
 }
 
 TEST_F(VirtualLogTest, ParkIsClearedAfterRecovery) {
-  ASSERT_TRUE(vlog_->AppendPiece(0, Owned(1)).ok());
+  ASSERT_TRUE(CommitOne(0, Owned(1)).ok());
   ASSERT_TRUE(vlog_->Park().ok());
   Reopen();
   ASSERT_TRUE(vlog_->Recover().ok());
   RemarkLiveBlocks();
-  ASSERT_TRUE(vlog_->AppendPiece(0, Owned(2)).ok());
+  ASSERT_TRUE(CommitOne(0, Owned(2)).ok());
   // Crash now: the old park record must not be trusted (it was cleared), so scan runs and
   // finds the newer version.
   Reopen();
@@ -178,7 +184,7 @@ TEST_F(VirtualLogTest, TransactionAppliedAtomicallyWhenComplete) {
   updates.push_back({0, Owned(100)});
   updates.push_back({1, Owned(101)});
   updates.push_back({2, Owned(102)});
-  ASSERT_TRUE(vlog_->AppendTransaction(updates).ok());
+  ASSERT_TRUE(vlog_->Commit(updates).ok());
   ASSERT_TRUE(vlog_->Park().ok());
   Reopen();
   auto result = vlog_->Recover();
@@ -190,15 +196,17 @@ TEST_F(VirtualLogTest, TransactionAppliedAtomicallyWhenComplete) {
 }
 
 TEST_F(VirtualLogTest, InterruptedTransactionRollsBackEveryPiece) {
-  ASSERT_TRUE(vlog_->AppendPiece(0, Owned(1)).ok());
-  ASSERT_TRUE(vlog_->AppendPiece(1, Owned(2)).ok());
-  // Crash after the first sector of a two-piece transaction hits the disk.
-  disk_->SetWriteFailureAfter(1);
+  ASSERT_TRUE(CommitOne(0, Owned(1)).ok());
+  ASSERT_TRUE(CommitOne(1, Owned(2)).ok());
+  // Crash while the two-piece transaction's one block write is in flight: only its first
+  // sector reaches the disk.
+  disk_->SetWriteFault(simdisk::SimDisk::WriteFault{
+      .mode = simdisk::SimDisk::WriteFaultMode::kTornPrefix, .keep_sectors = 1});
   std::vector<VirtualLog::PieceUpdate> updates;
   updates.push_back({0, Owned(50)});
   updates.push_back({1, Owned(51)});
-  EXPECT_FALSE(vlog_->AppendTransaction(updates).ok());
-  disk_->SetWriteFailureAfter(std::nullopt);
+  EXPECT_FALSE(vlog_->Commit(updates).ok());
+  disk_->SetWriteFault(std::nullopt);
   Reopen();
   auto result = vlog_->Recover();
   ASSERT_TRUE(result.ok());
@@ -207,17 +215,50 @@ TEST_F(VirtualLogTest, InterruptedTransactionRollsBackEveryPiece) {
   EXPECT_EQ(result->pieces[1], Entries(2));
 }
 
+// A commit whose write fails moves nothing in memory: the chain, the park record written after
+// it and the free-space count are all as before the commit. A Park that named the failed
+// commit's unwritten sectors as the tail would make recovery lose every piece.
+TEST_F(VirtualLogTest, FailedCommitLeavesTheLogAsItWas) {
+  for (uint32_t k = 0; k < 4; ++k) {
+    ASSERT_TRUE(CommitOne(k, Owned(10 + k)).ok());
+  }
+  const uint64_t free_before = space_->free_blocks();
+  const uint64_t next_seq = vlog_->NextSeq();
+  std::vector<VirtualLog::PieceUpdate> updates;
+  updates.push_back({1, Owned(60)});
+  updates.push_back({2, Owned(61)});
+  disk_->SetWriteFault(simdisk::SimDisk::WriteFault{});  // Fail-stop at the next write.
+  EXPECT_FALSE(vlog_->Commit(updates).ok());
+  disk_->SetWriteFault(std::nullopt);
+  EXPECT_EQ(space_->free_blocks(), free_before) << "the commit's block must be freed";
+  EXPECT_EQ(vlog_->NextSeq(), next_seq);
+  // A one-piece commit frees its block too.
+  disk_->SetWriteFault(simdisk::SimDisk::WriteFault{});
+  EXPECT_FALSE(CommitOne(3, Owned(62)).ok());
+  disk_->SetWriteFault(std::nullopt);
+  EXPECT_EQ(space_->free_blocks(), free_before);
+
+  ASSERT_TRUE(vlog_->Park().ok());
+  Reopen();
+  auto result = vlog_->Recover();
+  ASSERT_TRUE(result.ok());
+  EXPECT_FALSE(result->used_scan);
+  for (uint32_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(result->pieces[k], Entries(10 + k)) << "piece " << k;
+  }
+}
+
 TEST_F(VirtualLogTest, CheckpointSeedsRecoveryAndFreesLog) {
   std::vector<std::vector<uint32_t>> all(kPieces);
   for (uint32_t k = 0; k < kPieces; ++k) {
     all[k] = Entries(k + 60);
-    ASSERT_TRUE(vlog_->AppendPiece(k, all[k]).ok());
+    ASSERT_TRUE(CommitOne(k, all[k]).ok());
   }
   const uint64_t live_before = space_->live_blocks();
   ASSERT_TRUE(vlog_->WriteCheckpoint(SlicesOf(all)).ok());
   EXPECT_LT(space_->live_blocks(), live_before);
   // Post-checkpoint append, then clean shutdown.
-  ASSERT_TRUE(vlog_->AppendPiece(2, Owned(99)).ok());
+  ASSERT_TRUE(CommitOne(2, Owned(99)).ok());
   ASSERT_TRUE(vlog_->Park().ok());
   Reopen();
   auto result = vlog_->Recover();
@@ -231,12 +272,12 @@ TEST_F(VirtualLogTest, ScanRecoveryHonorsCheckpointBoundary) {
   std::vector<std::vector<uint32_t>> all(kPieces);
   for (uint32_t k = 0; k < kPieces; ++k) {
     all[k] = Entries(k);
-    ASSERT_TRUE(vlog_->AppendPiece(k, all[k]).ok());
+    ASSERT_TRUE(CommitOne(k, all[k]).ok());
   }
   all[1] = Entries(500);
-  ASSERT_TRUE(vlog_->AppendPiece(1, all[1]).ok());
+  ASSERT_TRUE(CommitOne(1, all[1]).ok());
   ASSERT_TRUE(vlog_->WriteCheckpoint(SlicesOf(all)).ok());
-  ASSERT_TRUE(vlog_->AppendPiece(0, Owned(700)).ok());
+  ASSERT_TRUE(CommitOne(0, Owned(700)).ok());
   Reopen();  // Crash (no park) -> scan.
   auto result = vlog_->Recover();
   ASSERT_TRUE(result.ok());
@@ -253,7 +294,7 @@ TEST_F(VirtualLogTest, AutoCheckpointValveBoundsPinnedSectors) {
   for (int i = 0; i < 300; ++i) {
     const uint32_t piece = static_cast<uint32_t>(rng.Below(kPieces));
     shadow[piece] = Entries(static_cast<uint32_t>(i));
-    ASSERT_TRUE(vlog_->AppendPiece(piece, shadow[piece]).ok());
+    ASSERT_TRUE(CommitOne(piece, shadow[piece]).ok());
     ASSERT_LE(vlog_->PinnedCount(), 1u);
   }
   ASSERT_TRUE(vlog_->Park().ok());
@@ -293,12 +334,12 @@ TEST_F(VirtualLogTest, RandomizedCrashRecoveryMatchesShadow) {
           staged[piece] = Entries(++version);
           updates.push_back({piece, staged[piece]});
         }
-        ASSERT_TRUE(vlog_->AppendTransaction(updates).ok());
+        ASSERT_TRUE(vlog_->Commit(updates).ok());
         shadow = staged;
       } else {
         const uint32_t piece = static_cast<uint32_t>(rng.Below(kPieces));
         shadow[piece] = Entries(++version);
-        ASSERT_TRUE(vlog_->AppendPiece(piece, shadow[piece]).ok());
+        ASSERT_TRUE(CommitOne(piece, shadow[piece]).ok());
       }
       // Aggressively reuse freed space: overwrite a random free block with junk, simulating
       // the VLD putting file data there. This is what makes stale map sectors disappear.
@@ -329,14 +370,14 @@ TEST_F(VirtualLogTest, RandomizedCrashRecoveryMatchesShadow) {
     RemarkLiveBlocks();
     // Repair any uncovered pieces, as the VLD would.
     for (const uint32_t piece : result->uncovered_pieces) {
-      ASSERT_TRUE(vlog_->AppendPiece(piece, shadow[piece]).ok());
+      ASSERT_TRUE(CommitOne(piece, shadow[piece]).ok());
     }
   }
 }
 
 TEST_F(VirtualLogTest, RecoveryCostIsProportionalToLiveLog) {
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(vlog_->AppendPiece(static_cast<uint32_t>(i) % kPieces, Owned(i)).ok());
+    ASSERT_TRUE(CommitOne(static_cast<uint32_t>(i) % kPieces, Owned(i)).ok());
   }
   ASSERT_TRUE(vlog_->Park().ok());
   Reopen();
@@ -355,11 +396,11 @@ TEST_F(VirtualLogTest, RecoveryCostIsProportionalToLiveLog) {
 // machinery must keep recovery correct regardless, including when the freed blocks are
 // overwritten with garbage.
 TEST_F(VirtualLogTest, DoubleRecycleOfBypassCarrierKeepsLogConnected) {
-  ASSERT_TRUE(vlog_->AppendPiece(2, Owned(300)).ok());  // W_c (oldest, stays live).
-  ASSERT_TRUE(vlog_->AppendPiece(1, Owned(301)).ok());  // W_b.
-  ASSERT_TRUE(vlog_->AppendPiece(0, Owned(302)).ok());  // W_a.
-  ASSERT_TRUE(vlog_->AppendPiece(1, Owned(303)).ok());  // N_b: bypass covers W_c, frees W_b.
-  ASSERT_TRUE(vlog_->AppendPiece(1, Owned(304)).ok());  // N_b2: frees (or pins) N_b.
+  ASSERT_TRUE(CommitOne(2, Owned(300)).ok());  // W_c (oldest, stays live).
+  ASSERT_TRUE(CommitOne(1, Owned(301)).ok());  // W_b.
+  ASSERT_TRUE(CommitOne(0, Owned(302)).ok());  // W_a.
+  ASSERT_TRUE(CommitOne(1, Owned(303)).ok());  // N_b: bypass covers W_c, frees W_b.
+  ASSERT_TRUE(CommitOne(1, Owned(304)).ok());  // N_b2: frees (or pins) N_b.
   // Destroy every freed block's contents, simulating data reuse.
   common::Rng rng(1);
   for (uint32_t block = 0; block < space_->total_blocks(); ++block) {
@@ -384,15 +425,15 @@ TEST_F(VirtualLogTest, DoubleRecycleOfBypassCarrierKeepsLogConnected) {
 // When a sector that still carries covers is obsoleted, it must be pinned (its block stays
 // unallocatable) until its targets are re-covered — observable through PinnedCount.
 TEST_F(VirtualLogTest, LoadBearingObsoleteSectorsArePinnedThenReleased) {
-  ASSERT_TRUE(vlog_->AppendPiece(0, Owned(1)).ok());
+  ASSERT_TRUE(CommitOne(0, Owned(1)).ok());
   // The head sector of piece 0 is covered by the next append's prev pointer...
-  ASSERT_TRUE(vlog_->AppendPiece(1, Owned(2)).ok());
+  ASSERT_TRUE(CommitOne(1, Owned(2)).ok());
   // ...so obsoleting piece 1 (the current head, which carries that cover) pins it.
-  ASSERT_TRUE(vlog_->AppendPiece(1, Owned(3)).ok());
+  ASSERT_TRUE(CommitOne(1, Owned(3)).ok());
   const size_t pinned_after = vlog_->PinnedCount();
   // Rewriting piece 0 re-covers it with the new sector, unpinning the old carrier eventually.
-  ASSERT_TRUE(vlog_->AppendPiece(0, Owned(4)).ok());
-  ASSERT_TRUE(vlog_->AppendPiece(0, Owned(5)).ok());
+  ASSERT_TRUE(CommitOne(0, Owned(4)).ok());
+  ASSERT_TRUE(CommitOne(0, Owned(5)).ok());
   EXPECT_LE(vlog_->PinnedCount(), pinned_after + 1);
   // Regardless of pinning dynamics, recovery stays exact.
   ASSERT_TRUE(vlog_->Park().ok());
@@ -420,11 +461,11 @@ TEST_F(VirtualLogTest, PinnedInTrackMatchesRecountThroughEveryPath) {
             updates.push_back({k, shadow[k]});
           }
         }
-        ASSERT_TRUE(vlog_->AppendTransactionPacked(updates).ok());
+        ASSERT_TRUE(vlog_->Commit(updates).ok());
       } else {
         const uint32_t piece = static_cast<uint32_t>(rng.Below(kPieces));
         shadow[piece] = Entries(++version);
-        ASSERT_TRUE(vlog_->AppendPiece(piece, shadow[piece]).ok());
+        ASSERT_TRUE(CommitOne(piece, shadow[piece]).ok());
       }
       max_pinned = std::max(max_pinned, vlog_->PinnedCount());
       ExpectPinnedInTrackMatchesRecount("append");
@@ -437,7 +478,7 @@ TEST_F(VirtualLogTest, PinnedInTrackMatchesRecountThroughEveryPath) {
     ASSERT_TRUE(result.ok());
     RemarkLiveBlocks();
     for (const uint32_t piece : result->uncovered_pieces) {
-      ASSERT_TRUE(vlog_->AppendPiece(piece, shadow[piece]).ok());
+      ASSERT_TRUE(CommitOne(piece, shadow[piece]).ok());
     }
     ExpectPinnedInTrackMatchesRecount(where);
   };
@@ -456,15 +497,15 @@ TEST_F(VirtualLogTest, PinnedInTrackMatchesRecountThroughEveryPath) {
 }
 
 TEST_F(VirtualLogTest, AppendRejectsOutOfRangePiece) {
-  EXPECT_FALSE(vlog_->AppendPiece(kPieces, Owned(0)).ok());
+  EXPECT_FALSE(CommitOne(kPieces, Owned(0)).ok());
 }
 
 // Satellite (a) regression: map sectors from a previous format generation must not be
 // resurrected by a crash scan after reformat, even though they are internally consistent.
 TEST_F(VirtualLogTest, ReformatRejectsStaleGenerationSectorsInScan) {
   EXPECT_EQ(vlog_->Epoch(), 1u);
-  ASSERT_TRUE(vlog_->AppendPiece(0, Owned(10)).ok());
-  ASSERT_TRUE(vlog_->AppendPiece(4, Owned(11)).ok());
+  ASSERT_TRUE(CommitOne(0, Owned(10)).ok());
+  ASSERT_TRUE(CommitOne(4, Owned(11)).ok());
   // Sanity: a crash scan in the same generation finds them.
   Reopen();
   {
@@ -495,14 +536,14 @@ TEST_F(VirtualLogTest, EpochSurvivesParkAndCrashRecovery) {
   Reopen();
   ASSERT_TRUE(vlog_->Format().ok());
   EXPECT_EQ(vlog_->Epoch(), 3u);
-  ASSERT_TRUE(vlog_->AppendPiece(1, Owned(5)).ok());
+  ASSERT_TRUE(CommitOne(1, Owned(5)).ok());
   ASSERT_TRUE(vlog_->Park().ok());
   Reopen();
   ASSERT_TRUE(vlog_->Recover().ok());
   EXPECT_EQ(vlog_->Epoch(), 3u);
   RemarkLiveBlocks();
   // New appends in epoch 3 are found by a crash scan after a restart without park.
-  ASSERT_TRUE(vlog_->AppendPiece(1, Owned(6)).ok());
+  ASSERT_TRUE(CommitOne(1, Owned(6)).ok());
   Reopen();
   auto result = vlog_->Recover();
   ASSERT_TRUE(result.ok());
@@ -518,9 +559,8 @@ TEST_F(VirtualLogTest, PackedTransactionUsesOneWritePerBlock) {
     updates.push_back({.piece = k, .entries = Owned(30 + k)});
   }
   const uint64_t writes_before = disk_->stats().write_requests;
-  ASSERT_TRUE(vlog_->AppendTransactionPacked(updates).ok());
-  // Five sectors fit one 8-sector block: a single media write, versus five for the unpacked
-  // transaction path.
+  ASSERT_TRUE(vlog_->Commit(updates).ok());
+  // Five sectors fit one 8-sector block: a single media write.
   EXPECT_EQ(disk_->stats().write_requests - writes_before, 1u);
   EXPECT_EQ(vlog_->stats().packed_transactions, 1u);
   EXPECT_EQ(vlog_->stats().packed_sectors, 5u);
@@ -535,12 +575,12 @@ TEST_F(VirtualLogTest, PackedTransactionUsesOneWritePerBlock) {
 }
 
 TEST_F(VirtualLogTest, PackedTransactionSurvivesCrashScan) {
-  ASSERT_TRUE(vlog_->AppendPiece(0, Owned(1)).ok());
+  ASSERT_TRUE(CommitOne(0, Owned(1)).ok());
   std::vector<VirtualLog::PieceUpdate> updates;
   for (uint32_t k = 0; k < kPieces; ++k) {
     updates.push_back({.piece = k, .entries = Owned(50 + k)});
   }
-  ASSERT_TRUE(vlog_->AppendTransactionPacked(updates).ok());
+  ASSERT_TRUE(vlog_->Commit(updates).ok());
   Reopen();
   auto result = vlog_->Recover();
   ASSERT_TRUE(result.ok());
@@ -552,7 +592,7 @@ TEST_F(VirtualLogTest, PackedTransactionSurvivesCrashScan) {
 
 TEST_F(VirtualLogTest, TornPackedTransactionRollsBackEveryPiece) {
   for (uint32_t k = 0; k < kPieces; ++k) {
-    ASSERT_TRUE(vlog_->AppendPiece(k, Owned(k)).ok());
+    ASSERT_TRUE(CommitOne(k, Owned(k)).ok());
   }
   std::vector<VirtualLog::PieceUpdate> updates;
   for (uint32_t k = 0; k < kPieces; ++k) {
@@ -564,7 +604,7 @@ TEST_F(VirtualLogTest, TornPackedTransactionRollsBackEveryPiece) {
       .mode = simdisk::SimDisk::WriteFaultMode::kTornPrefix,
       .after_writes = 0,
       .keep_sectors = 3});
-  EXPECT_FALSE(vlog_->AppendTransactionPacked(updates).ok());
+  EXPECT_FALSE(vlog_->Commit(updates).ok());
   disk_->SetWriteFault(std::nullopt);
   Reopen();
   auto result = vlog_->Recover();
@@ -580,7 +620,7 @@ TEST_F(VirtualLogTest, PackedTransactionRejectsDuplicatePieces) {
   std::vector<VirtualLog::PieceUpdate> updates;
   updates.push_back({.piece = 1, .entries = Owned(1)});
   updates.push_back({.piece = 1, .entries = Owned(2)});
-  EXPECT_FALSE(vlog_->AppendTransactionPacked(updates).ok());
+  EXPECT_FALSE(vlog_->Commit(updates).ok());
 }
 
 }  // namespace

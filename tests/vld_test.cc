@@ -27,6 +27,12 @@ std::vector<std::byte> Pattern(size_t n, uint32_t seed) {
   return v;
 }
 
+// The running device's map invariants, free-space accounting included: live blocks are exactly
+// the mapped data blocks plus the live and pinned map blocks.
+void ExpectMapInvariants(const Vld& vld) {
+  crashsim::CheckMapInvariants(vld, [](const std::string& what) { ADD_FAILURE() << what; });
+}
+
 class VldTest : public ::testing::Test {
  protected:
   VldTest() { Reset(); }
@@ -208,15 +214,17 @@ TEST_F(VldTest, InterruptedAtomicWriteRollsBack) {
   const simdisk::Lba second = (vld_->logical_blocks() - 4) / 8 * 8 * 8;
   ASSERT_TRUE(vld_->Write(second, Pattern(kBlockBytes, 2)).ok());
 
-  // Fail after the two data blocks and the first of two map sectors are durable.
-  disk_->SetWriteFailureAfter(3);
+  // The two data blocks land, then the commit's one map write tears: only the first of its
+  // two map sectors reaches the disk.
+  disk_->SetWriteFault(simdisk::SimDisk::WriteFault{
+      .mode = simdisk::SimDisk::WriteFaultMode::kTornPrefix, .after_writes = 2, .keep_sectors = 1});
   std::vector<Vld::AtomicWrite> writes;
   const auto a = Pattern(kBlockBytes, 10);
   const auto b = Pattern(kBlockBytes, 11);
   writes.push_back({0, a});
   writes.push_back({second, b});
   EXPECT_FALSE(vld_->WriteAtomic(writes).ok());
-  disk_->SetWriteFailureAfter(std::nullopt);
+  disk_->SetWriteFault(std::nullopt);
 
   Reopen();
   auto info = vld_->Recover();
@@ -553,6 +561,50 @@ TEST_F(VldTest, QueuedBatchSurvivesCrashScan) {
   }
 }
 
+// A sync write whose blocks span two map pieces commits both in one map write, like a queued
+// batch: logical blocks 103 and 104 sit in pieces 0 and 1.
+TEST_F(VldTest, WriteAcrossAPieceBoundaryMakesOneMapWrite) {
+  ASSERT_EQ(kEntriesPerSector, 104u);
+  const uint64_t writes_before = disk_->stats().write_requests;
+  const uint64_t appends_before = vld_->vlog().stats().appends;
+  const auto data = Pattern(2 * kBlockBytes, 5);
+  ASSERT_TRUE(vld_->Write(103 * 8, data).ok());
+  EXPECT_EQ(vld_->vlog().stats().appends - appends_before, 2u);
+  EXPECT_EQ(disk_->stats().write_requests - writes_before, 3u) << "two data blocks, one map";
+  EXPECT_EQ(vld_->vlog().stats().packed_transactions, 1u);
+  std::vector<std::byte> out(2 * kBlockBytes);
+  ASSERT_TRUE(vld_->Read(103 * 8, out).ok());
+  EXPECT_EQ(out, data);
+}
+
+// A group commit whose map write fails leaves the log as it was: the sync write acknowledged
+// before it survives Park and Recover, and the failed batch reads all-old.
+TEST_F(VldTest, FailedGroupCommitKeepsEarlierWritesAcrossPark) {
+  const simdisk::Lba far = (vld_->logical_blocks() - 4) / 8 * 8 * 8;
+  ASSERT_TRUE(vld_->Write(0, Pattern(kBlockBytes, 1)).ok());
+  ASSERT_TRUE(vld_->SubmitWrite(8, Pattern(kBlockBytes, 2)).ok());
+  ASSERT_TRUE(vld_->SubmitWrite(far, Pattern(kBlockBytes, 3)).ok());
+  // Both data blocks land; the packed map write is cut by a fail-stop fault.
+  disk_->SetWriteFault(simdisk::SimDisk::WriteFault{.after_writes = 2});
+  EXPECT_FALSE(vld_->FlushQueue().ok());
+  disk_->SetWriteFault(std::nullopt);
+  ExpectMapInvariants(*vld_);
+  ASSERT_TRUE(vld_->Park().ok());
+  Reopen();
+  auto info = vld_->Recover();
+  ASSERT_TRUE(info.ok());
+  EXPECT_FALSE(info->used_scan);
+  EXPECT_EQ(info->mapped_blocks, 1u);
+  std::vector<std::byte> out(kBlockBytes);
+  ASSERT_TRUE(vld_->Read(0, out).ok());
+  EXPECT_EQ(out, Pattern(kBlockBytes, 1)) << "the acknowledged write must survive";
+  ASSERT_TRUE(vld_->Read(8, out).ok());
+  EXPECT_EQ(out, std::vector<std::byte>(kBlockBytes));
+  ASSERT_TRUE(vld_->Read(far, out).ok());
+  EXPECT_EQ(out, std::vector<std::byte>(kBlockBytes));
+  ExpectMapInvariants(*vld_);
+}
+
 // Tear the packed map-block write: none of the batch's requests may be half-visible — the
 // whole group rolls back (it was never acknowledged). The batch's blocks are spaced one map
 // piece apart (kEntriesPerSector blocks) so its 8 map sectors genuinely pack into one
@@ -583,12 +635,6 @@ TEST_F(VldTest, TornGroupCommitRollsBackWholeBatch) {
     ASSERT_TRUE(vld_->Read(lba_of(i), out).ok());
     EXPECT_EQ(out, Pattern(kBlockBytes, i)) << "block " << i << " must keep its old version";
   }
-}
-
-// The running device's map invariants, free-space accounting included: live blocks are exactly
-// the mapped data blocks plus the live and pinned map blocks.
-void ExpectMapInvariants(const Vld& vld) {
-  crashsim::CheckMapInvariants(vld, [](const std::string& what) { ADD_FAILURE() << what; });
 }
 
 // An overwrite that runs out of space while staging must give back the blocks it already
@@ -685,6 +731,29 @@ TEST(VldFailedWriteTest, MapSectorOutOfSpaceLeavesTheWriteInvisible) {
   ExpectMapInvariants(vld);
 }
 
+// A write whose data block lands but whose map write fails must leave the running device as it
+// was: the map, the free-space accounting, and the old data on a read. The next write works.
+TEST(VldFailedWriteTest, FailedMapWriteLeavesTheWriteInvisible) {
+  common::Clock clock;
+  simdisk::SimDisk disk(simdisk::Truncated(simdisk::Hp97560(), 4), &clock);
+  Vld vld(&disk, VldConfig{.compactor_enabled = false});
+  ASSERT_TRUE(vld.Format().ok());
+  ASSERT_TRUE(vld.Write(0, Pattern(kBlockBytes, 1)).ok());
+  const uint64_t free_before = vld.space().free_blocks();
+  disk.SetWriteFault(simdisk::SimDisk::WriteFault{.after_writes = 1});  // Data lands, map fails.
+  EXPECT_FALSE(vld.Write(0, Pattern(kBlockBytes, 2)).ok());
+  disk.SetWriteFault(std::nullopt);
+  EXPECT_EQ(vld.space().free_blocks(), free_before);
+  ExpectMapInvariants(vld);
+  std::vector<std::byte> out(kBlockBytes);
+  ASSERT_TRUE(vld.Read(0, out).ok());
+  EXPECT_EQ(out, Pattern(kBlockBytes, 1));
+  ASSERT_TRUE(vld.Write(0, Pattern(kBlockBytes, 3)).ok());
+  ASSERT_TRUE(vld.Read(0, out).ok());
+  EXPECT_EQ(out, Pattern(kBlockBytes, 3));
+  ExpectMapInvariants(vld);
+}
+
 // The queued twin: sixteen 1-block writes in one batch stage into the last 16 free blocks and
 // leave none for the packed map sector. The batch fails whole and ends every span it opened.
 TEST(VldFailedWriteTest, QueuedMapSectorOutOfSpaceLeavesTheBatchInvisible) {
@@ -718,24 +787,24 @@ TEST(VldFailedWriteTest, QueuedMapSectorOutOfSpaceLeavesTheBatchInvisible) {
   ExpectMapInvariants(vld);
 }
 
-// A Trim whose map sectors would not all find a free block fails before the map moves. Writing
-// each of the 12-cylinder disk's 2,010 logical blocks once leaves 16 blocks free, and trimming
-// them all rewrites 20 pieces: the unpacked transaction used to unmap every block, append 16
-// of its 20 sectors and fail, leaving no free block and a map that no longer matched the disk.
+// A Trim whose map sectors would not all find a free block fails before the map moves, so the
+// map still matches the disk and no block is lost. With two slack blocks, writing each of the
+// 12-cylinder disk's 2,024 logical blocks once leaves 2 blocks free, and trimming them all
+// rewrites 20 pieces: 3 blocks of packed map sectors.
 TEST(VldFailedWriteTest, TrimWithoutRoomForItsMapSectorsLeavesTheMapAlone) {
   common::Clock clock;
   simdisk::SimDisk disk(simdisk::Truncated(simdisk::Hp97560(), 12), &clock);
-  const VldConfig config{.compactor_enabled = false};
+  const VldConfig config{.compactor_enabled = false, .slack_blocks = 2};
   Vld vld(&disk, config);
   ASSERT_TRUE(vld.Format().ok());
-  ASSERT_EQ(vld.logical_blocks(), 2010u);
+  ASSERT_EQ(vld.logical_blocks(), 2024u);
   ASSERT_EQ(vld.vlog().config().pieces, 20u);
   for (uint32_t b = 0; b < vld.logical_blocks(); ++b) {
     ASSERT_TRUE(vld.Write(b * 8, Pattern(kBlockBytes, b)).ok()) << "block " << b;
   }
-  ASSERT_EQ(vld.space().free_blocks(), 16u);
-  EXPECT_EQ(vld.Trim(0, uint64_t{2010} * 8).code(), common::StatusCode::kOutOfSpace);
-  EXPECT_EQ(vld.space().free_blocks(), 16u);
+  ASSERT_EQ(vld.space().free_blocks(), 2u);
+  EXPECT_EQ(vld.Trim(0, uint64_t{2024} * 8).code(), common::StatusCode::kOutOfSpace);
+  EXPECT_EQ(vld.space().free_blocks(), 2u);
   EXPECT_EQ(vld.stats().trims, 0u);
   ExpectMapInvariants(vld);
   std::vector<std::byte> out(kBlockBytes);
