@@ -153,6 +153,12 @@ class VirtualLog {
   // state.
   bool HasRoomFor(size_t updates) const;
 
+  // The foreground valve: checkpoints when more than `pinned_limit` sectors are pinned, and
+  // does nothing otherwise. Commit runs it first; a caller that changes the map its entries
+  // provider reads before committing runs it before that change, so the checkpoint never
+  // records translations whose commit may still fail.
+  common::Status MaybeAutoCheckpoint();
+
   // Writes the whole map contiguously to the checkpoint region, frees all log blocks (live and
   // pinned), and resets the chain. `entries_of_piece(k)` must return the current entries of
   // piece k.
@@ -267,7 +273,6 @@ class VirtualLog {
   bool AutoCheckpointDue() const {
     return pinned_.size() > config_.pinned_limit && entries_provider_ != nullptr;
   }
-  common::Status MaybeAutoCheckpoint();
   common::Status WritePark(bool clear);
   common::StatusOr<RecoveryResult> RecoverFromTail(DiskPtr tail, uint64_t checkpoint_seq);
   common::StatusOr<RecoveryResult> RecoverByScan();

@@ -274,6 +274,12 @@ common::Status Vld::CommitStaged(const std::vector<StagedWrite>& staged) {
     Unstage(staged);
     return common::OutOfSpace("VLD full: no free block for the map sectors");
   }
+  // The valve checkpoints the map as it stands, so it runs before the staged translations
+  // enter map_: a checkpoint of them would outlive a commit that then fails.
+  if (const common::Status st = vlog_.MaybeAutoCheckpoint(); !st.ok()) {
+    Unstage(staged);
+    return st;
+  }
   // Apply the map changes in memory first so PieceEntries sees the new translations, then
   // persist every affected piece in one commit.
   for (const StagedWrite& s : staged) {

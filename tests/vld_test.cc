@@ -754,6 +754,42 @@ TEST(VldFailedWriteTest, FailedMapWriteLeavesTheWriteInvisible) {
   ExpectMapInvariants(vld);
 }
 
+// The same failure with the pinned-sector valve due: the valve's checkpoint lands, then the map
+// write fails. The checkpoint must hold the map from before the write, or recovery from it
+// makes the failed write visible after a Park.
+TEST(VldFailedWriteTest, FailedCommitAfterValveCheckpointStaysInvisible) {
+  common::Clock clock;
+  simdisk::SimDisk disk(simdisk::Truncated(simdisk::Hp97560(), 100), &clock);
+  const VldConfig config{.compactor_enabled = false};
+  Vld vld(&disk, config);
+  ASSERT_TRUE(vld.Format().ok());
+  ASSERT_TRUE(vld.Write(0, Pattern(kBlockBytes, 1)).ok());
+  common::Rng rng(3);
+  const uint32_t pinned_limit = vld.vlog().config().pinned_limit;
+  for (int i = 0; i < 100000 && vld.vlog().PinnedCount() <= pinned_limit; ++i) {
+    const uint32_t b = 1 + static_cast<uint32_t>(rng.Below(vld.logical_blocks() - 1));
+    ASSERT_TRUE(vld.Write(static_cast<simdisk::Lba>(b) * 8, Pattern(kBlockBytes, b)).ok());
+  }
+  ASSERT_GT(vld.vlog().PinnedCount(), pinned_limit);
+  const uint64_t checkpoints = vld.vlog().stats().checkpoints;
+  // The data block, the checkpoint body and the checkpoint header land; the map write fails.
+  disk.SetWriteFault(simdisk::SimDisk::WriteFault{.after_writes = 3});
+  EXPECT_FALSE(vld.Write(0, Pattern(kBlockBytes, 2)).ok());
+  disk.SetWriteFault(std::nullopt);
+  ASSERT_EQ(vld.vlog().stats().checkpoints, checkpoints + 1);
+  ExpectMapInvariants(vld);
+  std::vector<std::byte> out(kBlockBytes);
+  ASSERT_TRUE(vld.Read(0, out).ok());
+  EXPECT_EQ(out, Pattern(kBlockBytes, 1));
+  ASSERT_TRUE(vld.Park().ok());
+  common::Clock fork_clock;
+  simdisk::SimDisk fork = disk.Fork(&fork_clock);
+  Vld recovered(&fork, config);
+  ASSERT_TRUE(recovered.Recover().ok());
+  ASSERT_TRUE(recovered.Read(0, out).ok());
+  EXPECT_EQ(out, Pattern(kBlockBytes, 1));
+}
+
 // The queued twin: sixteen 1-block writes in one batch stage into the last 16 free blocks and
 // leave none for the packed map sector. The batch fails whole and ends every span it opened.
 TEST(VldFailedWriteTest, QueuedMapSectorOutOfSpaceLeavesTheBatchInvisible) {
