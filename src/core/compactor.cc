@@ -31,16 +31,27 @@ bool Compactor::Compactable(uint64_t track) const {
 
 std::optional<uint64_t> Compactor::PickVictim() {
   const FreeSpaceMap& space = allocator_->space();
-  std::vector<uint64_t> candidates;
+  // Greedy: a track with the fewest live blocks empties for the fewest relocations. Ties are
+  // broken at random (DESIGN.md "As built" has what a lowest-track tie-break cost).
+  std::vector<uint64_t> fewest;
+  uint32_t fewest_live = 0;
   for (uint64_t t = 0; t < space.total_tracks(); ++t) {
-    if (Compactable(t)) {
-      candidates.push_back(t);
+    if (!Compactable(t)) {
+      continue;
+    }
+    const uint32_t live = space.LiveInTrack(t);
+    if (fewest.empty() || live < fewest_live) {
+      fewest.clear();
+      fewest_live = live;
+    }
+    if (live == fewest_live) {
+      fewest.push_back(t);
     }
   }
-  if (candidates.empty()) {
+  if (fewest.empty()) {
     return std::nullopt;
   }
-  return candidates[rng_.Below(candidates.size())];
+  return fewest[rng_.Below(fewest.size())];
 }
 
 bool Compactor::CompactTrack(uint64_t track, common::Time deadline, bool preemptible,
@@ -134,7 +145,8 @@ uint32_t Compactor::Run(common::Time deadline, bool preemptible, uint32_t target
     resume_track_.reset();
     obs::TraceRecorder* tracer = disk_->tracer();
     if (tracer != nullptr) {
-      tracer->Annotate(obs::EventType::kCompactStart, obs::Layer::kVld, victim);
+      tracer->Annotate(obs::EventType::kCompactStart, obs::Layer::kVld, victim,
+                       allocator_->space().LiveInTrack(victim));
     }
     bool interrupted = false;
     const bool compacted = CompactTrack(victim, deadline, preemptible, &interrupted);

@@ -67,8 +67,9 @@ enum class EventType : uint8_t {
   kMapAppend,     // One map write joined the virtual log (a=map sectors in it; b=lba).
   kGroupCommit,   // A packed group commit covering a whole queue (a=requests, b=staged blocks).
   kCheckpoint,    // A full-map checkpoint (a=sequence number).
-  kCompactStart,  // Idle-time compaction began (a=victim track).
-  kCompactEnd,    // Idle-time compaction finished (a=victim track, b=emptied).
+  kCompactStart,  // Compaction of a victim track began or resumed (a=victim track, b=its live
+                  // blocks then, i.e. the block moves the victim still costs).
+  kCompactEnd,    // Compaction of a victim track stopped (a=victim track, b=emptied).
   kNvmStage,      // A small sync write was absorbed by the NVM stage (a=lba, b=sectors).
   kNvmInvalidate,  // Staged sectors superseded by a direct write/trim (a=lba, b=sectors).
   kNvmDestageStart,  // A background destage batch began (a=log records pending).

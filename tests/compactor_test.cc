@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/core/vld.h"
+#include "src/obs/trace.h"
 #include "src/simdisk/disk_params.h"
 #include "src/simdisk/sim_disk.h"
 
@@ -92,6 +95,59 @@ TEST_F(CompactorTest, ZeroBudgetDoesNothing) {
   const uint64_t runs = vld_->compactor().stats().idle_runs;
   vld_->RunIdle(0);
   EXPECT_EQ(vld_->compactor().stats().idle_runs, runs);
+}
+
+// Each victim is a compactable track with the fewest live blocks. Random trims leave tracks
+// with different live counts; an idle run with a 1 ns budget starts exactly one victim (and
+// finishes it), so the counts taken just before the run are the ones the pick saw.
+TEST_F(CompactorTest, VictimHasTheFewestLiveBlocks) {
+  const uint32_t blocks = static_cast<uint32_t>(vld_->logical_blocks() * 0.9);
+  for (uint32_t b = 0; b < blocks; ++b) {
+    ASSERT_TRUE(vld_->Write(static_cast<simdisk::Lba>(b) * 8, Pattern(4096, b)).ok());
+  }
+  common::Rng rng(11);
+  for (uint32_t b = 0; b < blocks; ++b) {
+    if (rng.Below(2) == 0) {
+      ASSERT_TRUE(vld_->Trim(static_cast<simdisk::Lba>(b) * 8, 8).ok());
+    }
+  }
+  const FreeSpaceMap& space = vld_->space();
+  for (int pick = 0; pick < 20; ++pick) {
+    if (vld_->vlog().IdleCheckpointDue()) {
+      ASSERT_TRUE(vld_->Checkpoint().ok());  // So RunIdle goes straight to the pick.
+    }
+    std::vector<uint32_t> live(space.total_tracks());
+    std::vector<bool> excluded(space.total_tracks());
+    uint32_t fewest = UINT32_MAX;
+    uint32_t distinct_counts = 0;
+    std::vector<bool> seen(space.blocks_per_track() + 1);
+    for (uint64_t t = 0; t < space.total_tracks(); ++t) {
+      live[t] = space.LiveInTrack(t);
+      excluded[t] = space.TrackHasSystem(t) || vld_->vlog().PinnedInTrack(t) != 0;
+      if (live[t] != 0 && !excluded[t]) {
+        fewest = std::min(fewest, live[t]);
+        distinct_counts += seen[live[t]] ? 0 : 1;
+        seen[live[t]] = true;
+      }
+    }
+    ASSERT_NE(fewest, UINT32_MAX) << "pick " << pick;
+    ASSERT_GT(distinct_counts, 1u) << "pick " << pick;
+    obs::TraceRecorder tracer(&clock_);
+    disk_->set_tracer(&tracer);
+    vld_->RunIdle(1);
+    disk_->set_tracer(nullptr);
+    std::vector<obs::TraceEvent> starts;
+    for (const obs::TraceEvent& e : tracer.Events()) {
+      if (e.type == obs::EventType::kCompactStart) {
+        starts.push_back(e);
+      }
+    }
+    ASSERT_EQ(starts.size(), 1u) << "pick " << pick;
+    const uint64_t victim = starts[0].a;
+    EXPECT_FALSE(excluded[victim]) << "pick " << pick << ": track " << victim;
+    EXPECT_EQ(live[victim], fewest) << "pick " << pick << ": track " << victim;
+    EXPECT_EQ(starts[0].b, live[victim]) << "pick " << pick;
+  }
 }
 
 TEST_F(CompactorTest, IdleTimeOnCleanDiskIsHarmless) {
