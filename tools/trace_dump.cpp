@@ -3,7 +3,10 @@
 //
 //   trace_dump                 span table: one line per request with its time breakdown
 //   trace_dump --span=N        event-by-event tree for span N (its full journey down the stack)
-//   trace_dump --events        the chronological event log (all spans interleaved)
+//   trace_dump --events        the chronological event log (all spans interleaved); with
+//                              --timeline, printed after the timeline, so --governor
+//                              --timeline --events lists each compaction victim and its live
+//                              blocks (compact_start a=track b=live)
 //   trace_dump --json          the raw vlog-trace/1 JSON (byte-identical across runs)
 //   trace_dump --timeline      windowed metrics over the run: per-window table plus one ASCII
 //                              sparkline per series (counters, gauges, per-window p99); with
@@ -482,10 +485,12 @@ int main(int argc, char** argv) {
     timeline->Finish(device_now());
     if (show_json) {
       std::printf("%s\n", timeline->Json().c_str());
-    } else {
-      PrintTimeline(*timeline);
+      return 0;
     }
-    return 0;
+    PrintTimeline(*timeline);
+    if (!show_events) {
+      return 0;
+    }
   }
 
   // The members whose recorders the chosen output mode renders (--disk narrows to one).
