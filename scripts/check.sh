@@ -33,6 +33,14 @@ if [ -x build/bench/bench_queue_depth ]; then
   ./build/bench/bench_queue_depth --smoke --json=BENCH_queue_depth.json
 fi
 
+# The same gates at the full horizon: the long-haul leg drives 1,000,000 diurnal arrivals through
+# the governed compactor instead of smoke's 1,400 (about 20-30 s). Its own JSON name keeps the
+# smoke artifacts above.
+if [ -x build/bench/bench_queue_depth ]; then
+  echo "=== bench full: queue_depth ==="
+  ./build/bench/bench_queue_depth --json=BENCH_queue_depth_full.json
+fi
+
 # NVM staging smoke: the three-way sync-write comparison (eager-only vs NVM-over-naive vs
 # NVM-over-eager) whose gates require the staged sync p99 far below the unstaged eager p99,
 # every small write absorbed by the stage, no overflow drains under the duty cycle, and the
