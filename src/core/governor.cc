@@ -54,10 +54,15 @@ common::Duration CompactionGovernor::Grant(common::Duration idle_hint) {
   ++stats_.decisions;
   ConsumeWindows();
   const common::Time now = vld_->disk().clock()->Now();
+  // The shortest grant that lets the compactor start a block move: one mean move, or 1 ns
+  // before any move has been measured (a fresh compactor starts a move on any budget).
+  const common::Duration move = std::max<common::Duration>(vld_->compactor().MoveCost(), 1);
   if (clock_seen_) {
+    // Credit may always build up to one move, so a cap shorter than a move cannot shut the
+    // credit path off.
     const double accrued = static_cast<double>(now - last_now_) * duty_;
-    credit_ = std::min<common::Duration>(credit_ + static_cast<common::Duration>(accrued),
-                                         config_.max_burst);
+    credit_ = std::min(credit_ + static_cast<common::Duration>(accrued),
+                       std::max(config_.max_burst, move));
   }
   clock_seen_ = true;
   last_now_ = now;
@@ -72,15 +77,16 @@ common::Duration CompactionGovernor::Grant(common::Duration idle_hint) {
     grant = idle_hint;
     ++stats_.idle_grants;
   } else if (pressure) {
-    // Starvation imminent: grant at least a minimum burst even mid-violation — a bounded
-    // latency breach beats the allocator running out of fill tracks.
-    grant = std::max(credit_, config_.min_burst);
+    // Starvation imminent: grant at least one move even mid-violation — a bounded latency
+    // breach beats the allocator running out of fill tracks.
+    grant = std::max(credit_, move);
     credit_ = 0;
     ++stats_.pressure_overrides;
   } else if (last_window_violating_) {
     return 0;  // Back off: let the foreground drain until a clean window arrives.
-  } else if (credit_ < config_.min_burst) {
-    return 0;  // Not enough duty accrued for a useful burst yet.
+  } else if (credit_ < move) {
+    ++stats_.deferred;
+    return 0;  // A burst this short would start no move; keep accruing.
   } else {
     grant = credit_;
     credit_ = 0;
@@ -108,10 +114,14 @@ void CompactionGovernor::RegisterTimelineProbes(obs::Timeline& timeline,
   timeline.AddCounter(prefix + "gov.pressure_overrides",
                       [this] { return stats_.pressure_overrides; });
   timeline.AddCounter(prefix + "gov.granted_ns", [this] { return stats_.granted_ns; });
+  timeline.AddCounter(prefix + "gov.deferred", [this] { return stats_.deferred; });
   timeline.AddGauge(prefix + "gov.duty_ppm",
                     [this] { return static_cast<uint64_t>(duty_ * 1e6); });
   timeline.AddGauge(prefix + "gov.credit_ns",
                     [this] { return static_cast<uint64_t>(credit_); });
+  timeline.AddGauge(prefix + "gov.move_cost_ns", [this] {
+    return static_cast<uint64_t>(vld_->compactor().MoveCost());
+  });
 }
 
 }  // namespace vlog::core

@@ -15,13 +15,17 @@
 //   actuation between foreground batches the driver asks for a grant; elapsed simulated time
 //             accrues credit at the current duty (capped at `max_burst`, so bursts stay
 //             short enough to preempt), and a grant spends the credit via
-//             Vld::RunGovernedBurst — a preemptible, mid-track-resumable compactor run.
+//             Vld::RunGovernedBurst — a preemptible, mid-track-resumable compactor run that
+//             starts a block move only when one Compactor::MoveCost() still fits before its
+//             deadline. A credit grant therefore waits until the credit covers one move (the
+//             wait is counted as `deferred`), and the cap never falls below one move.
 //   troughs   when the driver knows the device is idle until the next arrival (an open-loop
 //             arrival gap), the whole gap is granted free of charge — idle time is exactly
 //             when the paper's compactor runs, so troughs are where the governor ramps
 //             hardest.
-//   pressure  below `low_water_tracks` empty tracks the governor grants even during a
-//             violating window: a bounded latency breach beats allocator starvation.
+//   pressure  below `low_water_tracks` empty tracks the governor grants at least one move
+//             even during a violating window: a bounded latency breach beats allocator
+//             starvation.
 #ifndef SRC_CORE_GOVERNOR_H_
 #define SRC_CORE_GOVERNOR_H_
 
@@ -48,8 +52,8 @@ struct GovernorConfig {
   double max_duty = 0.50;
   double ramp = 0.04;     // Additive duty increase per clean window.
   double backoff = 0.5;   // Multiplicative duty decrease per violating window.
-  common::Duration max_burst = common::Milliseconds(25);  // Credit cap == burst length cap.
-  common::Duration min_burst = common::Milliseconds(1);   // Grants below this wait for credit.
+  // Credit cap == burst length cap, raised to one compactor move when a move costs more.
+  common::Duration max_burst = common::Milliseconds(25);
 };
 
 struct GovernorStats {
@@ -60,6 +64,7 @@ struct GovernorStats {
   uint64_t ramps = 0;               // Clean windows consumed (duty raised).
   uint64_t pressure_overrides = 0;  // Grants forced by the low-water pressure floor.
   uint64_t granted_ns = 0;          // Total budget granted.
+  uint64_t deferred = 0;            // Credit grants withheld: credit below one move.
 };
 
 class CompactionGovernor {
@@ -84,9 +89,10 @@ class CompactionGovernor {
 
   // Registers the governor's decision series under `prefix`: counters gov.decisions,
   // gov.bursts, gov.idle_grants, gov.backoffs, gov.ramps, gov.pressure_overrides,
-  // gov.granted_ns and gauges gov.duty_ppm, gov.credit_ns. Pure reads; the governor must
-  // outlive the timeline's last Poll. Registering on the same timeline the governor watches
-  // is fine (sampling reads no histogram).
+  // gov.granted_ns, gov.deferred and gauges gov.duty_ppm, gov.credit_ns, gov.move_cost_ns
+  // (Compactor::MoveCost). Pure reads; the governor must outlive the timeline's last Poll.
+  // Registering on the same timeline the governor watches is fine (sampling reads no
+  // histogram).
   void RegisterTimelineProbes(obs::Timeline& timeline, const std::string& prefix) const;
 
  private:

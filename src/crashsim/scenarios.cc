@@ -112,8 +112,9 @@ common::Status CompactionUnderLoadWorkload(ShadowVld& dev) {
   // Trims punch holes so the governor has real compaction debt from the first grant.
   RETURN_IF_ERROR(dev.Trim(0, static_cast<uint64_t>(used / 3) * kBlockSectors));
   core::GovernorConfig config;
+  // Below one block move on this disk (13-16 ms), so the governor raises the cap to one move
+  // and each credit-shaped grant is exactly one move long.
   config.max_burst = common::Milliseconds(8);
-  config.min_burst = common::Microseconds(500);
   // The truncated disk's trimmed region leaves the default empty-track target satisfied, which
   // would idle the governor; aim far above it so every round's grant path stays live and the
   // sweep actually covers bursts.
@@ -150,16 +151,19 @@ common::Status CompactionUnderLoadWorkload(ShadowVld& dev) {
     }
   }
   // Self-check the coverage claims: the sweep is only exercising the governed path if bursts
-  // were actually granted and at least one stopped mid-track.
-  if (governor.stats().granted_ns <= 0) {
-    return common::InvalidArgument("scenario granted no governed bursts");
+  // of both shapes were actually granted and at least one stopped mid-track.
+  const core::GovernorStats& gs = governor.stats();
+  if (gs.idle_grants == 0 || gs.bursts == gs.idle_grants + gs.pressure_overrides) {
+    return common::InvalidArgument(
+        "scenario did not grant both burst shapes: bursts=" + std::to_string(gs.bursts) +
+        " idle_grants=" + std::to_string(gs.idle_grants) +
+        " pressure_overrides=" + std::to_string(gs.pressure_overrides));
   }
   if (dev.vld().compactor().stats().bursts_preempted == 0) {
     const auto& cs = dev.vld().compactor().stats();
     return common::InvalidArgument(
-        "scenario never preempted a burst mid-track: bursts=" +
-        std::to_string(governor.stats().bursts) +
-        " granted_ns=" + std::to_string(governor.stats().granted_ns) +
+        "scenario never preempted a burst mid-track: bursts=" + std::to_string(gs.bursts) +
+        " granted_ns=" + std::to_string(gs.granted_ns) +
         " tracks_compacted=" + std::to_string(cs.tracks_compacted) +
         " moved=" + std::to_string(cs.data_blocks_moved));
   }

@@ -232,8 +232,50 @@ TEST_F(GovernorTest, PressureFloorOverridesBackoff) {
   timeline.Poll(rig_.clock.Now());
   const common::Duration grant = governor.Grant(0);
   EXPECT_GT(grant, 0);
-  EXPECT_GE(grant, config.min_burst);
+  EXPECT_GE(grant, rig_.vld->compactor().MoveCost());
   EXPECT_EQ(governor.stats().pressure_overrides, 1u);
+}
+
+// A credit grant waits until the credit covers one compactor move (a shorter burst would start
+// none), and counts each decision it withholds for that reason.
+TEST_F(GovernorTest, CreditBelowOneMoveWithholdsTheGrant) {
+  CreateDebt();
+  rig_.vld->RunGovernedBurst(common::Milliseconds(5));  // Measures a mean move cost.
+  const common::Duration move = rig_.vld->compactor().MoveCost();
+  ASSERT_GT(move, 0);
+  ASSERT_LT(rig_.vld->space().EmptyTrackCount(), 4u);  // Still debt, so grants are about credit.
+  GovernorConfig config;
+  config.initial_duty = 0.10;
+  config.low_water_tracks = 0;  // Exercise the credit path, not the pressure floor.
+  CompactionGovernor governor(rig_.vld.get(), nullptr, config);
+  ASSERT_EQ(governor.Grant(0), 0);  // First decision only seeds the clock baseline.
+  const uint64_t deferred = governor.stats().deferred;
+  // Half a move of credit at duty 0.10.
+  rig_.clock.Advance(move * 5);
+  EXPECT_EQ(governor.Grant(0), 0);
+  EXPECT_EQ(governor.stats().deferred, deferred + 1);
+  EXPECT_EQ(governor.stats().bursts, 0u);
+  // Another 0.6 of a move: the credit covers one move now and is granted whole.
+  rig_.clock.Advance(move * 6);
+  EXPECT_GE(governor.Grant(0), move);
+  EXPECT_EQ(governor.stats().deferred, deferred + 1);
+  EXPECT_EQ(governor.stats().bursts, 1u);
+}
+
+// A burst cap shorter than one move would leave every credit grant too short to start a move;
+// the credit may build up to one move instead.
+TEST_F(GovernorTest, CapShorterThanOneMoveStillGrantsOneMove) {
+  CreateDebt();
+  rig_.vld->RunGovernedBurst(common::Milliseconds(5));
+  const common::Duration move = rig_.vld->compactor().MoveCost();
+  ASSERT_GT(move, 0);
+  GovernorConfig config;
+  config.max_burst = move / 4;
+  config.low_water_tracks = 0;
+  CompactionGovernor governor(rig_.vld.get(), nullptr, config);
+  ASSERT_EQ(governor.Grant(0), 0);
+  rig_.clock.Advance(common::Seconds(10));
+  EXPECT_EQ(governor.Grant(0), move);
 }
 
 TEST(GovernedOpenLoopTest, GovernorHoldsFreeTracksWhereUngovernedDeclines) {

@@ -412,7 +412,6 @@ int main(int argc, char** argv) {
     // holds for the whole short workload and every round's grant paths stay live.
     gcfg.target_empty_tracks =
         static_cast<uint32_t>(stacks[0]->vld->space().EmptyTrackCount()) + 8;
-    gcfg.min_burst = common::Microseconds(500);
     governor = std::make_unique<core::CompactionGovernor>(stacks[0]->vld.get(),
                                                           timeline.get(), gcfg);
     governor->RegisterTimelineProbes(*timeline, "");
