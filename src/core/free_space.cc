@@ -1,6 +1,5 @@
 #include "src/core/free_space.h"
 
-#include <bit>
 #include <cassert>
 
 namespace vlog::core {
@@ -87,14 +86,19 @@ void FreeSpaceMap::IndexPartial(uint64_t track, bool add) {
   }
 }
 
-std::optional<uint64_t> FreeSpaceMap::FullestPartialTrack(std::optional<uint64_t> excluded) {
-  if (partial_bits_.empty()) {
-    partial_bits_.assign(blocks_per_track_ * track_words_, 0);
-    partial_in_bucket_.assign(blocks_per_track_, 0);
-    for (uint64_t t = 0; t < track_live_.size(); ++t) {
-      IndexPartial(t, /*add=*/true);
-    }
+void FreeSpaceMap::BuildPartialIndex() {
+  if (!partial_bits_.empty()) {
+    return;
   }
+  partial_bits_.assign(blocks_per_track_ * track_words_, 0);
+  partial_in_bucket_.assign(blocks_per_track_, 0);
+  for (uint64_t t = 0; t < track_live_.size(); ++t) {
+    IndexPartial(t, /*add=*/true);
+  }
+}
+
+std::optional<uint64_t> FreeSpaceMap::FullestPartialTrack(std::optional<uint64_t> excluded) {
+  BuildPartialIndex();
   // A partly filled track has at most blocks_per_track_ - 1 live blocks.
   for (uint32_t live = blocks_per_track_ - 1; live > 0; --live) {
     if (partial_in_bucket_[live] == 0) {

@@ -4,11 +4,13 @@
 // file system block size per Appendix A.1). This map tracks per-block state plus per-track
 // free/live counts so the eager allocator and the compactor can reason at track granularity.
 // It also indexes the partly filled tracks (some live and some free blocks) by live count, so
-// the compactor's hole-plug target is found without scanning every track. The index is built
-// on the first hole-plug pick, so a map that is never compacted never pays for it.
+// the compactor's hole-plug target and its victims are found without scanning every track.
+// The index is built on the first such pick, so a map that is never compacted never pays for
+// it.
 #ifndef SRC_CORE_FREE_SPACE_H_
 #define SRC_CORE_FREE_SPACE_H_
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -70,6 +72,22 @@ class FreeSpaceMap {
   // The first call builds the partial-track index; Mark*/Free keep it up to date after that.
   std::optional<uint64_t> FullestPartialTrack(std::optional<uint64_t> excluded);
 
+  // Calls `visit(track)` for every partly filled track holding exactly `live` live blocks, in
+  // track order: the compactor's victim candidates. Reads the same index, built on first use.
+  template <typename Visit>
+  void ForEachPartialTrack(uint32_t live, Visit visit) {
+    BuildPartialIndex();
+    if (live == 0 || live >= blocks_per_track_ || partial_in_bucket_[live] == 0) {
+      return;
+    }
+    const uint64_t* bucket = partial_bits_.data() + live * track_words_;
+    for (size_t w = 0; w < track_words_; ++w) {
+      for (uint64_t word = bucket[w]; word != 0; word &= word - 1) {
+        visit(w * 64 + static_cast<uint64_t>(std::countr_zero(word)));
+      }
+    }
+  }
+
   // Fraction of allocatable (non-system) blocks that are live.
   double Utilization() const;
 
@@ -81,9 +99,11 @@ class FreeSpaceMap {
 
  private:
   uint64_t CylinderOfTrack(uint64_t track) const { return track / tracks_per_cylinder_; }
+  // Builds the partial-track index from the current counts unless it exists already.
+  void BuildPartialIndex();
   // Adds `track` to (or removes it from) the bucket of its live count when it is partly
   // filled. Mark*/Free remove a track before they change its counts and add it back after.
-  // A no-op until FullestPartialTrack has built the index.
+  // A no-op until the index is built.
   void IndexPartial(uint64_t track, bool add);
 
   uint32_t block_sectors_;
@@ -98,7 +118,7 @@ class FreeSpaceMap {
   // Partly filled tracks bucketed by live count: bit t of bucket `live` (words
   // [live * track_words_, (live + 1) * track_words_)) is set iff track t has `live` live blocks
   // and at least one free block. partial_in_bucket_[live] counts the bucket's tracks. Both are
-  // empty until the first FullestPartialTrack call.
+  // empty until BuildPartialIndex runs.
   size_t track_words_ = 0;
   std::vector<uint64_t> partial_bits_;
   std::vector<uint64_t> partial_in_bucket_;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/core/free_space.h"
@@ -171,6 +172,41 @@ TEST(FreeSpace, FullestPartialTrackMatchesLinearScan) {
           << "seed " << seed << " bias " << live_bias;
       ASSERT_EQ(late.FullestPartialTrack(late_pick), ScanFullestPartial(late, late_pick))
           << "seed " << seed << " bias " << live_bias;
+    }
+  }
+}
+
+TEST(FreeSpace, PartialTracksByLiveCountMatchLinearScan) {
+  // 150 tracks of 9 blocks, as above: each bucket spans three bitmap words.
+  const simdisk::DiskGeometry geom{.cylinders = 50, .tracks_per_cylinder = 3,
+                                   .sectors_per_track = 72, .sector_bytes = 512};
+  FreeSpaceMap space(geom, 8);
+  for (uint32_t b = 0; b < 13; ++b) {
+    space.MarkSystem(b);  // A system region that fills track 0 and part of track 1.
+  }
+  common::Rng rng(7);
+  for (const double live_bias : {0.8, 0.3, 0.6}) {
+    for (int op = 0; op < 2000; ++op) {
+      const uint32_t block = static_cast<uint32_t>(rng.Below(space.total_blocks()));
+      if (space.state(block) == BlockState::kFree && rng.Chance(live_bias)) {
+        space.MarkLive(block);
+      } else if (space.state(block) == BlockState::kLive && !rng.Chance(live_bias)) {
+        space.Free(block);
+      }
+      if (op % 50 != 0) {
+        continue;
+      }
+      for (uint32_t live = 0; live <= space.blocks_per_track(); ++live) {
+        std::vector<uint64_t> scanned;
+        for (uint64_t t = 0; t < space.total_tracks(); ++t) {
+          if (live != 0 && space.LiveInTrack(t) == live && space.FreeInTrack(t) != 0) {
+            scanned.push_back(t);
+          }
+        }
+        std::vector<uint64_t> indexed;
+        space.ForEachPartialTrack(live, [&](uint64_t t) { indexed.push_back(t); });
+        ASSERT_EQ(indexed, scanned) << "bias " << live_bias << " op " << op << " live " << live;
+      }
     }
   }
 }
