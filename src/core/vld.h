@@ -185,12 +185,13 @@ class Vld : public simdisk::BlockDevice, public CompactionBackend {
   // VirtualLog::IdleCheckpointDue holds.
   void RunIdle(common::Duration budget);
 
-  // Governed compaction burst: like RunIdle, but preemptible — the compactor may stop
-  // mid-track at the deadline and resume in a later burst. With a budget generous enough that
-  // no track is truncated (and the default target), the call sequence (and therefore media
-  // and clock) is identical to RunIdle. `target_empty_tracks` overrides the compactor's
-  // reserve target for this burst (0 keeps it): the governor chases a deeper reserve under
-  // continuous load than the idle compactor needs.
+  // Governed compaction burst: like RunIdle, but preemptible — the compactor starts a block
+  // move only while one mean move still fits before the deadline, so it may stop mid-track
+  // and resume in a later burst. With a budget generous enough that no track is truncated
+  // (and the default target), the call sequence (and therefore media and clock) is identical
+  // to RunIdle. `target_empty_tracks` overrides the compactor's reserve target for this burst
+  // (0 keeps it): the governor chases a deeper reserve under continuous load than the idle
+  // compactor needs.
   void RunGovernedBurst(common::Duration budget, uint32_t target_empty_tracks = 0);
 
   // CompactionBackend:
