@@ -87,6 +87,10 @@ bool Compactor::CompactTrack(uint64_t track, common::Time last_start, bool* inte
         }
         ++stats_.map_sectors_rewritten;
       }
+    } else if (vlog_->HoldsLogSectors(block)) {
+      // Only pinned map sectors are left here, so the victim cannot empty.
+      ++stats_.pinned_block_stops;
+      ok = false;
     } else {
       ok = backend_->RelocateDataBlock(block).ok();
       if (ok) {

@@ -43,6 +43,9 @@ struct CompactorStats {
   uint64_t map_sectors_rewritten = 0;
   uint64_t bursts_preempted = 0;  // Bounded runs that stopped mid-track: no move fit.
   uint64_t tracks_resumed = 0;    // Victims continued from a previously preempted burst.
+  // Victims that ended at a block holding only pinned map sectors: a commit during the victim's
+  // own scan pinned them, and they stay put until a checkpoint releases them.
+  uint64_t pinned_block_stops = 0;
   common::Duration busy_time = 0;
   // Simulated time bounded runs ran past their deadline: a block move, once started, always
   // finishes, so a run that starts one late ends late.

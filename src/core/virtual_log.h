@@ -179,6 +179,9 @@ class VirtualLog {
   // All pieces whose live map sectors occupy `block` (several when a packed transaction shared
   // the block). Empty when the block holds no live map sector. Used by the compactor.
   std::vector<uint32_t> PiecesAtBlock(uint32_t block) const;
+  // Whether `block` holds any live or pinned map sector. With PiecesAtBlock empty, the block
+  // holds pinned sectors only, which no compaction can move until a checkpoint releases them.
+  bool HoldsLogSectors(uint32_t block) const { return block_sector_count_.contains(block); }
   // Blocks held only because an obsolete sector in them still covers live sectors (one entry
   // per pinned sector, so a block holding two appears twice).
   std::vector<uint32_t> PinnedBlocks() const;

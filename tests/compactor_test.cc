@@ -426,5 +426,35 @@ TEST_F(CompactorTest, ForegroundWritesBetweenBurstsInvalidateStaleResume) {
   }
 }
 
+// A commit made while a victim is scanned can pin one of the victim's own map sectors: the
+// sector it obsoletes still carries covers. A block left holding only pinned sectors cannot
+// move before a checkpoint, so the victim ends there. Random overwrites between short idle
+// runs (too short to checkpoint the pins away first) reach that case; every block must still
+// read back its last write.
+TEST_F(CompactorTest, VictimStopsAtABlockHoldingOnlyPinnedMapSectors) {
+  common::Rng rng(11);
+  const uint32_t blocks = static_cast<uint32_t>(vld_->logical_blocks() * 0.7);
+  std::vector<uint32_t> version(blocks, 0);
+  for (uint32_t b = 0; b < blocks; ++b) {
+    ASSERT_TRUE(vld_->Write(static_cast<simdisk::Lba>(b) * 8, Pattern(4096, b)).ok());
+  }
+  const CompactorStats& stats = vld_->compactor().stats();
+  for (int round = 0; round < 400 && stats.pinned_block_stops == 0; ++round) {
+    for (int i = 0; i < 16; ++i) {
+      const uint32_t b = static_cast<uint32_t>(rng.Below(blocks));
+      ++version[b];
+      ASSERT_TRUE(
+          vld_->Write(static_cast<simdisk::Lba>(b) * 8, Pattern(4096, b + 7 * version[b])).ok());
+    }
+    vld_->RunIdle(common::Milliseconds(30));
+  }
+  EXPECT_GT(stats.pinned_block_stops, 0u);
+  std::vector<std::byte> out(4096);
+  for (uint32_t b = 0; b < blocks; ++b) {
+    ASSERT_TRUE(vld_->Read(static_cast<simdisk::Lba>(b) * 8, out).ok());
+    EXPECT_EQ(out, Pattern(4096, b + 7 * version[b])) << "block " << b;
+  }
+}
+
 }  // namespace
 }  // namespace vlog::core
