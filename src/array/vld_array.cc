@@ -358,10 +358,17 @@ common::StatusOr<std::vector<VldArray::QueuedCompletion>> VldArray::FlushQueue()
       c.complete_time = std::max(c.complete_time, mc->complete_time);
       c.dispatch_time = j == 0 ? mc->dispatch_time : std::min(c.dispatch_time, mc->dispatch_time);
       member_hist_[r.member].Record(mc->complete_time - mc->submit_time);
-      if (!p.is_write) {
+      if (!mc->status.ok()) {
+        if (c.status.ok()) {
+          c.status = mc->status;
+        }
+      } else if (!p.is_write) {
         std::memcpy(c.data.data() + r.offset * SectorBytes(), mc->data.data(),
                     r.sectors * SectorBytes());
       }
+    }
+    if (!c.status.ok()) {
+      c.data.clear();
     }
     latency_hist_.Record(c.Latency());
     completions.push_back(std::move(c));

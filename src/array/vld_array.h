@@ -96,6 +96,8 @@ class VldArray : public simdisk::BlockDevice {
     // reached its media. Reads: when the last member run's data was assembled.
     common::Time complete_time = 0;
     common::Time dispatch_time = 0;  // When the first member run's controller work finished.
+    // A read whose member run failed carries the first such error (and no data).
+    common::Status status;
     std::vector<std::byte> data;     // Read payload (empty for writes).
     common::Duration Latency() const { return complete_time - submit_time; }
   };

@@ -623,7 +623,7 @@ common::StatusOr<RecoveryResult> VirtualLog::RecoverByScan() {
     // scan touches every sector on the disk, so the copies dominated sweep profiles).
     const auto track = disk_->InternalReadView(base, geom.sectors_per_track);
     if (track.empty()) {
-      return common::IoError("RecoverByScan: track read out of range");
+      return common::IoError("RecoverByScan: track read failed");
     }
     sectors_read += geom.sectors_per_track;
     for (uint32_t s = 0; s < geom.sectors_per_track; ++s) {

@@ -201,6 +201,7 @@ common::Status ShadowVld::QueuedMixedBatch(std::span<const core::Vld::AtomicWrit
       return common::Corruption("QueuedMixedBatch: no read completion for id " +
                                 std::to_string(r.id));
     }
+    RETURN_IF_ERROR(c->status);
     if (c->data.size() != expect.size() ||
         std::memcmp(c->data.data(), expect.data(), expect.size()) != 0) {
       return common::Corruption("QueuedMixedBatch: queued read of block " +

@@ -117,7 +117,8 @@ class NvmStage : public simdisk::BlockDevice {
   uint32_t SectorBytes() const override { return sector_bytes_; }
 
   // VLD extensions, forwarded after conflict resolution (staged overlaps are destaged +
-  // flushed + invalidated first). Fail when the backing device is not a Vld.
+  // flushed + invalidated first). Fail when the backing device is not a Vld. FlushQueue returns
+  // the Vld's completions unchanged, so a failed read's status reaches the caller.
   common::Status Trim(simdisk::Lba lba, uint64_t sectors);
   common::Status WriteAtomic(std::span<const Vld::AtomicWrite> writes);
   common::StatusOr<uint64_t> SubmitWrite(simdisk::Lba lba, std::span<const std::byte> in);

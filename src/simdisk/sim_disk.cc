@@ -19,6 +19,7 @@ SimDisk::SimDisk(DiskParams params, common::Clock* clock)
 SimDisk SimDisk::Fork(common::Clock* clock) const {
   SimDisk fork(params_, clock);
   fork.pages_ = pages_;
+  fork.latent_errors_ = latent_errors_;
   return fork;
 }
 
@@ -224,6 +225,9 @@ void SimDisk::Access(Lba lba, uint64_t sectors, bool is_write, bool host_command
 
 common::Status SimDisk::Read(Lba lba, std::span<std::byte> out) {
   RETURN_IF_ERROR(CheckRange(lba, out.size(), "Read"));
+  if (HitsLatentError(lba, out.size() / params_.geometry.sector_bytes)) {
+    return common::IoError("Read: latent sector error");
+  }
   Access(lba, out.size() / params_.geometry.sector_bytes, /*is_write=*/false,
          /*host_command=*/true);
   PeekMedia(lba, out);
@@ -299,6 +303,9 @@ common::Status SimDisk::WriteFua(Lba lba, std::span<const std::byte> in) {
 
 common::Status SimDisk::InternalRead(Lba lba, std::span<std::byte> out) {
   RETURN_IF_ERROR(CheckRange(lba, out.size(), "InternalRead"));
+  if (HitsLatentError(lba, out.size() / params_.geometry.sector_bytes)) {
+    return common::IoError("InternalRead: latent sector error");
+  }
   Access(lba, out.size() / params_.geometry.sector_bytes, /*is_write=*/false,
          /*host_command=*/false);
   PeekMedia(lba, out);
@@ -307,7 +314,8 @@ common::Status SimDisk::InternalRead(Lba lba, std::span<std::byte> out) {
 
 SimDisk::MediaView SimDisk::InternalReadView(Lba lba, uint64_t sectors) {
   const DiskGeometry& g = params_.geometry;
-  if (sectors == 0 || !InRange(lba, sectors) || g.TrackOf(lba) != g.TrackOf(lba + sectors - 1)) {
+  if (sectors == 0 || !InRange(lba, sectors) || g.TrackOf(lba) != g.TrackOf(lba + sectors - 1) ||
+      HitsLatentError(lba, sectors)) {
     return {};
   }
   Access(lba, sectors, /*is_write=*/false, /*host_command=*/false);

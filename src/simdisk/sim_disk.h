@@ -21,6 +21,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -45,9 +46,10 @@ class SimDisk : public BlockDevice {
 
   // A power-cycled disk over the same platters, timed by `clock`: exactly what
   // SimDisk(params(), clock) holding this disk's bytes would be — fresh arm, track buffer,
-  // write cache, stats, read-ahead policy, and no observers, tracer or armed fault. The pages
-  // are shared copy-on-write, so writes on either disk stay invisible to the other; the fork
-  // costs one reference per page and each later first write to a shared page one page copy.
+  // write cache, stats, read-ahead policy, and no observers, tracer or armed fault. Latent
+  // sector errors are damage to the platters, so they carry over. The pages are shared
+  // copy-on-write, so writes on either disk stay invisible to the other; the fork costs one
+  // reference per page and each later first write to a shared page one page copy.
   // A fork that is never accessed (only peeked, poked or forked) may take a null clock.
   SimDisk Fork(common::Clock* clock) const;
 
@@ -95,7 +97,7 @@ class SimDisk : public BlockDevice {
   // write-cache sectors live in the media too (the cache tracks only dirtiness). Used by
   // recovery's full-disk scan, where copying every track dominated the sweep profile. The
   // range must lie within one track (one mechanical access); returns an empty view on a range
-  // error, crossing a track boundary included.
+  // error, crossing a track boundary included, and on a latent sector error.
   MediaView InternalReadView(Lba lba, uint64_t sectors);
 
   // Charges one SCSI command's controller overhead. The VLD calls this once per *host* command
@@ -187,6 +189,12 @@ class SimDisk : public BlockDevice {
     write_fault_fired_ = false;
   }
 
+  // Marks `lba` as a latent sector error: damage on the platter, so the mark persists across
+  // writes and forks. Every read that touches a marked sector (Read, InternalRead,
+  // InternalReadView) fails with kIoError, or returns an empty view, and changes nothing else:
+  // no clock advance, no stats, no track buffer.
+  void MarkLatentSectorError(Lba lba) { latent_errors_.insert(lba); }
+
   // Zero-cost, like PokeMedia: persists what `fault` says survives of a write of `in` at `lba`
   // cut by a power failure (after_writes is ignored). The armed fault and the crash sweep's
   // torn and corrupt-tail points both materialize through this one function.
@@ -212,6 +220,14 @@ class SimDisk : public BlockDevice {
   uint64_t cache_dirty_sectors() const { return cache_.dirty_sectors(); }
 
  private:
+  // Whether any sector of [lba, lba + sectors) carries a latent sector error.
+  bool HitsLatentError(Lba lba, uint64_t sectors) const {
+    if (latent_errors_.empty()) {
+      return false;
+    }
+    const auto it = latent_errors_.lower_bound(lba);
+    return it != latent_errors_.end() && *it < lba + sectors;
+  }
   // Checks the armed write fault before a write touches media. Returns ok when the write should
   // proceed normally; otherwise applies whatever the fault mode persists and returns kIoError.
   common::Status ApplyWriteFault(Lba lba, std::span<const std::byte> in);
@@ -261,6 +277,7 @@ class SimDisk : public BlockDevice {
   uint64_t read_ahead_track_end_ = 0;  // Exclusive LBA bound of the read-ahead (track end).
   std::optional<WriteFault> write_fault_;
   bool write_fault_fired_ = false;
+  std::set<Lba> latent_errors_;  // See MarkLatentSectorError.
   WriteObserver write_observer_;
   FlushObserver flush_observer_;
   WriteCache cache_;

@@ -215,6 +215,35 @@ TEST(VldArrayTest, QueuedBatchCommitsOncePerMember) {
   }
 }
 
+// A read whose member run fails completes with that member's status and no data; the other
+// requests of the batch, on either member, complete as usual.
+TEST(VldArrayTest, QueuedReadCarriesAFailedMemberRunsStatus) {
+  auto stacks = MakeStacks(2, {.queue_depth = 16});
+  VldArray array(Members(stacks), {.mode = ArrayMode::kStriped, .stripe_blocks = 1});
+  ASSERT_TRUE(array.Format().ok());
+  const uint64_t chunk = array.chunk_sectors();
+  ASSERT_TRUE(array.Write(0, Pattern(4 * chunk * 512, 1)).ok());
+  // Array chunk 1 is member 1's chunk 0.
+  const core::Vld& member = *stacks[1]->vld;
+  stacks[1]->disk->MarkLatentSectorError(member.space().BlockToLba(member.logical_map()[0]));
+  ASSERT_TRUE(array.SubmitRead(0, 2 * chunk).ok());  // Both members: chunks 0 and 1.
+  ASSERT_TRUE(array.SubmitRead(2 * chunk, chunk).ok());
+  ASSERT_TRUE(array.SubmitWrite(3 * chunk, Pattern(chunk * 512, 2)).ok());
+  auto done = array.FlushQueue();
+  ASSERT_TRUE(done.ok()) << done.status().ToString();
+  ASSERT_EQ(done->size(), 3u);
+  EXPECT_EQ((*done)[0].status.code(), common::StatusCode::kIoError);
+  EXPECT_TRUE((*done)[0].data.empty());
+  EXPECT_TRUE((*done)[1].status.ok());
+  const auto all = Pattern(4 * chunk * 512, 1);
+  EXPECT_EQ((*done)[1].data, std::vector<std::byte>(all.begin() + 2 * chunk * 512,
+                                                    all.begin() + 3 * chunk * 512));
+  EXPECT_TRUE((*done)[2].status.ok());
+  std::vector<std::byte> out(chunk * 512);
+  ASSERT_TRUE(array.Read(3 * chunk, out).ok());
+  EXPECT_EQ(out, Pattern(chunk * 512, 2));
+}
+
 TEST(VldArrayTest, MirroredWritesReachEveryReplica) {
   auto stacks = MakeStacks(2);
   VldArray array(Members(stacks), {.mode = ArrayMode::kMirrored});

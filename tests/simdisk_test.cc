@@ -353,6 +353,36 @@ TEST_F(SimDiskTest, InternalReadViewAcrossTrackBoundaryIsARangeError) {
   EXPECT_TRUE(disk_.InternalReadView(n - 1, 2).empty());
 }
 
+// A latent sector error fails every read that touches the marked sector, host or internal,
+// with kIoError and changes nothing else: no clock, no stats, no media. Reads beside it and
+// writes over it work as before, and a fork reads the same damaged platter.
+TEST_F(SimDiskTest, LatentSectorErrorFailsOnlyTheReadsThatTouchIt) {
+  const auto data = Pattern(8 * 512, 4);
+  ASSERT_TRUE(disk_.Write(96, data).ok());
+  disk_.MarkLatentSectorError(100);
+  const common::Time now = clock_.Now();
+  const uint64_t reads = disk_.stats().read_requests;
+  std::vector<std::byte> out(8 * 512);
+  EXPECT_EQ(disk_.Read(96, out).code(), common::StatusCode::kIoError);
+  EXPECT_EQ(disk_.InternalRead(100, std::span(out).first(512)).code(),
+            common::StatusCode::kIoError);
+  EXPECT_TRUE(disk_.InternalReadView(98, 4).empty());
+  EXPECT_EQ(clock_.Now(), now);
+  EXPECT_EQ(disk_.stats().read_requests, reads);
+  std::vector<std::byte> media(8 * 512);
+  disk_.PeekMedia(96, media);
+  EXPECT_EQ(media, data);
+
+  ASSERT_TRUE(disk_.Read(96, std::span(out).first(4 * 512)).ok());
+  ASSERT_TRUE(disk_.Read(101, std::span(out).first(3 * 512)).ok());
+  ASSERT_TRUE(disk_.Write(100, Pattern(512, 9)).ok());
+  EXPECT_EQ(disk_.Read(100, std::span(out).first(512)).code(), common::StatusCode::kIoError);
+
+  Clock fork_clock;
+  SimDisk fork = disk_.Fork(&fork_clock);
+  EXPECT_EQ(fork.Read(96, out).code(), common::StatusCode::kIoError);
+}
+
 TEST_F(SimDiskTest, ForkAndParentWritesStayInvisibleToEachOther) {
   const uint32_t n = disk_.geometry().sectors_per_track;
   ASSERT_TRUE(disk_.Write(0, Pattern(512, 1)).ok());

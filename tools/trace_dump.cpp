@@ -440,6 +440,9 @@ int main(int argc, char** argv) {
     const auto flush = [&](auto& dev) {
       auto done = dev.FlushQueue();
       Fatal(done.status(), "flush");
+      for (const auto& c : done.value()) {
+        Fatal(c.status, "queued read");
+      }
       if (timeline != nullptr) {
         for (const auto& c : done.value()) {
           timeline_latency->Record(c.Latency());
