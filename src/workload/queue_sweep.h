@@ -83,6 +83,8 @@ struct MixedStreamResult {
   uint64_t ops = 0;  // Measured ops across all streams.
   double iops = 0;
   obs::LatencyHistogram latency_hist;
+  obs::LatencyHistogram read_hist;   // latency_hist's reads...
+  obs::LatencyHistogram write_hist;  // ...and its writes.
   obs::TimeBreakdown breakdown;  // Tracer totals over the measured window (zero untraced).
   std::vector<StreamResult> streams;
 
