@@ -15,6 +15,7 @@ namespace {
 constexpr uint64_t kParkMagic = 0x564c4f475041524bULL;  // "VLOGPARK"
 constexpr uint64_t kCkptMagic = 0x564c4f47434b5054ULL;  // "VLOGCKPT"
 constexpr uint32_t kSectorBytes = kMapSectorBytes;
+constexpr uint8_t kBothSlots = 0b11;  // A piece's checkpoint dirty bits: one per slot.
 
 // The park record and the checkpoint headers carry the format epoch in the clear (their own
 // CRCs use the default seed): they are how recovery learns which generation's map-sector CRC
@@ -99,6 +100,7 @@ VirtualLog::VirtualLog(simdisk::SimDisk* disk, EagerAllocator* allocator, Virtua
     : disk_(disk), allocator_(allocator), config_(config) {
   piece_state_.resize(config_.pieces);
   in_commit_.assign(config_.pieces, false);
+  ckpt_dirty_.assign(config_.pieces, kBothSlots);
   assert(disk_->geometry().sectors_per_track <= UINT16_MAX && "pinned_in_track_ is 16-bit");
   pinned_in_track_.assign(allocator_->space().total_tracks(), 0);
 }
@@ -133,6 +135,8 @@ common::Status VirtualLog::Format() {
   next_seq_ = 1;
   checkpoint_seq_ = 0;
   next_ckpt_slot_ = 0;
+  // The slots hold no piece of this generation: the first checkpoint into each writes them all.
+  ckpt_dirty_.assign(config_.pieces, kBothSlots);
   piece_state_.assign(config_.pieces, PieceState{});
   ChainClear();
   block_sector_count_.clear();
@@ -334,6 +338,11 @@ common::Status VirtualLog::Commit(std::span<const PieceUpdate> updates) {
   }
   RETURN_IF_ERROR(CheckPieces(updates));
   RETURN_IF_ERROR(MaybeAutoCheckpoint());
+  // Neither checkpoint slot holds these pieces' new entries. Marked before anything is written,
+  // so even after a failed commit the next checkpoint writes what the entries provider holds.
+  for (const PieceUpdate& update : updates) {
+    ckpt_dirty_[update.piece] = kBothSlots;
+  }
   // Pre-barrier: the data blocks these map sectors point at must be on media before the sectors
   // can land (a reordered destage would otherwise commit a mapping to lost data).
   RETURN_IF_ERROR(Barrier());
@@ -458,29 +467,47 @@ bool VirtualLog::HasRoomFor(size_t updates) const {
 common::Status VirtualLog::WriteCheckpoint(const EntriesOfPiece& entries_of_piece) {
   const uint64_t seq = next_seq_++;
   const uint32_t slot = next_ckpt_slot_;
-  std::vector<std::byte> body(static_cast<size_t>(config_.pieces) * kSectorBytes);
-  for (uint32_t k = 0; k < config_.pieces; ++k) {
-    MapSector sector;
-    sector.seq = seq;
-    sector.piece = k;
-    sector.SerializeInto(
-        std::span<std::byte>(body).subspan(static_cast<size_t>(k) * kSectorBytes, kSectorBytes),
-        entries_of_piece(k), epoch_);
-  }
+  const uint8_t dirty = static_cast<uint8_t>(1u << slot);
   // Piece sectors first, CRC-signed header last: the header write is the commit point. A crash
-  // before it leaves the other slot's checkpoint (and the log it bounds) untouched. The barrier
-  // between body and header keeps a destage reorder from committing a header over a stale body;
-  // the one after makes the checkpoint durable before its log blocks are recycled for reuse.
-  if (!body.empty()) {
-    RETURN_IF_ERROR(disk_->InternalWrite(CkptSlotLba(slot) + 1, body));
+  // before it leaves the other slot's checkpoint (and the log it bounds) untouched. Only the
+  // pieces this slot is missing go down, one write per maximal run of them; every other piece
+  // sector already holds the piece's current entries, under an older checkpoint's sequence
+  // number. The barrier between body and header keeps a destage reorder from committing a
+  // header over a stale body; the one after makes the checkpoint durable before its log blocks
+  // are recycled for reuse.
+  uint32_t piece_sectors = 0;
+  for (uint32_t begin = 0; begin < config_.pieces;) {
+    if ((ckpt_dirty_[begin] & dirty) == 0) {
+      ++begin;
+      continue;
+    }
+    uint32_t end = begin + 1;
+    while (end < config_.pieces && (ckpt_dirty_[end] & dirty) != 0) {
+      ++end;
+    }
+    ckpt_buffer_.resize(static_cast<size_t>(end - begin) * kSectorBytes);
+    const std::span<std::byte> run(ckpt_buffer_);
+    for (uint32_t k = begin; k < end; ++k) {
+      MapSector sector;
+      sector.seq = seq;
+      sector.piece = k;
+      sector.SerializeInto(run.subspan(static_cast<size_t>(k - begin) * kSectorBytes),
+                           entries_of_piece(k), epoch_);
+    }
+    RETURN_IF_ERROR(disk_->InternalWrite(CkptSlotLba(slot) + 1 + begin, ckpt_buffer_));
+    piece_sectors += end - begin;
+    begin = end;
   }
   RETURN_IF_ERROR(Barrier());
   RETURN_IF_ERROR(
       disk_->InternalWrite(CkptSlotLba(slot), SerializeCkptHeader(seq, config_.pieces, epoch_)));
   RETURN_IF_ERROR(Barrier());
   next_ckpt_slot_ = 1 - slot;
+  for (uint8_t& bits : ckpt_dirty_) {
+    bits &= static_cast<uint8_t>(~dirty);
+  }
   if (obs::TraceRecorder* tracer = disk_->tracer(); tracer != nullptr) {
-    tracer->Annotate(obs::EventType::kCheckpoint, obs::Layer::kVlog, seq, config_.pieces);
+    tracer->Annotate(obs::EventType::kCheckpoint, obs::Layer::kVlog, seq, piece_sectors);
   }
 
   // Every log sector — live or pinned — is now redundant: recycle every block that holds one
@@ -498,6 +525,7 @@ common::Status VirtualLog::WriteCheckpoint(const EntriesOfPiece& entries_of_piec
   }
   checkpoint_seq_ = seq;
   ++stats_.checkpoints;
+  stats_.checkpoint_sectors += piece_sectors + 1;
   return common::OkStatus();
 }
 
@@ -523,7 +551,10 @@ common::Status VirtualLog::Park() { return WritePark(/*clear=*/false); }
 
 common::StatusOr<RecoveryResult> VirtualLog::Recover() {
   // Reset in-memory state; it is rebuilt below (LoadCheckpoint re-derives next_ckpt_slot_).
+  // Which piece sectors each slot holds is not rebuilt: the next checkpoint into each slot
+  // writes every piece.
   next_ckpt_slot_ = 0;
+  ckpt_dirty_.assign(config_.pieces, kBothSlots);
   piece_state_.assign(config_.pieces, PieceState{});
   ChainClear();
   block_sector_count_.clear();
@@ -809,14 +840,15 @@ common::StatusOr<std::vector<std::vector<uint32_t>>> VirtualLog::LoadCheckpoint(
       continue;
     }
     // The header is the commit point and is written after the piece sectors, so a slot with a
-    // matching header must have intact pieces; anything else is real media corruption.
+    // matching header must have intact pieces, each written by this checkpoint or by an earlier
+    // one into the same slot; anything else is real media corruption.
     std::vector<std::vector<uint32_t>> pieces(config_.pieces);
     for (uint32_t k = 0; k < config_.pieces; ++k) {
       auto parsed = MapSector::Parse(
           std::span<const std::byte>(region).subspan(static_cast<size_t>(k + 1) * kSectorBytes,
                                                      kSectorBytes),
           epoch_);
-      if (!parsed.ok() || parsed->seq != checkpoint_seq || parsed->piece != k) {
+      if (!parsed.ok() || parsed->seq > checkpoint_seq || parsed->piece != k) {
         return common::Corruption("checkpoint piece sector corrupt");
       }
       pieces[k] = std::move(parsed->entries);

@@ -14,21 +14,27 @@
 // sector that still carries covers is *pinned* — its block is not recycled until all of its
 // cover targets have been re-covered or removed, and the compactor cannot empty its track.
 // Pinned sectors are rare and bounded by two rules on one limit. Idle time checkpoints once
-// more than half of `pinned_limit` are pinned (IdleCheckpointDue): a checkpoint rewrites the
-// whole map, so it is worth paying only when pins have piled up. When the count exceeds
-// `pinned_limit` anyway, the next append first takes an automatic checkpoint (the foreground
-// valve). A checkpoint resets all cover bookkeeping and frees every log block.
+// more than half of `pinned_limit` are pinned (IdleCheckpointDue): a checkpoint rewrites every
+// piece changed since its slot was last written, so it is worth paying only when pins have piled
+// up. When the count exceeds `pinned_limit` anyway, the next append first takes an automatic
+// checkpoint (the foreground valve). A checkpoint resets all cover bookkeeping and frees every
+// log block.
 //
 // Recovery bootstraps from the log tail parked at a fixed sector during power-down; if the park
 // record is missing or corrupt, a full-disk scan for signed map sectors finds the live map
-// instead. A checkpoint (§3.3) bounds both paths: the whole map is written contiguously to a
-// reserved region and traversal prunes below the checkpoint sequence number.
+// instead. A checkpoint (§3.3) bounds both paths: the whole map lies contiguously in a reserved
+// region and traversal prunes below the checkpoint sequence number.
 //
 // The checkpoint region is double-buffered: two slots of (header + one sector per piece),
-// written alternately. Within a slot the piece sectors go down first and the CRC-signed header
-// last, so the header write is the commit point; a crash anywhere in the middle leaves the
-// previous checkpoint (in the other slot) intact. Recovery trusts the newest slot whose header
-// parses.
+// written alternately. A slot is written incrementally: each piece carries one dirty bit per
+// slot, which every commit sets in both and Format and Recover set everywhere, and a checkpoint
+// writes only its slot's dirty pieces (one write per maximal run of them) before clearing that
+// slot's bits. Every clean piece sector still holds what an earlier checkpoint into the slot
+// wrote, which no commit has changed since, so the slot holds the whole map once its header
+// lands; its piece sectors carry sequence numbers up to the header's. Within a slot the piece
+// sectors go down first and the CRC-signed header last, so the header write is the commit
+// point; a crash anywhere in the middle leaves the previous checkpoint (in the other slot, which
+// this one never writes) intact. Recovery trusts the newest slot whose header parses.
 //
 // Format epoch. Every map sector's CRC is seeded with the log's format epoch, a counter bumped
 // by each Format() over the same media. A scan recovery therefore only accepts sectors signed
@@ -99,6 +105,7 @@ struct VirtualLogStats {
   uint64_t pinned_peak = 0;      // High-water mark of simultaneously pinned sectors.
   uint64_t checkpoints = 0;
   uint64_t auto_checkpoints = 0;  // Checkpoints forced by the pinned-sector valve.
+  uint64_t checkpoint_sectors = 0;  // Sectors checkpoints wrote: their piece sectors and headers.
   uint64_t packed_transactions = 0;  // Multi-piece commits (their sectors share blocks).
   uint64_t packed_sectors = 0;       // Map sectors written by multi-piece commits.
 
@@ -111,6 +118,7 @@ struct VirtualLogStats {
     d.pinned_peak = pinned_peak;
     d.checkpoints = checkpoints - rhs.checkpoints;
     d.auto_checkpoints = auto_checkpoints - rhs.auto_checkpoints;
+    d.checkpoint_sectors = checkpoint_sectors - rhs.checkpoint_sectors;
     d.packed_transactions = packed_transactions - rhs.packed_transactions;
     d.packed_sectors = packed_sectors - rhs.packed_sectors;
     return d;
@@ -159,9 +167,11 @@ class VirtualLog {
   // records translations whose commit may still fail.
   common::Status MaybeAutoCheckpoint();
 
-  // Writes the whole map contiguously to the checkpoint region, frees all log blocks (live and
-  // pinned), and resets the chain. `entries_of_piece(k)` must return the current entries of
-  // piece k.
+  // Brings the next checkpoint slot up to the whole map, frees all log blocks (live and
+  // pinned), and resets the chain. Only the slot's dirty pieces are written, one write per
+  // maximal run of them, then the header; `entries_of_piece(k)` must return the current entries
+  // of piece k and is asked only for those pieces. A checkpoint that fails leaves the slot's
+  // dirty bits set, so the next one rewrites every piece this one may have torn.
   common::Status WriteCheckpoint(const EntriesOfPiece& entries_of_piece);
 
   // Firmware power-down: records the log tail (and checkpoint seq) at the park sector.
@@ -197,7 +207,7 @@ class VirtualLog {
   size_t PinnedCount() const { return pinned_.size(); }
   // Whether idle time should checkpoint: more than half of `pinned_limit` sectors are pinned.
   // Idle time then releases the pins before the foreground valve has to, and a few pins never
-  // cost a whole-map rewrite.
+  // cost a checkpoint.
   bool IdleCheckpointDue() const { return pinned_.size() > config_.pinned_limit / 2; }
   const VirtualLogStats& stats() const { return stats_; }
   const VirtualLogConfig& config() const { return config_; }
@@ -319,6 +329,9 @@ class VirtualLog {
   std::vector<CommitSector> commit_sectors_;
   std::vector<std::byte> commit_buffer_;
   std::vector<bool> in_commit_;
+  // Per piece, bit `slot` set when that checkpoint slot's copy of the piece may be stale.
+  std::vector<uint8_t> ckpt_dirty_;
+  std::vector<std::byte> ckpt_buffer_;  // One run of a checkpoint's piece sectors, reused.
   VirtualLogStats stats_;
 };
 

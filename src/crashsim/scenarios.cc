@@ -179,9 +179,12 @@ common::Status CheckpointInterruptedWorkload(ShadowVld& dev) {
   RETURN_IF_ERROR(WriteBlocks(dev, 10, 25, version));
   RETURN_IF_ERROR(dev.Checkpoint());
   RETURN_IF_ERROR(dev.Trim(0, static_cast<uint64_t>(8) * kBlockSectors));
+  // The first checkpoint into each slot writes every piece; this one and the last write only
+  // the pieces their slot is missing, so both slots take an incremental write.
   RETURN_IF_ERROR(dev.Checkpoint());
   ++version;
   RETURN_IF_ERROR(WriteBlocks(dev, blocks - 6, blocks, version));
+  RETURN_IF_ERROR(dev.Checkpoint());
   return dev.Park();
 }
 

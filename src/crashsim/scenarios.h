@@ -12,8 +12,9 @@
 //                           bursts bounded tightly enough to stop mid-track, so crash points
 //                           cut bursts between relocations and at the preemption boundary
 //                           itself, plus a checkpoint taken between two governed rounds;
-//   kCheckpointInterrupted: repeated checkpoints so crash points land inside the multi-sector
-//                           checkpoint-region writes themselves, plus a final park.
+//   kCheckpointInterrupted: repeated checkpoints so crash points land inside the
+//                           checkpoint-region writes themselves: a full write into each slot,
+//                           then an incremental one into each, plus a final park.
 //   kQueuedGroupCommit:     batches of queued writes whose map entries land in single packed
 //                           group-commit transactions, so crash points tear multi-sector map
 //                           writes; each batch must recover all-old-or-all-new;

@@ -66,7 +66,8 @@ enum class EventType : uint8_t {
   kFlush,         // A Flush command completed (a=extents destaged, b=sectors destaged).
   kMapAppend,     // One map write joined the virtual log (a=map sectors in it; b=lba).
   kGroupCommit,   // A packed group commit covering a whole queue (a=requests, b=staged blocks).
-  kCheckpoint,    // A full-map checkpoint (a=sequence number).
+  kCheckpoint,    // A checkpoint committed (a=sequence number, b=piece sectors it wrote; its
+                  // header is one more sector).
   kCompactStart,  // Compaction of a victim track began or resumed (a=victim track, b=its live
                   // blocks then, i.e. the block moves the victim still costs).
   kCompactEnd,    // Compaction of a victim track stopped (a=victim track, b=emptied).
