@@ -150,10 +150,12 @@ struct LongHaulLeg {
   bool steady = false;
   uint64_t steady_windows = 0;
   // The checkpoint trade: how many checkpoints the run took (and how many of them the
-  // pinned-sector valve forced in the foreground), the device sectors written per host sector,
+  // pinned-sector valve forced in the foreground), the sectors each wrote on average (the
+  // pieces its slot was missing plus the header), the device sectors written per host sector,
   // and what the log left behind costs a parked recovery on a fresh VLD.
   uint64_t checkpoints = 0;
   uint64_t auto_checkpoints = 0;
+  double sectors_per_checkpoint = 0;
   double device_per_host_sector = 0;
   double parked_recovery_ms = 0;
   // What the one-move burst rule saves and costs: how far past its deadline the average
@@ -210,6 +212,8 @@ LongHaulLeg RunLongHaulLeg(workload::OpenLoopOptions options, common::Duration w
   const core::VirtualLogStats vlog_delta = vld.vlog().stats() - vlog_before;
   leg.checkpoints = vlog_delta.checkpoints;
   leg.auto_checkpoints = vlog_delta.auto_checkpoints;
+  leg.sectors_per_checkpoint = static_cast<double>(vlog_delta.checkpoint_sectors) /
+                               static_cast<double>(std::max<uint64_t>(leg.checkpoints, 1));
   const uint64_t host_sectors =
       (vld.stats() - vld_before).blocks_written * vld.block_sectors();
   leg.device_per_host_sector = static_cast<double>((disk.stats() - disk_before).sectors_written) /
@@ -663,9 +667,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(lh_control.empties_after));
   for (const LongHaulLeg* l : {&lh_governed, &lh_control}) {
     const char* label = l == &lh_governed ? "longhaul-gov" : "longhaul-off";
-    std::printf("%-16s %llu checkpoint(s), %llu forced by the valve; %.3f device sectors per "
-                "host sector; parked recovery %.1f ms\n",
-                label, static_cast<unsigned long long>(l->checkpoints),
+    std::printf("%-16s %llu checkpoint(s) of %.1f sectors each, %llu forced by the valve; %.3f "
+                "device sectors per host sector; parked recovery %.1f ms\n",
+                label, static_cast<unsigned long long>(l->checkpoints), l->sectors_per_checkpoint,
                 static_cast<unsigned long long>(l->auto_checkpoints), l->device_per_host_sector,
                 l->parked_recovery_ms);
     std::printf("%-16s bursts overran their deadline by %.3f ms each on average; %llu credit "
@@ -684,6 +688,7 @@ int main(int argc, char** argv) {
                    {"steady_windows", static_cast<double>(l->steady_windows)},
                    {"checkpoints", static_cast<double>(l->checkpoints)},
                    {"auto_checkpoints", static_cast<double>(l->auto_checkpoints)},
+                   {"sectors_per_checkpoint", l->sectors_per_checkpoint},
                    {"device_sectors_per_host_sector", l->device_per_host_sector},
                    {"parked_recovery_ms", l->parked_recovery_ms},
                    {"overrun_ms_per_burst", l->overrun_ms_per_burst},
