@@ -740,7 +740,8 @@ void Vld::RunIdle(common::Duration budget) {
   const common::Time deadline = disk_->clock()->Now() + budget;
   // Idle time is also when checkpoints are cheap (§3.3); a checkpoint releases every pinned
   // map sector, which in turn lets the compactor empty the tracks holding them. It rewrites
-  // the whole map, though, so it waits until pins pile up; a few pins block only their tracks.
+  // every piece changed since its slot was last written, though, so it waits until pins pile
+  // up; a few pins block only their tracks.
   if (vlog_.IdleCheckpointDue()) {
     (void)Checkpoint();
   }

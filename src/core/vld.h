@@ -7,7 +7,8 @@
 // indirection map. Deletes are inferred by monitoring logical overwrites (plus an explicit
 // Trim extension). A free-space compactor runs during idle time, and idle time also takes a
 // checkpoint once pinned map sectors pile up (VirtualLog::IdleCheckpointDue): a checkpoint
-// rewrites the whole map, so idle time does not spend one on a few pins.
+// rewrites every map piece changed since its slot was last written, so idle time does not spend
+// one on a few pins.
 //
 // Layout: sector 0 is the park sector (the "landing zone" record written by the power-down
 // sequence); a double-buffered checkpoint region of 2*(pieces+1) sectors follows; everything
@@ -115,7 +116,9 @@ class Vld : public simdisk::BlockDevice, public CompactionBackend {
   common::StatusOr<VldRecoveryInfo> Recover();
   // Firmware power-down sequence: parks the log tail for O(pieces) recovery.
   common::Status Park();
-  // Writes the whole map to the checkpoint region, freeing all log blocks.
+  // Brings the next checkpoint slot up to the whole map, freeing all log blocks: writes the
+  // pieces that slot is missing (those committed since it was last written, or every piece
+  // after Format and Recover), then its header.
   common::Status Checkpoint();
 
   // BlockDevice (the unmodified host interface; sizes in whole 512 B sectors).

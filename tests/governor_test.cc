@@ -132,7 +132,7 @@ TEST_F(GovernorTest, NoGrantWhenNothingNeedsCompacting) {
 }
 
 TEST_F(GovernorTest, NoGrantForAFewPinsWhileTheReserveIsMet) {
-  // A few pinned map sectors are not worth a whole-map checkpoint, so with the empty-track
+  // A few pinned map sectors are not worth a checkpoint, so with the empty-track
   // reserve met there is nothing to grant time for.
   common::Rng rng(9);
   const uint32_t blocks = rig_.vld->logical_blocks();

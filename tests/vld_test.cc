@@ -314,7 +314,8 @@ TEST_F(VldTest, CompactionSurvivesRecovery) {
 }
 
 // Idle time checkpoints only once pins pile up past half the valve's limit: a checkpoint
-// rewrites the whole map, and a few pins keep no more than their own tracks from compaction.
+// rewrites every piece its slot is missing, and a few pins keep no more than their own tracks
+// from compaction.
 TEST(VldIdleCheckpointTest, CheckpointsOnlyAboveHalfThePinnedSectorValve) {
   for (const bool governed : {false, true}) {
     // With 163 map pieces, random sync overwrites pile up more than half the valve's 64 pins
