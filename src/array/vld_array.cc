@@ -289,6 +289,21 @@ common::StatusOr<std::vector<VldArray::QueuedCompletion>> VldArray::FlushQueue()
     }
   }
 
+  // Every run must find a free slot in its member's queue before the first is submitted: a
+  // member that refused a run halfway through the fan-out would keep the runs before it queued,
+  // and every later batch would meet its full queue. The refused batch is dropped whole.
+  std::vector<size_t> runs_on(members_.size(), 0);
+  for (const Pending& p : batch) {
+    for (const Run& r : p.runs) {
+      ++runs_on[r.member];
+    }
+  }
+  for (uint32_t m = 0; m < members_.size(); ++m) {
+    if (members_[m]->QueuedRequests() + runs_on[m] > members_[m]->queue_depth()) {
+      return common::FailedPrecondition("array: batch overflows a member queue");
+    }
+  }
+
   // Submit member runs in array submission order, so every member's local batch preserves the
   // array's hazard and RAW-forwarding semantics. Submission performs no media work.
   for (Pending& p : batch) {

@@ -105,7 +105,9 @@ class VldArray : public simdisk::BlockDevice {
   common::StatusOr<uint64_t> SubmitRead(simdisk::Lba lba, uint64_t sectors);
   // Splits every queued request into member runs, submits them in array submission order, then
   // flushes each touched member once — one queue batch (one packed group commit) per member.
-  // Completions are returned in array submission order.
+  // Completions are returned in array submission order. A batch with more runs for a member
+  // than that member's queue has free slots fails with kFailedPrecondition before any member
+  // sees a run, and is dropped.
   common::StatusOr<std::vector<QueuedCompletion>> FlushQueue();
   size_t QueuedRequests() const { return queue_.size(); }
   uint32_t queue_depth() const { return queue_depth_; }

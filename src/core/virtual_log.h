@@ -27,14 +27,15 @@
 //
 // The checkpoint region is double-buffered: two slots of (header + one sector per piece),
 // written alternately. A slot is written incrementally: each piece carries one dirty bit per
-// slot, which every commit sets in both and Format and Recover set everywhere, and a checkpoint
-// writes only its slot's dirty pieces (one write per maximal run of them) before clearing that
-// slot's bits. Every clean piece sector still holds what an earlier checkpoint into the slot
-// wrote, which no commit has changed since, so the slot holds the whole map once its header
-// lands; its piece sectors carry sequence numbers up to the header's. Within a slot the piece
-// sectors go down first and the CRC-signed header last, so the header write is the commit
-// point; a crash anywhere in the middle leaves the previous checkpoint (in the other slot, which
-// this one never writes) intact. Recovery trusts the newest slot whose header parses.
+// slot, which every commit sets in both and Format sets everywhere, and a checkpoint writes only
+// its slot's dirty pieces (one write per maximal run of them) before clearing that slot's bits.
+// Recover sets every bit too, except in the slot it loads for the pieces the log replay did not
+// supply: that slot already holds them. Every clean piece sector still holds what an earlier
+// checkpoint into the slot wrote, which no commit has changed since, so the slot holds the whole
+// map once its header lands; its piece sectors carry sequence numbers up to the header's. Within
+// a slot the piece sectors go down first and the CRC-signed header last, so the header write is
+// the commit point; a crash anywhere in the middle leaves the previous checkpoint (in the other
+// slot, which this one never writes) intact. Recovery trusts the newest slot whose header parses.
 //
 // Format epoch. Every map sector's CRC is seeded with the log's format epoch, a counter bumped
 // by each Format() over the same media. A scan recovery therefore only accepts sectors signed
@@ -49,7 +50,8 @@
 // standalone sector (txn_id 0). Several pieces form one transaction: their sectors share a
 // txn_id and are packed contiguously into whole physical blocks (block_sectors map sectors per
 // block), one media write per block, so a queue's worth of eager writes costs one or two log
-// writes instead of one per request (§4.2's group commit). Packing means a log block can hold
+// writes instead of one per request (§4.2's group commit). Each block is placed eagerly from
+// where the previous block's write left the head. Packing means a log block can hold
 // several live (or pinned) sectors; a block is recycled only when its last live/pinned sector
 // leaves. In-memory state moves only once every write of the commit has landed, so a failed
 // commit leaves the log as it was.
@@ -150,9 +152,11 @@ class VirtualLog {
   // sector; N >= 2 share a transaction id and pack into ceil(N / block_sectors) whole-block
   // writes. Recovery discards a trailing transaction whose sectors are not all present, so
   // either every piece update takes effect or none does. The sequence is the same for every
-  // commit: the automatic checkpoint (the valve above), a barrier, allocation, the writes and a
-  // second barrier; only then do the chain, covers and pins move and the obsoleted sectors get
-  // recycled. A commit that fails frees the blocks it allocated and changes no in-memory state.
+  // commit: the automatic checkpoint (the valve above), a barrier, one check that every block
+  // fits, then each block allocated just before it is written (so the next is placed from where
+  // that write left the head), and a second barrier; only then do the chain, covers and pins
+  // move and the obsoleted sectors get recycled. A commit that fails frees the blocks it
+  // allocated and changes no in-memory state.
   common::Status Commit(std::span<const PieceUpdate> updates);
 
   // Whether a commit of `updates` piece updates finds a free block for every block it writes,
@@ -331,7 +335,6 @@ class VirtualLog {
   std::vector<bool> in_commit_;
   // Per piece, bit `slot` set when that checkpoint slot's copy of the piece may be stale.
   std::vector<uint8_t> ckpt_dirty_;
-  std::vector<std::byte> ckpt_buffer_;  // One run of a checkpoint's piece sectors, reused.
   VirtualLogStats stats_;
 };
 

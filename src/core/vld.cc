@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <optional>
 #include <set>
 
 #include "src/obs/timeline.h"
@@ -478,39 +479,56 @@ common::Status Vld::ServiceQueuedRead(const std::vector<QueuedRequest>& batch, s
 
 common::Duration Vld::QueuedReadCost(const std::vector<QueuedRequest>& batch, size_t index,
                                      std::span<const StagedWrite> staged, common::Time now,
-                                     std::vector<int64_t>& first_media) const {
-  // The first media-served sector is a property of the batch, not of the dispatch: same-batch
+                                     std::vector<MediaAccess>& first_media) const {
+  // The first media access is a property of the batch, not of the dispatch: same-batch
   // coverage is fixed at submission order and the pre-batch translation does not change when
   // the batch commits, so the coverage/translation scan runs once per candidate and later
-  // dispatches reuse it — only the positioning estimate itself depends on the clock and arm.
-  if (first_media[index] == kCostUnknown) {
-    first_media[index] = kCostNoMedia;
+  // dispatches reuse it — only the disk's state (buffer, clock and arm) changes between them.
+  MediaAccess& access = first_media[index];
+  if (access.lba == kCostUnknown) {
+    access.lba = kCostNoMedia;
     const QueuedRequest& req = batch[index];
-    // First sector the media will actually serve: skip sectors that are forwarded from earlier
-    // batch writes or unmapped (those cost no mechanical time).
-    for (uint64_t i = 0; i < req.sectors; ++i) {
+    // The physical LBA of logical sector i of the request, or nothing when the media does not
+    // serve it: forwarded from an earlier batch write, or unmapped (no mechanical time).
+    const auto media_lba = [&](uint64_t i) -> std::optional<simdisk::Lba> {
       const simdisk::Lba logical_sector = req.lba + i;
       const uint32_t block = PreBatchBlock(
           static_cast<uint32_t>(logical_sector / config_.block_sectors), staged);
       if (CoveringWrite(batch, index, logical_sector) != nullptr || block == kUnmappedBlock) {
+        return std::nullopt;
+      }
+      return space_.BlockToLba(block) + logical_sector % config_.block_sectors;
+    };
+    // ServiceQueuedRead's first InternalRead: the first media-served sector, and the sectors
+    // after it that stay media-served and physically contiguous.
+    for (uint64_t i = 0; i < req.sectors; ++i) {
+      const auto lba = media_lba(i);
+      if (!lba) {
         continue;
       }
-      first_media[index] =
-          static_cast<int64_t>(space_.BlockToLba(block) +
-                               static_cast<uint32_t>(logical_sector % config_.block_sectors));
+      access.lba = static_cast<int64_t>(*lba);
+      access.sectors = 1;
+      while (i + access.sectors < req.sectors &&
+             media_lba(i + access.sectors) == *lba + access.sectors) {
+        ++access.sectors;
+      }
       break;
     }
   }
-  if (first_media[index] == kCostNoMedia) {
+  if (access.lba == kCostNoMedia) {
     return 0;  // Fully forwarded/unmapped: a pure controller-RAM service.
   }
-  return disk_->EstimatePosition(static_cast<simdisk::Lba>(first_media[index]), now);
+  const auto lba = static_cast<simdisk::Lba>(access.lba);
+  if (disk_->ReadHitsBuffer(lba, access.sectors)) {
+    return 0;  // The track buffer or the write-back cache serves it: no positioning.
+  }
+  return disk_->EstimatePosition(lba, now);
 }
 
 size_t Vld::PickNextQueued(const std::vector<QueuedRequest>& batch,
                            const std::vector<bool>& serviced, size_t oldest,
                            std::span<const StagedWrite> staged,
-                           std::vector<int64_t>& first_media) const {
+                           std::vector<MediaAccess>& first_media) const {
   if (config_.read_policy == SchedulerPolicy::kFcfs) {
     return oldest;
   }
@@ -561,7 +579,7 @@ common::StatusOr<std::vector<Vld::QueuedCompletion>> Vld::FlushQueue() {
   std::vector<std::vector<std::byte>> read_data(batch.size());
   std::vector<common::Status> read_status(batch.size());
   std::vector<bool> serviced(batch.size(), false);
-  std::vector<int64_t> first_media(batch.size(), kCostUnknown);
+  std::vector<MediaAccess> first_media(batch.size());
   const size_t writes =
       std::count_if(batch.begin(), batch.end(), [](const QueuedRequest& r) { return r.is_write; });
   // Writes service FIFO among themselves, so a batch without reads is plain FIFO.

@@ -117,8 +117,8 @@ class Vld : public simdisk::BlockDevice, public CompactionBackend {
   // Firmware power-down sequence: parks the log tail for O(pieces) recovery.
   common::Status Park();
   // Brings the next checkpoint slot up to the whole map, freeing all log blocks: writes the
-  // pieces that slot is missing (those committed since it was last written, or every piece
-  // after Format and Recover), then its header.
+  // pieces that slot is missing (those committed since it was last written; every piece after
+  // Format, and after Recover every piece but in the slot recovery loaded), then its header.
   common::Status Checkpoint();
 
   // BlockDevice (the unmodified host interface; sizes in whole 512 B sectors).
@@ -172,7 +172,8 @@ class Vld : public simdisk::BlockDevice, public CompactionBackend {
   // Services every queued request. Writes go down eagerly in submission order (controller
   // overhead pipelined with the media); under kSptf the oldest unserviced write competes with
   // the reads, costed at the allocator's estimate for its next block (EstimateLocate), and
-  // each read at the positioning time to its first media sector. As soon as the last write is
+  // each read at the positioning time to its first media sector (0 when the track buffer or
+  // the write-back cache will serve its first media access). As soon as the last write is
   // staged, ALL the writes' map entries commit in one packed group transaction — one or two
   // log writes instead of one per request — and the writes are acknowledged (complete_time
   // stamped) at that commit, so each acknowledged write is individually all-or-nothing across
@@ -311,23 +312,28 @@ class Vld : public simdisk::BlockDevice, public CompactionBackend {
   common::Status ServiceQueuedRead(const std::vector<QueuedRequest>& batch, size_t index,
                                    std::span<const StagedWrite> staged, std::span<std::byte> out,
                                    uint64_t* forwarded_sectors);
-  // SPTF positioning cost of batch[index]'s first media-served sector (0 when every sector is
-  // forwarded or unmapped — a pure controller-RAM service). `first_media` caches that sector's
-  // physical LBA per candidate across the batch's dispatches (kCostUnknown = not yet scanned,
-  // kCostNoMedia = fully forwarded/unmapped): batch coverage and the pre-batch translation are
-  // both fixed for the whole batch, commit included, so the scan runs once per candidate
-  // instead of once per dispatch.
+  // SPTF positioning cost of batch[index]'s first media access: 0 when every sector is
+  // forwarded or unmapped (a pure controller-RAM service) or when the track buffer or the
+  // write-back cache will serve that access, else the positioning time to its first sector.
+  // `first_media` caches that access per candidate across the batch's dispatches (lba
+  // kCostUnknown = not yet scanned, kCostNoMedia = fully forwarded/unmapped): batch coverage
+  // and the pre-batch translation are both fixed for the whole batch, commit included, so the
+  // scan runs once per candidate instead of once per dispatch.
   static constexpr int64_t kCostUnknown = -2;
   static constexpr int64_t kCostNoMedia = -1;
+  struct MediaAccess {
+    int64_t lba = kCostUnknown;
+    uint64_t sectors = 0;
+  };
   common::Duration QueuedReadCost(const std::vector<QueuedRequest>& batch, size_t index,
                                   std::span<const StagedWrite> staged, common::Time now,
-                                  std::vector<int64_t>& first_media) const;
+                                  std::vector<MediaAccess>& first_media) const;
   // The next unserviced batch index to service under config_.read_policy; `oldest` is the
   // first unserviced index.
   size_t PickNextQueued(const std::vector<QueuedRequest>& batch,
                         const std::vector<bool>& serviced, size_t oldest,
                         std::span<const StagedWrite> staged,
-                        std::vector<int64_t>& first_media) const;
+                        std::vector<MediaAccess>& first_media) const;
   std::vector<QueuedRequest> queue_;
   uint64_t next_queued_id_ = 1;
   common::Time ctrl_free_ = 0;  // Controller pipeline state for queued commands.

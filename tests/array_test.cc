@@ -244,6 +244,31 @@ TEST(VldArrayTest, QueuedReadCarriesAFailedMemberRunsStatus) {
   EXPECT_EQ(out, Pattern(chunk * 512, 2));
 }
 
+// A batch whose runs overflow a member's queue is refused before any member sees a run: no
+// member keeps a queued run, the next batch completes, and the refused writes never land.
+TEST(VldArrayTest, BatchOverflowingAMemberQueueLeavesNoRunQueued) {
+  auto stacks = MakeStacks(2, core::VldConfig{.queue_depth = 4});
+  VldArray array(Members(stacks), {.mode = ArrayMode::kStriped, .stripe_blocks = 1});
+  ASSERT_TRUE(array.Format().ok());
+  const auto old_bytes = Pattern(kBlockBytes, 7);
+  ASSERT_TRUE(array.Write(0, old_bytes).ok());
+  // Four 16 KB writes deal two 4 KB runs each to both members: eight per member, depth 4.
+  for (uint32_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(array.SubmitWrite(i * 32, Pattern(4 * kBlockBytes, 100 + i)).ok());
+  }
+  EXPECT_FALSE(array.FlushQueue().ok());
+  for (const auto& s : stacks) {
+    EXPECT_EQ(s->vld->QueuedRequests(), 0u);
+  }
+  ASSERT_TRUE(array.SubmitWrite(64, Pattern(kBlockBytes, 9)).ok());
+  auto done = array.FlushQueue();
+  ASSERT_TRUE(done.ok()) << done.status().ToString();
+  EXPECT_EQ(done->size(), 1u);
+  std::vector<std::byte> out(kBlockBytes);
+  ASSERT_TRUE(array.Read(0, out).ok());
+  EXPECT_EQ(out, old_bytes);
+}
+
 TEST(VldArrayTest, MirroredWritesReachEveryReplica) {
   auto stacks = MakeStacks(2);
   VldArray array(Members(stacks), {.mode = ArrayMode::kMirrored});

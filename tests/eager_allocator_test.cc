@@ -4,6 +4,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/core/eager_allocator.h"
 #include "src/simdisk/disk_params.h"
 #include "src/simdisk/sim_disk.h"
@@ -30,6 +31,12 @@ class EagerAllocatorTest : public ::testing::Test {
   void WriteTo(uint32_t block) {
     std::vector<std::byte> data(8 * 512);
     ASSERT_TRUE(disk_.InternalWrite(space_.BlockToLba(block), data).ok());
+  }
+
+  // Advances the clock until the leading edge of `sector` is `past` into its passage under the
+  // head.
+  void TurnTo(uint32_t sector, common::Duration past) {
+    clock_.Advance(disk_.RotationalWait(sector, clock_.Now()) + past);
   }
 
   common::Clock clock_;
@@ -245,6 +252,64 @@ TEST_F(EagerAllocatorTest, PlacementCountsSumToAllocationsInEveryMode) {
     WriteTo(*alloc.Allocate());
   }
   expect_sum(alloc.stats());
+}
+
+// Eager writing takes the free block the head reaches soonest. With the head just inside the
+// first sector of a free block, that block is a whole revolution away: the next free block is
+// taken instead, and its write waits less than one block's passage.
+TEST_F(EagerAllocatorTest, HeadInsideAFreeBlocksFirstSectorSkipsThatBlock) {
+  EagerAllocator alloc = MakeGreedy();
+  const uint32_t per_track = space_.blocks_per_track();
+  const common::Duration sector_time = disk_.params().SectorTime();
+  for (uint32_t b = 0; b < per_track; ++b) {
+    TurnTo(b * 8, sector_time / 2);
+    const auto block = alloc.Allocate();
+    ASSERT_TRUE(block.has_value());
+    EXPECT_EQ(*block, (b + 1) % per_track) << "head inside block " << b;
+    WriteTo(*block);
+    EXPECT_LT(disk_.last_request().locate, 8 * sector_time) << "head inside block " << b;
+    alloc.Free(*block);
+  }
+}
+
+// Every allocation is priced at what the disk then charges its write: on a write-through disk,
+// an Allocate() followed at once by the block's write adds exactly the write's locate (arm move
+// plus rotational wait) to estimated_locate, at any clock phase and whichever pick chose it.
+TEST_F(EagerAllocatorTest, EstimatedLocateIsTheLocateEachWriteIsCharged) {
+  common::Rng rng(23);
+  const auto expect_exact = [&](EagerAllocator& alloc, int allocations, const char* mode) {
+    for (int i = 0; i < allocations; ++i) {
+      clock_.Advance(static_cast<common::Duration>(
+          rng.Below(static_cast<uint64_t>(disk_.params().RotationPeriod()))));
+      const common::Duration before = alloc.stats().estimated_locate;
+      const auto block = alloc.Allocate();
+      ASSERT_TRUE(block.has_value()) << mode << " " << i;
+      WriteTo(*block);
+      EXPECT_EQ(alloc.stats().estimated_locate - before, disk_.last_request().locate)
+          << mode << " allocation " << i;
+    }
+  };
+  const auto punch_holes = [&] {  // Frees a third of the live blocks, at random.
+    for (uint32_t b = 0; b < space_.total_blocks(); ++b) {
+      if (space_.state(b) == BlockState::kLive && rng.Below(3) == 0) {
+        space_.Free(b);
+      }
+    }
+  };
+  {
+    EagerAllocator greedy = MakeGreedy();
+    expect_exact(greedy, 400, "greedy");
+  }
+  punch_holes();
+  EagerAllocator alloc = MakeFill(0.25);
+  alloc.NoteEmptyTrack(space_.total_tracks() - 1);
+  expect_exact(alloc, 200, "fill");
+  alloc.SetExcludedTrack(space_.TrackOfBlock(*alloc.Allocate()));
+  expect_exact(alloc, 100, "excluded track");
+  punch_holes();
+  alloc.SetCompactionMode(true);
+  expect_exact(alloc, 100, "hole-plug");
+  EXPECT_GT(alloc.stats().greedy_fallbacks + alloc.stats().fill_track_switches, 0u);
 }
 
 }  // namespace

@@ -583,6 +583,42 @@ TEST(QueuedReadTest, SptfServesCostFreeReadsBeforeOlderMediaRead) {
   }
 }
 
+// A read the track buffer will serve costs SPTF nothing: it goes before an older read whose
+// positioning estimate is lower than the buffered read's would be from the media.
+TEST(QueuedReadTest, SptfServesABufferedReadBeforeAnOlderReadThatNeedsPositioning) {
+  Rig rig(VldConfig{.compactor_enabled = false, .queue_depth = 16}, /*cache_sectors=*/0,
+          /*trace=*/false, Hp36());
+  WriteBlocks(rig, 0, 200);
+  // Reading block 0 buffers its whole track, and leaves its first sector just behind the head.
+  std::vector<std::byte> out(kBlockBytes);
+  ASSERT_TRUE(rig.vld->Read(0, out).ok());
+  const simdisk::DiskGeometry& g = rig.disk->geometry();
+  const auto phys = [&](uint32_t b) {
+    return rig.vld->space().BlockToLba(rig.vld->logical_map()[b]);
+  };
+  const common::Time now = rig.clock.Now();
+  ASSERT_TRUE(rig.disk->ReadHitsBuffer(phys(0), kBlockSectors));
+  // An older read on another track that the media reaches sooner than block 0's sector.
+  uint32_t far = 0;
+  for (uint32_t b = 1; b < 200 && far == 0; ++b) {
+    if (g.TrackOf(phys(b)) != g.TrackOf(phys(0)) &&
+        rig.disk->EstimatePosition(phys(b), now) < rig.disk->EstimatePosition(phys(0), now)) {
+      far = b;
+    }
+  }
+  ASSERT_NE(far, 0u);
+  auto older = rig.vld->SubmitRead(static_cast<simdisk::Lba>(far) * kBlockSectors, kBlockSectors);
+  auto buffered = rig.vld->SubmitRead(0, kBlockSectors);
+  ASSERT_TRUE(older.ok() && buffered.ok());
+  auto done = rig.vld->FlushQueue();
+  ASSERT_TRUE(done.ok());
+  EXPECT_LT(CompletionOf(*done, *buffered).dispatch_time,
+            CompletionOf(*done, *older).dispatch_time)
+      << "the buffered read costs no positioning";
+  EXPECT_EQ(CompletionOf(*done, *buffered).data, Pattern(kBlockBytes, 1));
+  EXPECT_EQ(CompletionOf(*done, *older).data, Pattern(kBlockBytes, far + 1));
+}
+
 // Equal positioning cost breaks toward the older read, so SPTF is FIFO among ties. Three reads
 // of block 0 around one of block 1999 dispatch as the 1st, 3rd, 4th, then the 2nd request.
 TEST(QueuedReadTest, SptfBreaksEqualCostTiesTowardTheOlderRead) {

@@ -18,6 +18,7 @@ namespace vlog::core {
 namespace {
 
 constexpr size_t kBlockBytes = 4096;
+constexpr uint32_t kMapSectorsPerBlock = 8;  // A packed commit's map sectors per block.
 
 std::vector<std::byte> Pattern(size_t n, uint32_t seed) {
   std::vector<std::byte> v(n);
@@ -505,6 +506,56 @@ TEST_F(VldTest, QueuedBatchFinishesBeforeTheSameSyncWrites) {
   EXPECT_LT(queued_elapsed, sync_elapsed);
   for (const Vld::QueuedCompletion& c : *done) {
     EXPECT_LT(c.Latency(), sync_elapsed) << "request " << c.id;
+  }
+}
+
+// The allocator prices every block it places at what the disk then charges the block's write,
+// so on a write-through disk the estimated positioning of sync writes, and of queued batches
+// whose group commits span two blocks or more, sums to the positioning the disk charged.
+// Operations that took a checkpoint are left out of both sums: the allocator does not place
+// checkpoint sectors.
+TEST_F(VldTest, EstimatedLocateSumsToTheChargedLocate) {
+  for (const bool compactor : {false, true}) {
+    Reset(VldConfig{.compactor_enabled = compactor, .queue_depth = 32});
+    common::Rng rng(11);
+    const uint32_t pieces = vld_->logical_blocks() / kEntriesPerSector;
+    ASSERT_GE(pieces, kMapSectorsPerBlock + 4);
+    common::Duration estimated = 0;
+    common::Duration charged = 0;
+    int measured = 0;
+    const auto measure = [&](const auto& op) {
+      const common::Duration est = vld_->allocator().stats().estimated_locate;
+      const common::Duration loc = disk_->stats().breakdown.locate;
+      const uint64_t checkpoints = vld_->vlog().stats().checkpoints;
+      op();
+      if (vld_->vlog().stats().checkpoints == checkpoints) {
+        estimated += vld_->allocator().stats().estimated_locate - est;
+        charged += disk_->stats().breakdown.locate - loc;
+        ++measured;
+      }
+    };
+    const auto any_block = [&] {
+      return static_cast<simdisk::Lba>(rng.Below(vld_->logical_blocks() - 1)) * 8;
+    };
+    for (int round = 0; round < 60; ++round) {
+      clock_.Advance(static_cast<common::Duration>(rng.Below(common::Milliseconds(20))));
+      measure([&] {
+        ASSERT_TRUE(vld_->Write(any_block(), Pattern(2 * kBlockBytes, round)).ok());
+      });
+      // One write into each of the first pieces (a random block within it), so the batch's
+      // group commit writes two map blocks.
+      measure([&] {
+        const uint32_t writes = kMapSectorsPerBlock + 1 + static_cast<uint32_t>(rng.Below(4));
+        for (uint32_t piece = 0; piece < writes; ++piece) {
+          const uint64_t block = piece * kEntriesPerSector + rng.Below(kEntriesPerSector);
+          ASSERT_TRUE(vld_->SubmitWrite(block * 8, Pattern(kBlockBytes, round + piece)).ok());
+        }
+        ASSERT_TRUE(vld_->FlushQueue().ok());
+      });
+    }
+    EXPECT_GT(measured, 100) << "compactor " << compactor;
+    EXPECT_GT(charged, 0);
+    EXPECT_EQ(estimated, charged) << "compactor " << compactor;
   }
 }
 
