@@ -7,7 +7,6 @@ namespace vlog::core {
 FreeSpaceMap::FreeSpaceMap(const simdisk::DiskGeometry& geometry, uint32_t block_sectors)
     : block_sectors_(block_sectors),
       blocks_per_track_(geometry.sectors_per_track / block_sectors),
-      sectors_per_track_(geometry.sectors_per_track),
       tracks_per_cylinder_(geometry.tracks_per_cylinder) {
   assert(geometry.sectors_per_track % block_sectors == 0 &&
          "physical block size must divide the track");
@@ -122,8 +121,8 @@ bool FreeSpaceMap::TrackEmpty(uint64_t track) const {
   return track_live_[track] == 0 && track_system_[track] == 0;
 }
 
-std::optional<uint32_t> FreeSpaceMap::NearestFreeInTrack(uint64_t track, uint32_t from_sector,
-                                                         uint32_t* skip_sectors) const {
+std::optional<uint32_t> FreeSpaceMap::NearestFreeInTrack(uint64_t track,
+                                                         uint32_t from_sector) const {
   if (track_free_[track] == 0) {
     return std::nullopt;
   }
@@ -134,10 +133,6 @@ std::optional<uint32_t> FreeSpaceMap::NearestFreeInTrack(uint64_t track, uint32_
   for (uint32_t i = 0; i < blocks_per_track_; ++i) {
     const uint32_t slot = (first + i) % blocks_per_track_;
     if (states_[base + slot] == BlockState::kFree) {
-      if (skip_sectors != nullptr) {
-        const uint32_t start = slot * block_sectors_;
-        *skip_sectors = (start + sectors_per_track_ - from_sector) % sectors_per_track_;
-      }
       return base + slot;
     }
   }

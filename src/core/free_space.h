@@ -62,10 +62,8 @@ class FreeSpaceMap {
   bool TrackHasSystem(uint64_t track) const { return track_system_[track] != 0; }
 
   // The free block in `track` whose starting sector is rotationally nearest at or after
-  // `from_sector`, scanning circularly. Returns the block and, via `skip_sectors`, the
-  // rotational distance in sectors from `from_sector` to the block's first sector.
-  std::optional<uint32_t> NearestFreeInTrack(uint64_t track, uint32_t from_sector,
-                                             uint32_t* skip_sectors) const;
+  // `from_sector`, scanning circularly.
+  std::optional<uint32_t> NearestFreeInTrack(uint64_t track, uint32_t from_sector) const;
 
   // The hole-plug target: among tracks holding both live and free blocks, one with the most
   // live blocks, the lowest-numbered on ties, never `excluded`. nullopt when there is none.
@@ -108,7 +106,6 @@ class FreeSpaceMap {
 
   uint32_t block_sectors_;
   uint32_t blocks_per_track_;
-  uint32_t sectors_per_track_;
   uint32_t tracks_per_cylinder_;
   std::vector<BlockState> states_;
   std::vector<uint32_t> cyl_free_;

@@ -59,27 +59,22 @@ TEST(FreeSpace, NearestFreeScansCircularly) {
   FreeSpaceMap space(SmallGeom(), 8);
   space.MarkLive(0);
   space.MarkLive(1);
-  uint32_t skip = 0;
   // From sector 0: blocks 0,1 occupied; block 2 (sector 16) is nearest.
-  auto block = space.NearestFreeInTrack(0, 0, &skip);
+  auto block = space.NearestFreeInTrack(0, 0);
   ASSERT_TRUE(block.has_value());
   EXPECT_EQ(*block, 2u);
-  EXPECT_EQ(skip, 16u);
   // From sector 30 (inside block 3): block 3's start already passed; wraps to... block 3 starts
   // at 24, from 30 the next aligned start is block 0 (occupied), 1 (occupied), 2.
-  block = space.NearestFreeInTrack(0, 30, &skip);
+  block = space.NearestFreeInTrack(0, 30);
   ASSERT_TRUE(block.has_value());
   EXPECT_EQ(*block, 2u);
-  EXPECT_EQ(skip, (16 + 32 - 30) % 32u);
 }
 
 TEST(FreeSpace, NearestFreeExactBoundary) {
   FreeSpaceMap space(SmallGeom(), 8);
-  uint32_t skip = 9;
-  auto block = space.NearestFreeInTrack(0, 8, &skip);
+  auto block = space.NearestFreeInTrack(0, 8);
   ASSERT_TRUE(block.has_value());
   EXPECT_EQ(*block, 1u);  // Sector 8 is exactly block 1's start.
-  EXPECT_EQ(skip, 0u);
 }
 
 TEST(FreeSpace, NearestFreeFullTrack) {
@@ -87,9 +82,9 @@ TEST(FreeSpace, NearestFreeFullTrack) {
   for (uint32_t b = 0; b < 4; ++b) {
     space.MarkLive(b);
   }
-  EXPECT_FALSE(space.NearestFreeInTrack(0, 0, nullptr).has_value());
+  EXPECT_FALSE(space.NearestFreeInTrack(0, 0).has_value());
   // Other tracks unaffected.
-  EXPECT_TRUE(space.NearestFreeInTrack(1, 0, nullptr).has_value());
+  EXPECT_TRUE(space.NearestFreeInTrack(1, 0).has_value());
 }
 
 TEST(FreeSpace, SecondTrackIndexing) {
@@ -97,11 +92,9 @@ TEST(FreeSpace, SecondTrackIndexing) {
   space.MarkLive(4);  // First block of track 1.
   EXPECT_EQ(space.LiveInTrack(1), 1u);
   EXPECT_EQ(space.LiveInTrack(0), 0u);
-  uint32_t skip = 0;
-  auto block = space.NearestFreeInTrack(1, 0, &skip);
+  auto block = space.NearestFreeInTrack(1, 0);
   ASSERT_TRUE(block.has_value());
   EXPECT_EQ(*block, 5u);
-  EXPECT_EQ(skip, 8u);
 }
 
 // The linear scan the hole-plug pick made before the partial-track buckets: the first track
