@@ -169,6 +169,8 @@ struct LongHaulLeg {
   // granted burst ran, and how many credit grants waited for the credit to cover one move.
   double overrun_ms_per_burst = 0;
   uint64_t deferred_grants = 0;
+  // The compactor's mean block move (Compactor::MoveCost), the unit both of those are in.
+  double move_cost_ms = 0;
 };
 
 LongHaulLeg RunLongHaulLeg(workload::OpenLoopOptions options, common::Duration window,
@@ -233,6 +235,7 @@ LongHaulLeg RunLongHaulLeg(workload::OpenLoopOptions options, common::Duration w
       bench::Ms(vld.compactor().stats().overrun_time) /
       static_cast<double>(std::max<uint64_t>(governor.stats().bursts, 1));
   leg.deferred_grants = governor.stats().deferred;
+  leg.move_cost_ms = bench::Ms(vld.compactor().MoveCost());
   leg.timeline_json = timeline.Json();
   leg.windows = timeline.windows().size();
   leg.steady = timeline.IsSteady();
@@ -682,9 +685,9 @@ int main(int argc, char** argv) {
                 l->parked_recovery_ms,
                 static_cast<unsigned long long>(l->parked_recovery_sectors));
     std::printf("%-16s bursts overran their deadline by %.3f ms each on average; %llu credit "
-                "grant(s) withheld below one move\n",
+                "grant(s) withheld below one move; a block move cost %.2f ms on average\n",
                 label, l->overrun_ms_per_burst,
-                static_cast<unsigned long long>(l->deferred_grants));
+                static_cast<unsigned long long>(l->deferred_grants), l->move_cost_ms);
     report.AddRow(label, l->result.achieved_iops, l->result.latency_hist, l->result.breakdown,
                   {{"empties_before", static_cast<double>(l->empties_before)},
                    {"empties_after", static_cast<double>(l->empties_after)},
@@ -702,7 +705,8 @@ int main(int argc, char** argv) {
                    {"parked_recovery_ms", l->parked_recovery_ms},
                    {"parked_recovery_sectors", static_cast<double>(l->parked_recovery_sectors)},
                    {"overrun_ms_per_burst", l->overrun_ms_per_burst},
-                   {"deferred_grants", static_cast<double>(l->deferred_grants)}});
+                   {"deferred_grants", static_cast<double>(l->deferred_grants)},
+                   {"move_cost_ms", l->move_cost_ms}});
   }
   const bool lh_steady = lh_governed.steady;
   const bool lh_floor =

@@ -14,6 +14,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "src/common/rng.h"
 #include "src/workload/benchmarks.h"
 #include "src/workload/platform.h"
 

@@ -2,19 +2,12 @@
 
 #include <algorithm>
 #include <limits>
-#include <vector>
 
 namespace vlog::core {
 
 Compactor::Compactor(CompactionBackend* backend, simdisk::SimDisk* disk,
-                     EagerAllocator* allocator, VirtualLog* vlog, CompactorConfig config,
-                     uint64_t seed)
-    : backend_(backend),
-      disk_(disk),
-      allocator_(allocator),
-      vlog_(vlog),
-      config_(config),
-      rng_(seed) {}
+                     EagerAllocator* allocator, VirtualLog* vlog, CompactorConfig config)
+    : backend_(backend), disk_(disk), allocator_(allocator), vlog_(vlog), config_(config) {}
 
 void Compactor::AbandonResume() {
   if (resume_track_.has_value()) {
@@ -33,30 +26,46 @@ bool Compactor::Compactable(uint64_t track) const {
 
 std::optional<uint64_t> Compactor::PickVictim() {
   FreeSpaceMap& space = allocator_->space();
-  // Greedy: a track with the fewest live blocks empties for the fewest relocations. Ties are
-  // broken at random (DESIGN.md "As built" has what a lowest-track tie-break cost). A partly
-  // filled track holds fewer live blocks than any full one, so the free-space map's
-  // partial-track buckets answer from the lowest live count up. Only when no partly filled
-  // track is compactable are all tracks scanned; every compactable one is full then, so all
-  // of them tie.
-  candidates_.clear();
-  const auto collect = [this](uint64_t t) {
-    if (Compactable(t)) {
-      candidates_.push_back(t);
-    }
+  // Greedy: a track with the fewest live blocks empties for the fewest relocations. Among the
+  // tracks tied at that count, the head's nearest goes first: the arm move plus the rotational
+  // wait to the first live block CompactTrack visits, the lowest track on ties (DESIGN.md "As
+  // built" has what random and lowest-track tie-breaks cost). A partly filled track holds
+  // fewer live blocks than any full one, so the free-space map's partial-track buckets answer
+  // from the lowest live count up. Only when no partly filled track is compactable are all
+  // tracks scanned; every compactable one is full then, so all of them tie.
+  const common::Duration phase = disk_->PhaseAt(disk_->clock()->Now());
+  const uint32_t heads = disk_->geometry().tracks_per_cylinder;
+  struct Victim {
+    uint64_t track;
+    common::Duration cost;
   };
-  for (uint32_t live = 1; live < space.blocks_per_track() && candidates_.empty(); ++live) {
-    space.ForEachPartialTrack(live, collect);
-  }
-  if (candidates_.empty()) {
-    for (uint64_t t = 0; t < space.total_tracks(); ++t) {
-      collect(t);
+  const auto price = [&](uint64_t track, uint32_t cylinder) -> std::optional<Victim> {
+    if (!Compactable(track)) {
+      return std::nullopt;
+    }
+    const common::Duration move =
+        disk_->ArmMoveTo(cylinder, static_cast<uint32_t>(track) - cylinder * heads);
+    const uint32_t first_live_sector = space.FirstLiveSlot(track) * space.block_sectors();
+    return Victim{track, move + disk_->WaitAtPhase(first_live_sector,
+                                                   disk_->PhaseAfter(phase, move))};
+  };
+  for (uint32_t live = 1; live < space.blocks_per_track(); ++live) {
+    if (const auto victim = space.CheapestPartialTrack(live, disk_->ArmPosition().cylinder,
+                                                       disk_->SeekTimes(), price)) {
+      return victim->track;
     }
   }
-  if (candidates_.empty()) {
+  std::optional<Victim> best;
+  for (uint64_t t = 0; t < space.total_tracks(); ++t) {
+    const auto victim = price(t, static_cast<uint32_t>(t) / heads);
+    if (victim && (!best || victim->cost < best->cost)) {
+      best = victim;
+    }
+  }
+  if (!best) {
     return std::nullopt;
   }
-  return candidates_[rng_.Below(candidates_.size())];
+  return best->track;
 }
 
 bool Compactor::CompactTrack(uint64_t track, common::Time last_start, bool* interrupted) {
@@ -147,12 +156,12 @@ uint32_t Compactor::Run(common::Time deadline, bool preemptible, uint32_t target
       break;
     }
     if (disk_->clock()->Now() > last_start) {
-      break;  // No move fits: leave the resume victim and the rng for the next run.
+      break;  // No move fits: leave the resume victim for the next run.
     }
-    // A victim left mid-track by a preempted burst is finished before a new one is drawn, so
-    // no rng draw is repeated. The victim stays allocation-excluded between bursts; if it
-    // became uncompactable anyway (a checkpoint pinned a map sector into it), abandon it —
-    // the relocations already committed stand regardless.
+    // A victim left mid-track by a preempted burst is finished before a new one is picked. The
+    // victim stays allocation-excluded between bursts; if it became uncompactable anyway (a
+    // checkpoint pinned a map sector into it), abandon it — the relocations already committed
+    // stand regardless.
     uint64_t victim;
     if (resume_track_.has_value() && Compactable(*resume_track_)) {
       victim = *resume_track_;

@@ -4,17 +4,16 @@
 // into free space elsewhere (via normal eager writes), producing entirely empty tracks for the
 // allocator's fill-to-threshold mode. Work proceeds at track granularity, so even short idle
 // intervals are useful — the property Figure 11 contrasts with the segment-granularity LFS
-// cleaner. Each victim is a compactable track with the fewest live blocks, drawn at random
-// among the tracks tied at that count. The paper picks victims at random among all compactable
-// tracks; the greedy pick cuts governed-hot's write amplification by a quarter (DESIGN.md).
+// cleaner. Each victim is a compactable track with the fewest live blocks, and among the tracks
+// tied at that count the one the head reaches soonest. The paper picks victims at random among
+// all compactable tracks; the greedy pick cuts governed-hot's write amplification by a quarter,
+// and the positional tie-break its write latency (DESIGN.md).
 #ifndef SRC_CORE_COMPACTOR_H_
 #define SRC_CORE_COMPACTOR_H_
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
-#include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/common/time.h"
 #include "src/core/eager_allocator.h"
@@ -55,7 +54,7 @@ struct CompactorStats {
 class Compactor {
  public:
   Compactor(CompactionBackend* backend, simdisk::SimDisk* disk, EagerAllocator* allocator,
-            VirtualLog* vlog, CompactorConfig config, uint64_t seed);
+            VirtualLog* vlog, CompactorConfig config);
 
   // Compacts until `deadline`, enough empty tracks exist, or no victim remains. Each victim
   // track is finished once started (track-granularity work units). Returns tracks emptied.
@@ -64,9 +63,9 @@ class Compactor {
   // Preemptible variant for governed bursts: a block move starts only when one MoveCost(),
   // as measured before this run, still fits before the deadline, so a burst may stop
   // mid-track but overruns its deadline only by how much its last move exceeds the mean. A
-  // run too short for one move returns before it resumes or draws a victim: it consumes no
-  // rng draw and excludes no track from allocation. The unfinished victim is remembered and
-  // continued by the next run (bounded or idle) before a new victim is drawn; relocations
+  // run too short for one move returns before it resumes or picks a victim, and excludes no
+  // track from allocation. The unfinished victim is remembered and continued by the next run
+  // (bounded or idle) before a new victim is picked; relocations
   // already committed are never redone, because the resumed scan skips blocks that are no
   // longer live. With a deadline generous enough that no track is ever truncated, the call
   // sequence is identical to RunUntil. `target_empty_tracks` overrides the config target for
@@ -91,19 +90,18 @@ class Compactor {
   uint32_t Run(common::Time deadline, bool preemptible, uint32_t target_empty_tracks);
   void AbandonResume();
   bool Compactable(uint64_t track) const;
+  // The compactable track with the fewest live blocks that the head reaches soonest.
   std::optional<uint64_t> PickVictim();
   // Moves the victim's live blocks, starting none after `last_start`.
   bool CompactTrack(uint64_t track, common::Time last_start, bool* interrupted);
 
   std::optional<uint64_t> resume_track_;
-  std::vector<uint64_t> candidates_;  // PickVictim's tied victims, kept to reuse the buffer.
 
   CompactionBackend* backend_;
   simdisk::SimDisk* disk_;
   EagerAllocator* allocator_;
   VirtualLog* vlog_;
   CompactorConfig config_;
-  common::Rng rng_;
   CompactorStats stats_;
 };
 

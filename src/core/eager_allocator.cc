@@ -15,42 +15,44 @@ uint32_t EagerAllocator::ReservedPerTrack() const {
   return static_cast<uint32_t>(std::floor(m));
 }
 
+EagerAllocator::Arrival EagerAllocator::ArriveAfter(common::Duration move,
+                                                    common::Duration phase) const {
+  const common::Duration ready = disk_->PhaseAfter(phase, move);
+  return Arrival{.move = move, .phase = ready, .sector = disk_->NextSectorAhead(ready)};
+}
+
 std::optional<EagerAllocator::Candidate> EagerAllocator::BestInTrack(
-    uint64_t track, common::Duration arm_move, std::optional<uint64_t> excluded) const {
+    uint64_t track, const Arrival& at, std::optional<uint64_t> excluded) const {
   if (excluded == track) {
     return std::nullopt;
-  }
-  if (space_->FreeInTrack(track) == 0) {
-    return std::nullopt;  // Skip the head-position math for packed tracks.
   }
   // Search from the first sector the head has not passed yet: a block whose first sector is
   // already under the head is a whole revolution away. Each candidate costs what the disk will
   // charge its write: the arm move, then the wait for the block's first sector.
-  const common::Time ready = disk_->clock()->Now() + arm_move;
-  const uint32_t from = disk_->NextSectorAhead(ready);
-  const auto block = space_->NearestFreeInTrack(track, from);
+  const auto block = space_->NearestFreeInTrack(track, at.sector);
   if (!block) {
     return std::nullopt;
   }
-  const uint32_t first_sector = *block % space_->blocks_per_track() * space_->block_sectors();
-  return Candidate{*block, arm_move + disk_->RotationalWait(first_sector, ready)};
+  const uint32_t slot = *block - static_cast<uint32_t>(track * space_->blocks_per_track());
+  return Candidate{*block, at.move + disk_->WaitAtPhase(slot * space_->block_sectors(), at.phase)};
 }
 
 std::optional<EagerAllocator::Candidate> EagerAllocator::GreedyPick(
-    std::optional<uint64_t> excluded) const {
+    common::Duration phase, std::optional<uint64_t> excluded) const {
   const auto& geom = disk_->geometry();
   const simdisk::PhysAddr arm = disk_->ArmPosition();
   const uint64_t current_track =
       static_cast<uint64_t>(arm.cylinder) * geom.tracks_per_cylinder + arm.head;
 
-  std::optional<Candidate> best = BestInTrack(current_track, 0, excluded);
+  std::optional<Candidate> best = BestInTrack(current_track, ArriveAfter(0, phase), excluded);
   // Other tracks in the current cylinder, each paying a head switch.
+  const Arrival switched = ArriveAfter(disk_->params().head_switch, phase);
   const uint64_t cyl_base = static_cast<uint64_t>(arm.cylinder) * geom.tracks_per_cylinder;
   for (uint32_t h = 0; h < geom.tracks_per_cylinder; ++h) {
     if (h == arm.head) {
       continue;
     }
-    const auto cand = BestInTrack(cyl_base + h, disk_->params().head_switch, excluded);
+    const auto cand = BestInTrack(cyl_base + h, switched, excluded);
     if (cand && (!best || cand->cost < best->cost)) {
       best = cand;
     }
@@ -68,12 +70,12 @@ std::optional<EagerAllocator::Candidate> EagerAllocator::GreedyPick(
     const uint64_t base = static_cast<uint64_t>(cyl) * geom.tracks_per_cylinder;
     // Seek distance honours the one-direction sweep: wrapping costs a long reverse seek.
     const uint32_t dist = cyl >= arm.cylinder ? cyl - arm.cylinder : arm.cylinder - cyl;
-    const common::Duration seek = disk_->params().seek.SeekTime(dist);
+    const common::Duration seek = disk_->SeekTimes()[dist];
+    const Arrival same_head = ArriveAfter(seek, phase);
+    const Arrival other_head = ArriveAfter(std::max(seek, disk_->params().head_switch), phase);
     std::optional<Candidate> cyl_best;
     for (uint32_t h = 0; h < geom.tracks_per_cylinder; ++h) {
-      const common::Duration move =
-          std::max(seek, h != arm.head ? disk_->params().head_switch : common::Duration{0});
-      const auto cand = BestInTrack(base + h, move, excluded);
+      const auto cand = BestInTrack(base + h, h == arm.head ? same_head : other_head, excluded);
       if (cand && (!cyl_best || cand->cost < cyl_best->cost)) {
         cyl_best = cand;
       }
@@ -112,7 +114,7 @@ std::optional<uint64_t> EagerAllocator::NextEmptyTrack(Cursor& cursor,
 }
 
 std::optional<EagerAllocator::Candidate> EagerAllocator::FillPick(
-    Cursor& cursor, std::optional<uint64_t> excluded) const {
+    Cursor& cursor, common::Duration phase, std::optional<uint64_t> excluded) const {
   const uint32_t reserved = ReservedPerTrack();
   if (cursor.fill_track &&
       (space_->FreeInTrack(*cursor.fill_track) <= reserved || excluded == cursor.fill_track)) {
@@ -126,42 +128,54 @@ std::optional<EagerAllocator::Candidate> EagerAllocator::FillPick(
   }
   if (!cursor.fill_track) {
     ++cursor.greedy_fallbacks;
-    return GreedyPick(excluded);
+    return GreedyPick(phase, excluded);
   }
   // Arm move cost to the fill track (0 when already there).
-  const common::Duration move = disk_->ArmMoveCost(space_->BlockToLba(
-      static_cast<uint32_t>(*cursor.fill_track * space_->blocks_per_track())));
-  auto cand = BestInTrack(*cursor.fill_track, move, excluded);
+  const common::Duration move = disk_->ArmMoveCost(
+      space_->BlockToLba(static_cast<uint32_t>(*cursor.fill_track * space_->blocks_per_track())));
+  auto cand = BestInTrack(*cursor.fill_track, ArriveAfter(move, phase), excluded);
   if (!cand) {
     cursor.fill_track.reset();
     ++cursor.greedy_fallbacks;
-    return GreedyPick(excluded);
+    return GreedyPick(phase, excluded);
   }
   return cand;
 }
 
-std::optional<EagerAllocator::Candidate> EagerAllocator::HolePlugPick() const {
-  // Pack the fullest partly filled track first, whatever its distance from the head:
-  // compaction runs in idle time, so packing quality matters more than positioning cost.
-  // Empty tracks stay empty and full tracks have no holes.
-  const auto track = space_->FullestPartialTrack(excluded_track_);
-  if (!track) {
-    return GreedyPick(excluded_track_);
+std::optional<EagerAllocator::Candidate> EagerAllocator::HolePlugPick(
+    common::Duration phase) const {
+  // Pack the fullest partly filled track first, so victims drain into existing holes: empty
+  // tracks stay empty and full tracks have no holes. Among the fullest tracks, take the one
+  // whose nearest free block the head reaches soonest, priced as any write is.
+  const simdisk::PhysAddr arm = disk_->ArmPosition();
+  const uint32_t heads = disk_->geometry().tracks_per_cylinder;
+  // Every track of a cylinder but the arm's own head needs the same arm move, so the search
+  // works out where the head arrives once per move.
+  Arrival at{.move = -1};
+  const auto best_in = [&](uint64_t track, uint32_t cylinder) {
+    const common::Duration move =
+        disk_->ArmMoveTo(cylinder, static_cast<uint32_t>(track) - cylinder * heads);
+    if (move != at.move) {
+      at = ArriveAfter(move, phase);
+    }
+    return BestInTrack(track, at, excluded_track_);
+  };
+  for (uint32_t live = space_->blocks_per_track() - 1; live > 0; --live) {
+    if (auto cand = space_->CheapestPartialTrack(live, arm.cylinder, disk_->SeekTimes(), best_in)) {
+      return cand;
+    }
   }
-  const common::Duration move = disk_->ArmMoveCost(
-      space_->BlockToLba(static_cast<uint32_t>(*track * space_->blocks_per_track())));
-  if (auto cand = BestInTrack(*track, move, excluded_track_)) {
-    return cand;
-  }
-  return GreedyPick(excluded_track_);
+  return GreedyPick(phase, excluded_track_);
 }
 
 std::optional<EagerAllocator::Candidate> EagerAllocator::Pick(Cursor& cursor) const {
+  const common::Duration phase = disk_->PhaseAt(disk_->clock()->Now());
   if (compaction_mode_) {
-    return HolePlugPick();
+    return HolePlugPick(phase);
   }
   const auto pick = [&](std::optional<uint64_t> excluded) {
-    return config_.fill_to_threshold ? FillPick(cursor, excluded) : GreedyPick(excluded);
+    return config_.fill_to_threshold ? FillPick(cursor, phase, excluded)
+                                     : GreedyPick(phase, excluded);
   };
   auto cand = pick(excluded_track_);
   if (!cand && excluded_track_.has_value()) {

@@ -1,12 +1,15 @@
 // Eager-writing block allocation: pick the free physical block that the head can reach soonest.
 //
-// Two modes, mirroring §2.2/§2.3 and §4.2 of the paper:
+// Three modes, mirroring §2.2/§2.3 and §4.2 of the paper:
 //  - Greedy: nearest free block in the current track, else the best candidate in the current
 //    cylinder (paying a head switch), else a cylinder seek — always in one sweep direction,
 //    wrapping at the last cylinder, so the head is never trapped in a full region.
 //  - Fill-to-threshold (used when the compactor runs): write into an initially-empty track until
 //    only `track_switch_threshold` of its blocks remain free, then move to the next empty track;
 //    fall back to greedy when no empty tracks remain.
+//  - Hole-plug (the compactor's own writes): the nearest free block among the partly filled
+//    tracks with the most live blocks, never the compactor's victim, so victims drain into
+//    existing holes; greedy when no track is partly filled.
 #ifndef SRC_CORE_EAGER_ALLOCATOR_H_
 #define SRC_CORE_EAGER_ALLOCATOR_H_
 
@@ -58,8 +61,9 @@ class EagerAllocator {
   // Compactor integration: supply a newly emptied track / exclude the current victim.
   void NoteEmptyTrack(uint64_t track);
   void SetExcludedTrack(std::optional<uint64_t> track) { excluded_track_ = track; }
-  // Hole-plugging mode for compaction output: allocate into the fullest non-empty track so
-  // victims drain into existing holes instead of consuming the empty tracks being produced.
+  // Hole-plugging mode for compaction output: allocate into the partly filled track with the
+  // most live blocks (the nearest such track on ties) so victims drain into existing holes
+  // instead of consuming the empty tracks being produced.
   void SetCompactionMode(bool on) { compaction_mode_ = on; }
 
   const AllocatorConfig& config() const { return config_; }
@@ -85,12 +89,25 @@ class EagerAllocator {
 
   // The block the next allocation takes from the state in `cursor`, which it advances.
   std::optional<Candidate> Pick(Cursor& cursor) const;
-  // Best candidate in `track` reachable after `arm_move` of arm repositioning time.
-  std::optional<Candidate> BestInTrack(uint64_t track, common::Duration arm_move,
+  // Where the head is once an arm move ends: the move, the platter's rotational phase then,
+  // and the first sector whose leading edge is still ahead. Every track the same move away
+  // shares it, so a pick works it out once per distinct move.
+  struct Arrival {
+    common::Duration move = 0;
+    common::Duration phase = 0;
+    uint32_t sector = 0;
+  };
+  // The picks below price every candidate from `phase`, the platter's rotational phase when
+  // the pick starts (SimDisk::PhaseAt).
+  Arrival ArriveAfter(common::Duration move, common::Duration phase) const;
+  // Best candidate in `track` for a head arriving as `at` says.
+  std::optional<Candidate> BestInTrack(uint64_t track, const Arrival& at,
                                        std::optional<uint64_t> excluded) const;
-  std::optional<Candidate> GreedyPick(std::optional<uint64_t> excluded) const;
-  std::optional<Candidate> FillPick(Cursor& cursor, std::optional<uint64_t> excluded) const;
-  std::optional<Candidate> HolePlugPick() const;
+  std::optional<Candidate> GreedyPick(common::Duration phase,
+                                      std::optional<uint64_t> excluded) const;
+  std::optional<Candidate> FillPick(Cursor& cursor, common::Duration phase,
+                                    std::optional<uint64_t> excluded) const;
+  std::optional<Candidate> HolePlugPick(common::Duration phase) const;
   // Next empty track for fill mode: queued empties first, then a sweep scan.
   std::optional<uint64_t> NextEmptyTrack(Cursor& cursor, std::optional<uint64_t> excluded) const;
   // Counts `block`'s placement relative to the arm: same track, same cylinder or a seek.

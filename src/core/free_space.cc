@@ -7,23 +7,48 @@ namespace vlog::core {
 FreeSpaceMap::FreeSpaceMap(const simdisk::DiskGeometry& geometry, uint32_t block_sectors)
     : block_sectors_(block_sectors),
       blocks_per_track_(geometry.sectors_per_track / block_sectors),
-      tracks_per_cylinder_(geometry.tracks_per_cylinder) {
+      tracks_per_cylinder_(geometry.tracks_per_cylinder),
+      slot_words_((blocks_per_track_ + 63) / 64) {
   assert(geometry.sectors_per_track % block_sectors == 0 &&
          "physical block size must divide the track");
+  assert(tracks_per_cylinder_ <= 64 && "a cylinder's tracks must fit one bucket word");
   const uint64_t tracks = geometry.TotalTracks();
-  states_.assign(tracks * blocks_per_track_, BlockState::kFree);
+  // Every slot of every track starts free.
+  std::vector<uint64_t> all_free(slot_words_, ~uint64_t{0});
+  if (blocks_per_track_ % 64 != 0) {
+    all_free.back() = (uint64_t{1} << (blocks_per_track_ % 64)) - 1;
+  }
+  free_bits_.reserve(tracks * slot_words_);
+  for (uint64_t t = 0; t < tracks; ++t) {
+    free_bits_.insert(free_bits_.end(), all_free.begin(), all_free.end());
+  }
+  live_bits_.assign(tracks * slot_words_, 0);
   cyl_free_.assign(geometry.cylinders, tracks_per_cylinder_ * blocks_per_track_);
   track_free_.assign(tracks, blocks_per_track_);
   track_live_.assign(tracks, 0);
   track_system_.assign(tracks, 0);
   track_words_ = (tracks + 63) / 64;
-  free_blocks_ = states_.size();
+  // A block starts every block_sectors_ sectors, so the first at or after sector s is slot
+  // ceil(s / block_sectors_); one past the last sector gives blocks_per_track_, which wraps.
+  first_slot_at_.resize(geometry.sectors_per_track + 1);
+  for (uint32_t sector = 0; sector <= geometry.sectors_per_track; ++sector) {
+    first_slot_at_[sector] = (sector + block_sectors_ - 1) / block_sectors_;
+  }
+  free_blocks_ = total_blocks();
   empty_tracks_ = tracks;
 }
 
+void FreeSpaceMap::SetBit(std::vector<uint64_t>& bits, uint32_t block, bool on) {
+  const uint32_t track = block / blocks_per_track_;
+  const uint32_t slot = block - track * blocks_per_track_;
+  uint64_t& word = bits[size_t{track} * slot_words_ + slot / 64];
+  const uint64_t bit = uint64_t{1} << (slot % 64);
+  word = on ? word | bit : word & ~bit;
+}
+
 void FreeSpaceMap::MarkSystem(uint32_t block) {
-  assert(states_[block] == BlockState::kFree);
-  states_[block] = BlockState::kSystem;
+  assert(state(block) == BlockState::kFree);
+  SetBit(free_bits_, block, false);
   const uint64_t track = TrackOfBlock(block);
   if (TrackEmpty(track)) {
     --empty_tracks_;
@@ -38,8 +63,9 @@ void FreeSpaceMap::MarkSystem(uint32_t block) {
 }
 
 void FreeSpaceMap::MarkLive(uint32_t block) {
-  assert(states_[block] == BlockState::kFree);
-  states_[block] = BlockState::kLive;
+  assert(state(block) == BlockState::kFree);
+  SetBit(free_bits_, block, false);
+  SetBit(live_bits_, block, true);
   const uint64_t track = TrackOfBlock(block);
   if (TrackEmpty(track)) {
     --empty_tracks_;
@@ -54,8 +80,9 @@ void FreeSpaceMap::MarkLive(uint32_t block) {
 }
 
 void FreeSpaceMap::Free(uint32_t block) {
-  assert(states_[block] == BlockState::kLive);
-  states_[block] = BlockState::kFree;
+  assert(state(block) == BlockState::kLive);
+  SetBit(live_bits_, block, false);
+  SetBit(free_bits_, block, true);
   const uint64_t track = TrackOfBlock(block);
   IndexPartial(track, /*add=*/false);
   ++track_free_[track];
@@ -96,47 +123,8 @@ void FreeSpaceMap::BuildPartialIndex() {
   }
 }
 
-std::optional<uint64_t> FreeSpaceMap::FullestPartialTrack(std::optional<uint64_t> excluded) {
-  BuildPartialIndex();
-  // A partly filled track has at most blocks_per_track_ - 1 live blocks.
-  for (uint32_t live = blocks_per_track_ - 1; live > 0; --live) {
-    if (partial_in_bucket_[live] == 0) {
-      continue;
-    }
-    const uint64_t* bucket = partial_bits_.data() + live * track_words_;
-    for (size_t w = 0; w < track_words_; ++w) {
-      uint64_t word = bucket[w];
-      if (excluded && *excluded / 64 == w) {
-        word &= ~(uint64_t{1} << (*excluded % 64));
-      }
-      if (word != 0) {
-        return w * 64 + static_cast<uint64_t>(std::countr_zero(word));
-      }
-    }
-  }
-  return std::nullopt;
-}
-
 bool FreeSpaceMap::TrackEmpty(uint64_t track) const {
   return track_live_[track] == 0 && track_system_[track] == 0;
-}
-
-std::optional<uint32_t> FreeSpaceMap::NearestFreeInTrack(uint64_t track,
-                                                         uint32_t from_sector) const {
-  if (track_free_[track] == 0) {
-    return std::nullopt;
-  }
-  const uint32_t base = static_cast<uint32_t>(track * blocks_per_track_);
-  // The first block whose start is at or after from_sector (blocks are block_sectors_-aligned).
-  const uint32_t first =
-      (from_sector + block_sectors_ - 1) / block_sectors_;  // Candidate slot index in track.
-  for (uint32_t i = 0; i < blocks_per_track_; ++i) {
-    const uint32_t slot = (first + i) % blocks_per_track_;
-    if (states_[base + slot] == BlockState::kFree) {
-      return base + slot;
-    }
-  }
-  return std::nullopt;
 }
 
 uint64_t FreeSpaceMap::TracksBelowFreeFraction(double frac) const {
@@ -153,7 +141,7 @@ uint64_t FreeSpaceMap::TracksBelowFreeFraction(double frac) const {
 }
 
 double FreeSpaceMap::Utilization() const {
-  const uint64_t usable = states_.size() - system_blocks_;
+  const uint64_t usable = total_blocks() - system_blocks_;
   if (usable == 0) {
     return 1.0;
   }

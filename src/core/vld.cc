@@ -97,7 +97,7 @@ Vld::Vld(simdisk::SimDisk* disk, VldConfig config)
   vlog_.SetEntriesProvider([this](uint32_t piece) { return PieceEntries(piece); });
   compactor_ = std::make_unique<Compactor>(
       this, disk_, &allocator_, &vlog_,
-      CompactorConfig{.target_empty_tracks = config_.target_empty_tracks}, config_.seed);
+      CompactorConfig{.target_empty_tracks = config_.target_empty_tracks});
   // The standard read-ahead policy purges prematurely when physical addresses are not
   // monotonic; the VLD prefetches whole tracks instead (§4.2).
   disk_->set_read_ahead_policy(simdisk::ReadAheadPolicy::kAggressiveTrack);
@@ -151,6 +151,18 @@ common::StatusOr<VldRecoveryInfo> Vld::Recover() {
   info.from_checkpoint = recovered.from_checkpoint;
   info.log_sectors_read = recovered.sectors_read;
   info.discarded_txn_sectors = recovered.discarded_txn_sectors;
+  // Every physical block the recovered map names must be free, allocatable and named once:
+  // damaged or reordered media can map two logical blocks onto one, or a logical block onto
+  // the block holding a live map sector. Each claim is checked before any is marked live, so
+  // a corrupt map leaves the free-space counts as Format's system blocks left them.
+  const auto claim = [&](uint32_t block, const char* what) -> common::Status {
+    if (block >= space_.total_blocks() || space_.state(block) != BlockState::kFree ||
+        reverse_[block] != kUnmappedBlock) {
+      return common::Corruption("Vld::Recover: physical block " + std::to_string(block) +
+                                " is claimed again, by " + what);
+    }
+    return common::OkStatus();
+  };
   for (uint32_t k = 0; k < recovered.pieces.size(); ++k) {
     const auto& entries = recovered.pieces[k];
     for (uint32_t i = 0; i < entries.size(); ++i) {
@@ -158,14 +170,14 @@ common::StatusOr<VldRecoveryInfo> Vld::Recover() {
       if (logical >= logical_blocks_ || entries[i] == kUnmappedBlock) {
         continue;
       }
+      RETURN_IF_ERROR(claim(entries[i], "a data block"));
       map_[logical] = entries[i];
       reverse_[entries[i]] = static_cast<uint32_t>(logical);
-      space_.MarkLive(entries[i]);
       ++info.mapped_blocks;
     }
   }
   // A packed group commit can leave several live (or pinned) map sectors in one physical
-  // block: collect the blocks first so each is marked live exactly once.
+  // block: collect the blocks first so each is claimed once.
   std::set<uint32_t> map_blocks;
   for (uint32_t k = 0; k < vlog_.config().pieces; ++k) {
     if (const auto block = vlog_.LiveBlockOfPiece(k)) {
@@ -176,7 +188,15 @@ common::StatusOr<VldRecoveryInfo> Vld::Recover() {
     map_blocks.insert(block);
   }
   for (const uint32_t block : map_blocks) {
+    RETURN_IF_ERROR(claim(block, "a map sector"));
+  }
+  for (const uint32_t block : map_blocks) {
     space_.MarkLive(block);
+  }
+  for (uint32_t block = 0; block < reverse_.size(); ++block) {
+    if (reverse_[block] != kUnmappedBlock) {
+      space_.MarkLive(block);
+    }
   }
   // Re-append pieces whose on-disk reachability could not be re-established (scan path only).
   for (const uint32_t piece : recovered.uncovered_pieces) {

@@ -46,7 +46,6 @@ struct VldConfig {
   uint32_t slack_blocks = 16;  // Physical blocks withheld from the logical size so eager
                                // writing always has somewhere to go.
   uint32_t queue_depth = 8;  // Maximum outstanding queued requests (SubmitRead/SubmitWrite).
-  uint64_t seed = 1;
   // FlushQueue's read-scheduling policy. Writes always service FIFO among themselves — eager
   // placement puts each one where the allocator finds a block, so reordering writes saves
   // nothing — but reads go where the data *is*, so SPTF orders a batch's reads by the

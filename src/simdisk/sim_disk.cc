@@ -13,6 +13,8 @@ SimDisk::SimDisk(DiskParams params, common::Clock* clock)
     : params_(std::move(params)),
       clock_(clock),
       rotation_period_(params_.RotationPeriod()),
+      sectors_per_ns_(static_cast<double>(params_.geometry.sectors_per_track) /
+                      static_cast<double>(rotation_period_)),
       pages_((params_.geometry.TotalSectors() + kPageSectors - 1) / kPageSectors),
       zero_sector_(params_.geometry.sector_bytes),
       cache_(params_.cache) {
@@ -20,6 +22,14 @@ SimDisk::SimDisk(DiskParams params, common::Clock* clock)
   sector_start_.resize(n);
   for (uint32_t s = 0; s < n; ++s) {
     sector_start_[s] = static_cast<common::Duration>(static_cast<double>(rotation_period_) * s / n);
+  }
+  seek_time_.resize(params_.geometry.cylinders);
+  for (uint32_t d = 0; d < seek_time_.size(); ++d) {
+    seek_time_[d] = params_.seek.SeekTime(d);
+    // The allocator's and the compactor's nearest-track searches stop at the first distance
+    // whose seek alone costs more than their best candidate, which is exact only for a curve
+    // that never falls.
+    assert((d == 0 || seek_time_[d] >= seek_time_[d - 1]) && "seek time must not fall");
   }
 }
 
@@ -54,38 +64,6 @@ void SimDisk::RegisterTimelineProbes(obs::Timeline& timeline, const std::string&
   });
 }
 
-uint32_t SimDisk::NextSectorAhead(common::Time t) const {
-  const common::Duration phase = t % rotation_period_;
-  const uint32_t n = params_.geometry.sectors_per_track;
-  // The scaled phase lands on the answer or next to it; the sector starts settle which.
-  uint32_t s = static_cast<uint32_t>(static_cast<double>(phase) /
-                                     static_cast<double>(rotation_period_) * n);
-  while (s > 0 && sector_start_[s - 1] >= phase) {
-    --s;
-  }
-  while (s < n && sector_start_[s] < phase) {
-    ++s;
-  }
-  return s % n;
-}
-
-common::Duration SimDisk::RotationalWait(uint32_t sector, common::Time at) const {
-  assert(sector < sector_start_.size());
-  // Time at which the leading edge of `sector` is next under the head.
-  const common::Duration wait = sector_start_[sector] - at % rotation_period_;
-  return wait < 0 ? wait + rotation_period_ : wait;
-}
-
-common::Duration SimDisk::ArmMoveCost(Lba lba) const {
-  const PhysAddr target = params_.geometry.ToPhys(lba);
-  const uint32_t dist = target.cylinder > arm_.cylinder ? target.cylinder - arm_.cylinder
-                                                        : arm_.cylinder - target.cylinder;
-  const common::Duration seek = params_.seek.SeekTime(dist);
-  const common::Duration head_switch = target.head != arm_.head ? params_.head_switch : 0;
-  // Head selection overlaps arm motion; the settle is bounded by the longer of the two.
-  return std::max(seek, head_switch);
-}
-
 common::Duration SimDisk::EstimatePosition(Lba lba, common::Time at) const {
   const common::Duration move = ArmMoveCost(lba);
   return move + RotationalWait(params_.geometry.ToPhys(lba).sector, at + move);
@@ -103,7 +81,7 @@ void SimDisk::Position(Lba lba, bool sequential) {
   const PhysAddr target = params_.geometry.ToPhys(lba);
   const uint32_t dist = target.cylinder > arm_.cylinder ? target.cylinder - arm_.cylinder
                                                         : arm_.cylinder - target.cylinder;
-  const common::Duration seek = params_.seek.SeekTime(dist);
+  const common::Duration seek = seek_time_[dist];
   const common::Duration move = std::max(
       seek, target.head != arm_.head ? params_.head_switch : common::Duration{0});
   if (move > 0) {

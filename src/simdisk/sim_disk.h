@@ -16,6 +16,7 @@
 #ifndef SRC_SIMDISK_SIM_DISK_H_
 #define SRC_SIMDISK_SIM_DISK_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <functional>
@@ -121,18 +122,66 @@ class SimDisk : public BlockDevice {
   // Arm position (cylinder+surface). The rotational position is time-derived; see below.
   const PhysAddr& ArmPosition() const { return arm_; }
 
-  // The first sector whose leading edge is still ahead of the head at time t (or exactly under
-  // it), wrapping to 0 past the track's last sector: the sector RotationalWait reaches soonest
-  // from t. The sector the head is already inside is a whole revolution away.
-  uint32_t NextSectorAhead(common::Time t) const;
+  // The platter's rotational phase at time t: how far into its revolution it has turned. A
+  // pick that prices many candidate positions from one instant takes the phase once and moves
+  // it on with PhaseAfter, which needs no division.
+  common::Duration PhaseAt(common::Time t) const { return t % rotation_period_; }
+  // The phase `d` after `phase`, for d no longer than a few revolutions (an arm move).
+  common::Duration PhaseAfter(common::Duration phase, common::Duration d) const {
+    phase += d;
+    while (phase >= rotation_period_) {
+      phase -= rotation_period_;
+    }
+    return phase;
+  }
 
-  // Rotational delay from time `at` until the start of `sector` (< sectors_per_track) passes
+  // The first sector whose leading edge is still ahead of the head at `phase` (or exactly under
+  // it), wrapping to 0 past the track's last sector: the sector WaitAtPhase reaches soonest
+  // from there. The sector the head is already inside is a whole revolution away.
+  uint32_t NextSectorAhead(common::Duration phase) const {
+    const uint32_t n = params_.geometry.sectors_per_track;
+    // The scaled phase lands on the answer or next to it; the sector starts settle which.
+    uint32_t s = static_cast<uint32_t>(static_cast<double>(phase) * sectors_per_ns_);
+    while (s > 0 && sector_start_[s - 1] >= phase) {
+      --s;
+    }
+    while (s < n && sector_start_[s] < phase) {
+      ++s;
+    }
+    return s == n ? 0 : s;
+  }
+
+  // Rotational delay from `phase` until the start of `sector` (< sectors_per_track) passes
   // under the head.
-  common::Duration RotationalWait(uint32_t sector, common::Time at) const;
+  common::Duration WaitAtPhase(uint32_t sector, common::Duration phase) const {
+    assert(sector < sector_start_.size());
+    const common::Duration wait = sector_start_[sector] - phase;
+    return wait < 0 ? wait + rotation_period_ : wait;
+  }
+  // The same, from time `at`.
+  common::Duration RotationalWait(uint32_t sector, common::Time at) const {
+    return WaitAtPhase(sector, PhaseAt(at));
+  }
 
-  // Seek + head-switch cost from the current arm position to the track holding `lba`
-  // (0 when already there). Excludes rotation.
-  common::Duration ArmMoveCost(Lba lba) const;
+  // Seek time for an arm move of `d` cylinders is SeekTimes()[d], for every d below the
+  // cylinder count: SeekCurve's values, tabulated with the disk. It never decreases with
+  // distance (asserted there), so SeekTimes()[d] bounds from below the cost of reaching any
+  // track d or more cylinders from the arm.
+  std::span<const common::Duration> SeekTimes() const { return seek_time_; }
+
+  // Seek + head-switch cost from the current arm position to `cylinder` and `head`, or to the
+  // track holding `lba` (0 when already there). Excludes rotation.
+  common::Duration ArmMoveTo(uint32_t cylinder, uint32_t head) const {
+    const uint32_t dist =
+        cylinder > arm_.cylinder ? cylinder - arm_.cylinder : arm_.cylinder - cylinder;
+    const common::Duration head_switch = head != arm_.head ? params_.head_switch : 0;
+    // Head selection overlaps arm motion; the settle is bounded by the longer of the two.
+    return std::max(seek_time_[dist], head_switch);
+  }
+  common::Duration ArmMoveCost(Lba lba) const {
+    const PhysAddr target = params_.geometry.ToPhys(lba);
+    return ArmMoveTo(target.cylinder, target.head);
+  }
 
   // Full positioning estimate: arm move plus rotational wait, starting at time `at`.
   common::Duration EstimatePosition(Lba lba, common::Time at) const;
@@ -269,10 +318,14 @@ class SimDisk : public BlockDevice {
 
   DiskParams params_;
   common::Clock* clock_;
-  // The rotational timing the eager allocator asks for on every candidate track, computed
-  // once: the revolution, and when each sector's leading edge passes the head within one.
+  // The mechanical timing the eager allocator and the compactor ask for on every candidate
+  // track, computed once: the revolution, when each sector's leading edge passes the head
+  // within one, the sectors per nanosecond that guesses that sector, and the seek time for
+  // each distance in cylinders.
   common::Duration rotation_period_;
   std::vector<common::Duration> sector_start_;
+  double sectors_per_ns_;
+  std::vector<common::Duration> seek_time_;
   // One page per kPageSectors sectors; null until the page is first written. A page is written
   // in place only while this disk is its sole owner.
   std::vector<std::shared_ptr<std::byte[]>> pages_;

@@ -58,7 +58,7 @@ Vlfs::Vlfs(simdisk::SimDisk* disk, simdisk::HostModel* host, VlfsConfig config)
   vlog_.SetEntriesProvider([this](uint32_t piece) { return MapPieceEntries(piece); });
   compactor_ = std::make_unique<core::Compactor>(
       this, disk_, &allocator_, &vlog_,
-      core::CompactorConfig{.target_empty_tracks = config_.target_empty_tracks}, config_.seed);
+      core::CompactorConfig{.target_empty_tracks = config_.target_empty_tracks});
   disk_->set_read_ahead_policy(simdisk::ReadAheadPolicy::kAggressiveTrack);
 }
 

@@ -42,7 +42,6 @@ struct VlfsConfig {
   uint32_t data_cache_blocks = 512;  // Read cache for data blocks (by physical address).
   double track_switch_threshold = 0.25;
   uint32_t target_empty_tracks = 8;
-  uint64_t seed = 1;
 };
 
 struct VlfsStats {

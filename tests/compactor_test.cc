@@ -112,12 +112,13 @@ TEST_F(CompactorTest, ZeroBudgetDoesNothing) {
   EXPECT_EQ(vld_->compactor().stats().idle_runs, runs);
 }
 
-// Each victim is a compactable track with the fewest live blocks. Random trims leave tracks
-// with different live counts; an idle run with a 1 ns budget starts exactly one victim (and
-// finishes it), so the counts taken just before the run are the ones the pick saw. The pick
-// reads the free-space map's partial-track buckets rather than scanning every track, and must
-// draw what a scan would: the tied tracks in track order, ranked by the compactor's rng, which
-// a replica seeded like the VLD's replays.
+// Each victim is a compactable track with the fewest live blocks, and among those the one the
+// head reaches soonest: the arm move plus the rotational wait to the track's first live block,
+// the lowest track on ties. Random trims leave tracks with different live counts; an idle run
+// with a 1 ns budget starts exactly one victim (and finishes it), so the counts and the head
+// position taken just before the run are the ones the pick saw. The pick searches the
+// free-space map's partial-track buckets outward from the arm rather than scanning every track,
+// and must pick what a scan pricing every track would.
 TEST_F(CompactorTest, VictimHasTheFewestLiveBlocks) {
   const uint32_t blocks = static_cast<uint32_t>(vld_->logical_blocks() * 0.9);
   for (uint32_t b = 0; b < blocks; ++b) {
@@ -130,7 +131,7 @@ TEST_F(CompactorTest, VictimHasTheFewestLiveBlocks) {
     }
   }
   const FreeSpaceMap& space = vld_->space();
-  common::Rng replica(VldConfig{}.seed);
+  uint32_t lowest_track_picks = 0;
   for (int pick = 0; pick < 20; ++pick) {
     if (vld_->vlog().IdleCheckpointDue()) {
       ASSERT_TRUE(vld_->Checkpoint().ok());  // So RunIdle goes straight to the pick.
@@ -151,13 +152,29 @@ TEST_F(CompactorTest, VictimHasTheFewestLiveBlocks) {
     }
     ASSERT_NE(fewest, UINT32_MAX) << "pick " << pick;
     ASSERT_GT(distinct_counts, 1u) << "pick " << pick;
-    std::vector<uint64_t> tied;
+    std::optional<uint64_t> nearest;
+    std::optional<uint64_t> lowest;
+    common::Duration nearest_cost = 0;
     for (uint64_t t = 0; t < space.total_tracks(); ++t) {
-      if (live[t] == fewest && !excluded[t]) {
-        tied.push_back(t);
+      if (live[t] != fewest || excluded[t]) {
+        continue;
+      }
+      lowest = lowest.value_or(t);
+      const uint32_t base = static_cast<uint32_t>(t * space.blocks_per_track());
+      uint32_t first_live = base;
+      while (space.state(first_live) != BlockState::kLive) {
+        ++first_live;
+      }
+      const simdisk::Lba lba = space.BlockToLba(first_live);
+      const common::Duration move = disk_->ArmMoveCost(lba);
+      const common::Duration cost =
+          move + disk_->RotationalWait(disk_->geometry().ToPhys(lba).sector, clock_.Now() + move);
+      if (!nearest || cost < nearest_cost) {
+        nearest = t;
+        nearest_cost = cost;
       }
     }
-    const uint64_t drawn = tied[replica.Below(tied.size())];
+    ASSERT_TRUE(nearest.has_value()) << "pick " << pick;
     obs::TraceRecorder tracer(&clock_);
     disk_->set_tracer(&tracer);
     vld_->RunIdle(1);
@@ -173,8 +190,10 @@ TEST_F(CompactorTest, VictimHasTheFewestLiveBlocks) {
     EXPECT_FALSE(excluded[victim]) << "pick " << pick << ": track " << victim;
     EXPECT_EQ(live[victim], fewest) << "pick " << pick << ": track " << victim;
     EXPECT_EQ(starts[0].b, live[victim]) << "pick " << pick;
-    EXPECT_EQ(victim, drawn) << "pick " << pick;
+    EXPECT_EQ(victim, *nearest) << "pick " << pick;
+    lowest_track_picks += victim == *lowest ? 1 : 0;
   }
+  EXPECT_LT(lowest_track_picks, 20u);  // The head's position, not the track order, decided.
 }
 
 TEST_F(CompactorTest, IdleTimeOnCleanDiskIsHarmless) {
@@ -269,7 +288,7 @@ TEST_F(CompactorTest, PreemptedBurstResumesWithoutLosingOrRepeatingWork) {
 TEST_F(CompactorTest, GenerousGovernedBurstMatchesIdleRunExactly) {
   // A governed burst whose deadline never truncates a track makes the exact same call
   // sequence as RunIdle (a checkpoint if VirtualLog::IdleCheckpointDue holds, then the same
-  // victim draws and relocations), so media, clock, and stats must be bit-identical. This is
+  // victim picks and relocations), so media, clock, and stats must be bit-identical. This is
   // the per-grant half of the governor-vs-idle differential; governor_test drives the full
   // multi-round version.
   VldConfig config;
@@ -317,7 +336,7 @@ TEST_F(CompactorTest, GenerousGovernedBurstMatchesIdleRunExactly) {
   }
 }
 
-// A bounded burst too short for one mean move starts none: it resumes no victim, draws none
+// A bounded burst too short for one mean move starts none: it resumes no victim, picks none
 // and leaves the preempted victim excluded from allocation. A twin device that never saw the
 // short burst therefore carries on identically, foreground writes and later picks included.
 TEST_F(CompactorTest, BurstShorterThanOneMoveStartsNoMove) {
@@ -350,7 +369,7 @@ TEST_F(CompactorTest, BurstShorterThanOneMoveStartsNoMove) {
   EXPECT_EQ(compactor.stats().tracks_resumed, before.tracks_resumed);
   EXPECT_EQ(compactor.stats().overrun_time, before.overrun_time);
   // Foreground writes land where the twin's do only if the same track is excluded, and the
-  // idle run draws the twin's victims only if the rng was left alone.
+  // idle run picks the twin's victims only if the head was left where the twin's is.
   for (Vld* vld : {vld_.get(), &twin}) {
     for (uint32_t b = 1; b < 200; b += 2) {
       ASSERT_TRUE(vld->Write(static_cast<simdisk::Lba>(b) * 8, Pattern(4096, b + 7)).ok());

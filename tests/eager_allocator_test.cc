@@ -119,6 +119,41 @@ TEST_F(EagerAllocatorTest, RespectsExcludedTrack) {
   }
 }
 
+// Hole-plugging fills a partly filled track with the most live blocks, and of two equally
+// full ones the one whose free block the head reaches sooner: here the higher-numbered one,
+// beside the arm. A less full track on the arm's own cylinder is passed over.
+TEST_F(EagerAllocatorTest, HolePlugTakesTheNearerOfTwoEquallyFullTracks) {
+  const uint32_t per_track = space_.blocks_per_track();
+  const uint32_t heads = disk_.geometry().tracks_per_cylinder;
+  const uint64_t low = 1;                               // Cylinder 0.
+  const uint64_t high = space_.total_tracks() - 2;      // The last cylinder.
+  const uint64_t less_full = high - 1;                  // Same cylinder, one live block fewer.
+  ASSERT_EQ(less_full / heads, high / heads);
+  for (const uint64_t t : {low, high, less_full}) {
+    // Slots 0 and 1 stay free (2 and 3 on the less full track).
+    for (uint32_t slot = t == less_full ? 4 : 2; slot < per_track; ++slot) {
+      space_.MarkLive(static_cast<uint32_t>(t * per_track + slot));
+    }
+  }
+  WriteTo(static_cast<uint32_t>(high * per_track + per_track - 1));  // Parks the arm on `high`.
+  ASSERT_EQ(disk_.ArmPosition().cylinder, high / heads);
+  // Half a sector before slot 0 comes round: `high` costs no arm move and a few microseconds,
+  // `low` a seek across the disk.
+  TurnTo(disk_.geometry().sectors_per_track - 1, disk_.params().SectorTime() / 2);
+  EagerAllocator alloc = MakeFill();
+  alloc.SetCompactionMode(true);
+  const auto block = alloc.Allocate();
+  ASSERT_TRUE(block.has_value());
+  EXPECT_EQ(*block, high * per_track);
+  EXPECT_LT(alloc.stats().estimated_locate, disk_.params().SectorTime());
+  // Excluding `high` (the compactor's victim) sends the next block to `low`, the other track
+  // of the fullest bucket, however far away.
+  alloc.SetExcludedTrack(high);
+  const auto next = alloc.Allocate();
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(space_.TrackOfBlock(*next), low);
+}
+
 TEST_F(EagerAllocatorTest, FillModeReservesThresholdPerTrack) {
   EagerAllocator alloc = MakeFill(0.25);  // Reserve 25% of 9 blocks -> 2 blocks stay free.
   std::vector<uint32_t> track_fill(space_.total_tracks(), 0);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -97,50 +98,59 @@ TEST(FreeSpace, SecondTrackIndexing) {
   EXPECT_EQ(*block, 5u);
 }
 
-// The linear scan the hole-plug pick made before the partial-track buckets: the first track
-// with a strictly larger live count wins, over tracks with both live and free blocks.
-std::optional<uint64_t> ScanFullestPartial(const FreeSpaceMap& space,
-                                           std::optional<uint64_t> excluded) {
-  std::optional<uint64_t> best_track;
-  uint32_t best_live = 0;
+// A priced track, as CheapestPartialTrack returns it.
+struct Priced {
+  uint64_t track = 0;
+  common::Duration cost = 0;
+  bool operator==(const Priced&) const = default;
+};
+
+// What CheapestPartialTrack must return: every partly filled track with `live` live blocks
+// priced, the cheapest kept, the lowest-numbered on ties.
+template <typename Price>
+std::optional<Priced> ScanCheapestPartial(const FreeSpaceMap& space, uint32_t live,
+                                          uint32_t tracks_per_cylinder, Price price) {
+  std::optional<Priced> best;
   for (uint64_t t = 0; t < space.total_tracks(); ++t) {
-    if (space.FreeInTrack(t) == 0 || (excluded && *excluded == t)) {
+    if (space.LiveInTrack(t) != live || space.FreeInTrack(t) == 0) {
       continue;
     }
-    const uint32_t live = space.LiveInTrack(t);
-    if (live == 0 || live >= space.blocks_per_track()) {
-      continue;
-    }
-    if (!best_track || live > best_live) {
-      best_track = t;
-      best_live = live;
+    if (const auto p = price(t, static_cast<uint32_t>(t / tracks_per_cylinder));
+        p && (!best || p->cost < best->cost)) {
+      best = p;
     }
   }
-  return best_track;
+  return best;
 }
 
-TEST(FreeSpace, FullestPartialTrackMatchesLinearScan) {
-  // 150 tracks of 9 blocks: three bitmap words per bucket, so picks cross word boundaries.
+// The bounded search visits a bucket's tracks outward from the arm and stops once the seek
+// alone exceeds the best cost found, so it must return what pricing every track returns, for
+// any price no lower than the seek to the track's cylinder. The prices here are the seek plus
+// a few coarse steps of "rotation", so ties are common, across cylinders too; one track per
+// search is excluded (priced nullopt), as the victim is in a hole-plug pick.
+TEST(FreeSpace, CheapestPartialTrackMatchesExhaustiveScan) {
+  // 50 cylinders of 3 tracks of 9 blocks: 150 tracks, so each bucket spans three bitmap words.
   const simdisk::DiskGeometry geom{.cylinders = 50, .tracks_per_cylinder = 3,
                                    .sectors_per_track = 72, .sector_bytes = 512};
+  // A seek curve with flat runs (equal seeks at neighbouring distances) and a jump.
+  std::vector<common::Duration> seek(geom.cylinders);
+  for (uint32_t d = 1; d < geom.cylinders; ++d) {
+    seek[d] = 1000 + 400 * (d / 4) + (d >= 30 ? 5000 : 0);
+  }
   for (const uint64_t seed : {1u, 42u, 31337u}) {
-    // `space` is asked after every operation, so its index is built on an empty map and kept
-    // up to date from then on. `late` sees the same history but is first asked after a whole
-    // phase, so its index is built from a populated map.
+    // `space` is searched after every operation, so its index is built on an empty map and
+    // kept up to date from then on; `late` sees the same history but is first searched after
+    // a whole phase, so its index is built from a populated map.
     FreeSpaceMap space(geom, 8);
     FreeSpaceMap late(geom, 8);
-    // A system region that fills track 0 and part of track 1, plus a lone system block in a
-    // later track: system blocks count as neither live nor free.
     for (uint32_t b = 0; b < 13; ++b) {
-      space.MarkSystem(b);
+      space.MarkSystem(b);  // A system region that fills track 0 and part of track 1.
       late.MarkSystem(b);
     }
-    space.MarkSystem(9 * 77 + 4);
-    late.MarkSystem(9 * 77 + 4);
     common::Rng rng(seed);
-    // Phases that fill, churn and drain, so every bucket is visited and emptied again.
+    uint64_t searches_with_a_pick = 0;
     for (const double live_bias : {0.8, 0.5, 0.2, 0.65}) {
-      for (int op = 0; op < 3000; ++op) {
+      for (int op = 0; op < 1500; ++op) {
         const uint32_t block = static_cast<uint32_t>(rng.Below(space.total_blocks()));
         if (space.state(block) == BlockState::kFree && rng.Chance(live_bias)) {
           space.MarkLive(block);
@@ -149,23 +159,31 @@ TEST(FreeSpace, FullestPartialTrackMatchesLinearScan) {
           space.Free(block);
           late.Free(block);
         }
-        const auto pick = ScanFullestPartial(space, std::nullopt);
-        ASSERT_EQ(space.FullestPartialTrack(std::nullopt), pick) << "seed " << seed << " op " << op;
-        // Excluding the winner falls through to the next track of its bucket, or the next
-        // bucket; excluding any other track changes nothing.
-        const std::optional<uint64_t> others[] = {
-            pick, rng.Below(space.total_tracks()), space.TrackOfBlock(block)};
-        for (const std::optional<uint64_t>& excluded : others) {
-          ASSERT_EQ(space.FullestPartialTrack(excluded), ScanFullestPartial(space, excluded))
-              << "seed " << seed << " op " << op << " excluded " << excluded.value_or(~0ull);
+        const uint32_t arm = static_cast<uint32_t>(rng.Below(geom.cylinders));
+        const uint64_t excluded = rng.Below(space.total_tracks());
+        const uint64_t salt = rng.Next();
+        const auto price = [&](uint64_t t, uint32_t cyl) -> std::optional<Priced> {
+          EXPECT_EQ(cyl, t / geom.tracks_per_cylinder);
+          if (t == excluded) {
+            return std::nullopt;
+          }
+          const uint32_t d = cyl > arm ? cyl - arm : arm - cyl;
+          return Priced{t, seek[d] + 700 * static_cast<common::Duration>(
+                                               (t * 0x9e3779b97f4a7c15ULL ^ salt) % 4)};
+        };
+        for (uint32_t live = 1; live < space.blocks_per_track(); ++live) {
+          const auto want = ScanCheapestPartial(space, live, geom.tracks_per_cylinder, price);
+          ASSERT_EQ(space.CheapestPartialTrack(live, arm, seek, price), want)
+              << "seed " << seed << " op " << op << " live " << live << " arm " << arm;
+          if (live_bias != 0.8) {
+            ASSERT_EQ(late.CheapestPartialTrack(live, arm, seek, price), want)
+                << "seed " << seed << " op " << op << " live " << live << " arm " << arm;
+          }
+          searches_with_a_pick += want ? 1 : 0;
         }
       }
-      const auto late_pick = ScanFullestPartial(late, std::nullopt);
-      ASSERT_EQ(late.FullestPartialTrack(std::nullopt), late_pick)
-          << "seed " << seed << " bias " << live_bias;
-      ASSERT_EQ(late.FullestPartialTrack(late_pick), ScanFullestPartial(late, late_pick))
-          << "seed " << seed << " bias " << live_bias;
     }
+    EXPECT_GT(searches_with_a_pick, 10000u) << "seed " << seed;
   }
 }
 
@@ -196,8 +214,16 @@ TEST(FreeSpace, PartialTracksByLiveCountMatchLinearScan) {
             scanned.push_back(t);
           }
         }
+        // A search that prices no track a candidate never stops early: it visits the whole
+        // bucket.
         std::vector<uint64_t> indexed;
-        space.ForEachPartialTrack(live, [&](uint64_t t) { indexed.push_back(t); });
+        const std::vector<common::Duration> seek(space.total_tracks() / 3, 0);
+        const auto none = [&](uint64_t t, uint32_t) -> std::optional<Priced> {
+          indexed.push_back(t);
+          return std::nullopt;
+        };
+        ASSERT_FALSE(space.CheapestPartialTrack(live, 17, seek, none).has_value());
+        std::sort(indexed.begin(), indexed.end());
         ASSERT_EQ(indexed, scanned) << "bias " << live_bias << " op " << op << " live " << live;
       }
     }

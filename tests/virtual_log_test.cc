@@ -100,13 +100,19 @@ class VirtualLogTest : public ::testing::Test {
   }
 
   // After recovery, live map blocks must be re-marked before further appends.
+  // A packed commit puts several pieces in one block, so the blocks are collected first and
+  // each is marked once, as Vld::Recover does.
   void RemarkLiveBlocks() {
+    std::set<uint32_t> blocks;
     for (uint32_t k = 0; k < pieces_; ++k) {
       if (const auto block = vlog_->LiveBlockOfPiece(k)) {
-        space_->MarkLive(*block);
+        blocks.insert(*block);
       }
     }
     for (const uint32_t block : vlog_->PinnedBlocks()) {
+      blocks.insert(block);
+    }
+    for (const uint32_t block : blocks) {
       space_->MarkLive(block);
     }
   }

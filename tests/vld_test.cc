@@ -191,6 +191,44 @@ TEST_F(VldTest, CrashRecoveryViaScanPreservesCommittedWrites) {
   EXPECT_EQ(out, Pattern(kBlockBytes, 7));
 }
 
+// Damaged or reordered media can leave the newest map sector of a piece naming a physical
+// block that is claimed already: by another logical block, or by the block holding a live map
+// sector (this very one). Recovery must refuse such a map with Corruption naming the block, and
+// leave the free-space counts with only the system blocks taken, where it used to take the block
+// off the free counts twice.
+TEST_F(VldTest, RecoverRejectsAPhysicalBlockClaimedTwice) {
+  for (const bool onto_map_block : {false, true}) {
+    Reset();
+    ASSERT_TRUE(vld_->Write(0, Pattern(kBlockBytes, 1)).ok());
+    ASSERT_TRUE(vld_->Write(8, Pattern(kBlockBytes, 2)).ok());
+    const FreeSpaceMap& space = vld_->space();
+    const uint32_t data_block = vld_->logical_map()[0];
+    // A free block to hold the forged sector, newer than every sector the log wrote.
+    uint32_t forged_block = static_cast<uint32_t>(space.total_blocks()) - 1;
+    while (space.state(forged_block) != BlockState::kFree) {
+      --forged_block;
+    }
+    const uint32_t claimed = onto_map_block ? forged_block : data_block;
+    MapSector forged;
+    forged.seq = uint64_t{1} << 40;
+    forged.piece = 0;
+    forged.entries.assign(kEntriesPerSector, kUnmappedBlock);
+    forged.entries[0] = data_block;
+    forged.entries[1] = claimed;
+    disk_->PokeMedia(space.BlockToLba(forged_block), forged.Serialize(vld_->vlog().Epoch()));
+    Reopen();  // No park: a scan finds the forged sector.
+    const auto info = vld_->Recover();
+    ASSERT_FALSE(info.ok()) << "onto_map_block " << onto_map_block;
+    EXPECT_EQ(info.status().code(), common::StatusCode::kCorruption);
+    EXPECT_NE(info.status().ToString().find("block " + std::to_string(claimed)),
+              std::string::npos)
+        << info.status().ToString();
+    const FreeSpaceMap& recovered = vld_->space();
+    EXPECT_EQ(recovered.live_blocks(), 0u) << "onto_map_block " << onto_map_block;
+    EXPECT_EQ(recovered.free_blocks() + recovered.system_blocks(), recovered.total_blocks());
+  }
+}
+
 TEST_F(VldTest, WriteAtomicAllOrNothing) {
   ASSERT_TRUE(vld_->Write(0, Pattern(kBlockBytes, 1)).ok());
   // A multi-extent atomic write far enough apart to touch two map pieces.
