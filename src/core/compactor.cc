@@ -39,25 +39,24 @@ std::optional<uint64_t> Compactor::PickVictim() {
     uint64_t track;
     common::Duration cost;
   };
-  const auto price = [&](uint64_t track, uint32_t cylinder) -> std::optional<Victim> {
+  const auto price = [&](uint64_t track) -> std::optional<Victim> {
     if (!Compactable(track)) {
       return std::nullopt;
     }
-    const common::Duration move =
-        disk_->ArmMoveTo(cylinder, static_cast<uint32_t>(track) - cylinder * heads);
+    const uint32_t t = static_cast<uint32_t>(track);
+    const common::Duration move = disk_->ArmMoveTo(t / heads, t % heads);
     const uint32_t first_live_sector = space.FirstLiveSlot(track) * space.block_sectors();
     return Victim{track, move + disk_->WaitAtPhase(first_live_sector,
                                                    disk_->PhaseAfter(phase, move))};
   };
   for (uint32_t live = 1; live < space.blocks_per_track(); ++live) {
-    if (const auto victim = space.CheapestPartialTrack(live, disk_->ArmPosition().cylinder,
-                                                       disk_->SeekTimes(), price)) {
+    if (const auto victim = space.CheapestPartialTrack(live, price)) {
       return victim->track;
     }
   }
   std::optional<Victim> best;
   for (uint64_t t = 0; t < space.total_tracks(); ++t) {
-    const auto victim = price(t, static_cast<uint32_t>(t) / heads);
+    const auto victim = price(t);
     if (victim && (!best || victim->cost < best->cost)) {
       best = victim;
     }

@@ -147,21 +147,20 @@ std::optional<EagerAllocator::Candidate> EagerAllocator::HolePlugPick(
   // Pack the fullest partly filled track first, so victims drain into existing holes: empty
   // tracks stay empty and full tracks have no holes. Among the fullest tracks, take the one
   // whose nearest free block the head reaches soonest, priced as any write is.
-  const simdisk::PhysAddr arm = disk_->ArmPosition();
   const uint32_t heads = disk_->geometry().tracks_per_cylinder;
-  // Every track of a cylinder but the arm's own head needs the same arm move, so the search
-  // works out where the head arrives once per move.
+  // The bucket is priced in track order, and every track of a cylinder but the arm's own head
+  // needs the same arm move, so the pick works out where the head arrives once per move.
   Arrival at{.move = -1};
-  const auto best_in = [&](uint64_t track, uint32_t cylinder) {
-    const common::Duration move =
-        disk_->ArmMoveTo(cylinder, static_cast<uint32_t>(track) - cylinder * heads);
+  const auto best_in = [&](uint64_t track) {
+    const uint32_t t = static_cast<uint32_t>(track);
+    const common::Duration move = disk_->ArmMoveTo(t / heads, t % heads);
     if (move != at.move) {
       at = ArriveAfter(move, phase);
     }
     return BestInTrack(track, at, excluded_track_);
   };
   for (uint32_t live = space_->blocks_per_track() - 1; live > 0; --live) {
-    if (auto cand = space_->CheapestPartialTrack(live, arm.cylinder, disk_->SeekTimes(), best_in)) {
+    if (auto cand = space_->CheapestPartialTrack(live, best_in)) {
       return cand;
     }
   }

@@ -7,48 +7,23 @@ namespace vlog::core {
 FreeSpaceMap::FreeSpaceMap(const simdisk::DiskGeometry& geometry, uint32_t block_sectors)
     : block_sectors_(block_sectors),
       blocks_per_track_(geometry.sectors_per_track / block_sectors),
-      tracks_per_cylinder_(geometry.tracks_per_cylinder),
-      slot_words_((blocks_per_track_ + 63) / 64) {
+      tracks_per_cylinder_(geometry.tracks_per_cylinder) {
   assert(geometry.sectors_per_track % block_sectors == 0 &&
          "physical block size must divide the track");
-  assert(tracks_per_cylinder_ <= 64 && "a cylinder's tracks must fit one bucket word");
   const uint64_t tracks = geometry.TotalTracks();
-  // Every slot of every track starts free.
-  std::vector<uint64_t> all_free(slot_words_, ~uint64_t{0});
-  if (blocks_per_track_ % 64 != 0) {
-    all_free.back() = (uint64_t{1} << (blocks_per_track_ % 64)) - 1;
-  }
-  free_bits_.reserve(tracks * slot_words_);
-  for (uint64_t t = 0; t < tracks; ++t) {
-    free_bits_.insert(free_bits_.end(), all_free.begin(), all_free.end());
-  }
-  live_bits_.assign(tracks * slot_words_, 0);
+  states_.assign(tracks * blocks_per_track_, BlockState::kFree);
   cyl_free_.assign(geometry.cylinders, tracks_per_cylinder_ * blocks_per_track_);
   track_free_.assign(tracks, blocks_per_track_);
   track_live_.assign(tracks, 0);
   track_system_.assign(tracks, 0);
   track_words_ = (tracks + 63) / 64;
-  // A block starts every block_sectors_ sectors, so the first at or after sector s is slot
-  // ceil(s / block_sectors_); one past the last sector gives blocks_per_track_, which wraps.
-  first_slot_at_.resize(geometry.sectors_per_track + 1);
-  for (uint32_t sector = 0; sector <= geometry.sectors_per_track; ++sector) {
-    first_slot_at_[sector] = (sector + block_sectors_ - 1) / block_sectors_;
-  }
-  free_blocks_ = total_blocks();
+  free_blocks_ = states_.size();
   empty_tracks_ = tracks;
 }
 
-void FreeSpaceMap::SetBit(std::vector<uint64_t>& bits, uint32_t block, bool on) {
-  const uint32_t track = block / blocks_per_track_;
-  const uint32_t slot = block - track * blocks_per_track_;
-  uint64_t& word = bits[size_t{track} * slot_words_ + slot / 64];
-  const uint64_t bit = uint64_t{1} << (slot % 64);
-  word = on ? word | bit : word & ~bit;
-}
-
 void FreeSpaceMap::MarkSystem(uint32_t block) {
-  assert(state(block) == BlockState::kFree);
-  SetBit(free_bits_, block, false);
+  assert(states_[block] == BlockState::kFree);
+  states_[block] = BlockState::kSystem;
   const uint64_t track = TrackOfBlock(block);
   if (TrackEmpty(track)) {
     --empty_tracks_;
@@ -63,9 +38,8 @@ void FreeSpaceMap::MarkSystem(uint32_t block) {
 }
 
 void FreeSpaceMap::MarkLive(uint32_t block) {
-  assert(state(block) == BlockState::kFree);
-  SetBit(free_bits_, block, false);
-  SetBit(live_bits_, block, true);
+  assert(states_[block] == BlockState::kFree);
+  states_[block] = BlockState::kLive;
   const uint64_t track = TrackOfBlock(block);
   if (TrackEmpty(track)) {
     --empty_tracks_;
@@ -80,9 +54,8 @@ void FreeSpaceMap::MarkLive(uint32_t block) {
 }
 
 void FreeSpaceMap::Free(uint32_t block) {
-  assert(state(block) == BlockState::kLive);
-  SetBit(live_bits_, block, false);
-  SetBit(free_bits_, block, true);
+  assert(states_[block] == BlockState::kLive);
+  states_[block] = BlockState::kFree;
   const uint64_t track = TrackOfBlock(block);
   IndexPartial(track, /*add=*/false);
   ++track_free_[track];
@@ -127,6 +100,34 @@ bool FreeSpaceMap::TrackEmpty(uint64_t track) const {
   return track_live_[track] == 0 && track_system_[track] == 0;
 }
 
+std::optional<uint32_t> FreeSpaceMap::NearestFreeInTrack(uint64_t track,
+                                                         uint32_t from_sector) const {
+  if (track_free_[track] == 0) {
+    return std::nullopt;
+  }
+  const uint32_t base = static_cast<uint32_t>(track * blocks_per_track_);
+  // The first block whose start is at or after from_sector (blocks are block_sectors_-aligned).
+  const uint32_t first =
+      (from_sector + block_sectors_ - 1) / block_sectors_;  // Candidate slot index in track.
+  for (uint32_t i = 0; i < blocks_per_track_; ++i) {
+    const uint32_t slot = (first + i) % blocks_per_track_;
+    if (states_[base + slot] == BlockState::kFree) {
+      return base + slot;
+    }
+  }
+  return std::nullopt;
+}
+
+uint32_t FreeSpaceMap::FirstLiveSlot(uint64_t track) const {
+  const uint64_t base = track * blocks_per_track_;
+  uint32_t slot = 0;
+  while (states_[base + slot] != BlockState::kLive) {
+    ++slot;
+    assert(slot < blocks_per_track_ && "FirstLiveSlot needs a live block");
+  }
+  return slot;
+}
+
 uint64_t FreeSpaceMap::TracksBelowFreeFraction(double frac) const {
   uint64_t below = 0;
   for (uint64_t track = 0; track < track_free_.size(); ++track) {
@@ -141,7 +142,7 @@ uint64_t FreeSpaceMap::TracksBelowFreeFraction(double frac) const {
 }
 
 double FreeSpaceMap::Utilization() const {
-  const uint64_t usable = total_blocks() - system_blocks_;
+  const uint64_t usable = states_.size() - system_blocks_;
   if (usable == 0) {
     return 1.0;
   }

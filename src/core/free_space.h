@@ -1,9 +1,8 @@
 // Physical-block free-space accounting for the VLD.
 //
 // The VLD allocates and frees fixed-size physical blocks (4 KB by default — §4.2 chooses the
-// file system block size per Appendix A.1). This map keeps each track's free and live blocks
-// as bit masks, plus per-track free/live counts, so the eager allocator and the compactor can
-// reason at track granularity and find a track's nearest free or first live block in O(1).
+// file system block size per Appendix A.1). This map tracks per-block state plus per-track
+// free/live counts so the eager allocator and the compactor can reason at track granularity.
 // It also indexes the partly filled tracks (some live and some free blocks) by live count, so
 // the compactor's hole-plug target and its victims are found without scanning every track.
 // The index is built on the first such pick, so a map that is never compacted never pays for
@@ -12,16 +11,12 @@
 #define SRC_CORE_FREE_SPACE_H_
 
 #include <bit>
-#include <cassert>
 #include <cstdint>
-#include <limits>
 #include <optional>
-#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "src/common/time.h"
 #include "src/simdisk/geometry.h"
 
 namespace vlog::core {
@@ -38,7 +33,7 @@ class FreeSpaceMap {
 
   uint32_t block_sectors() const { return block_sectors_; }
   uint32_t blocks_per_track() const { return blocks_per_track_; }
-  uint64_t total_blocks() const { return track_free_.size() * blocks_per_track_; }
+  uint64_t total_blocks() const { return states_.size(); }
   uint64_t total_tracks() const { return track_free_.size(); }
   uint64_t free_blocks() const { return free_blocks_; }
   uint64_t live_blocks() const { return live_blocks_; }
@@ -50,15 +45,7 @@ class FreeSpaceMap {
   uint32_t LbaToBlock(simdisk::Lba lba) const { return static_cast<uint32_t>(lba / block_sectors_); }
   uint64_t TrackOfBlock(uint32_t block) const { return block / blocks_per_track_; }
 
-  BlockState state(uint32_t block) const {
-    const uint32_t track = block / blocks_per_track_;
-    const uint32_t slot = block - track * blocks_per_track_;
-    const size_t word = size_t{track} * slot_words_ + slot / 64;
-    const uint64_t bit = uint64_t{1} << (slot % 64);
-    return (free_bits_[word] & bit) != 0   ? BlockState::kFree
-           : (live_bits_[word] & bit) != 0 ? BlockState::kLive
-                                           : BlockState::kSystem;
-  }
+  BlockState state(uint32_t block) const { return states_[block]; }
   void MarkSystem(uint32_t block);
   void MarkLive(uint32_t block);
   void Free(uint32_t block);
@@ -77,33 +64,44 @@ class FreeSpaceMap {
   bool TrackHasSystem(uint64_t track) const { return track_system_[track] != 0; }
 
   // The free block in `track` whose starting sector is rotationally nearest at or after
-  // `from_sector`, wrapping past the track's end. O(1) for up to 64 blocks per track.
-  std::optional<uint32_t> NearestFreeInTrack(uint64_t track, uint32_t from_sector) const {
-    if (track_free_[track] == 0) {
-      return std::nullopt;
-    }
-    return static_cast<uint32_t>(track * blocks_per_track_) +
-           NextSlot(free_bits_.data() + track * slot_words_, first_slot_at_[from_sector]);
-  }
+  // `from_sector`, scanning circularly.
+  std::optional<uint32_t> NearestFreeInTrack(uint64_t track, uint32_t from_sector) const;
   // The slot (block index within its track) of `track`'s first live block; the track must
   // hold one.
-  uint32_t FirstLiveSlot(uint64_t track) const {
-    return NextSlot(live_bits_.data() + track * slot_words_, 0);
+  uint32_t FirstLiveSlot(uint64_t track) const;
+
+  // Calls `visit(track)` for every partly filled track holding exactly `live` live blocks, in
+  // track order. The first call builds the partial-track index; Mark*/Free keep it up to date
+  // after that.
+  template <typename Visit>
+  void ForEachPartialTrack(uint32_t live, Visit visit) {
+    BuildPartialIndex();
+    if (live == 0 || live >= blocks_per_track_ || partial_in_bucket_[live] == 0) {
+      return;
+    }
+    const uint64_t* bucket = partial_bits_.data() + live * track_words_;
+    for (size_t w = 0; w < track_words_; ++w) {
+      for (uint64_t word = bucket[w]; word != 0; word &= word - 1) {
+        visit(w * 64 + static_cast<uint64_t>(std::countr_zero(word)));
+      }
+    }
   }
 
   // The cheapest candidate among the partly filled tracks holding exactly `live` live blocks,
-  // the lowest-numbered track's on ties. `price(track, cylinder)` returns a std::optional of a
-  // candidate with a `cost` member (common::Duration), nullopt for a track that is not one;
-  // nullopt when no track is. The compactor's victim and hole-plug picks price the head's cost
-  // to reach a track, which is never less than the seek to its cylinder: `seek_time[d]`,
-  // nondecreasing in the distance d from `arm_cylinder`. So the search visits the bucket's
-  // tracks cylinder by cylinder outward from the arm, d = 0, 1, 2, ..., and stops once the seek
-  // alone costs more than the best candidate found: no track left could beat it or tie. The
-  // first call builds the partial-track index; Mark*/Free keep it up to date after that.
+  // the lowest-numbered track's on ties: the compactor's victim and hole-plug picks. Every track
+  // of the bucket is priced. `price(track)` returns a std::optional of a candidate with a `cost`
+  // member, nullopt for a track that is not one; the result is nullopt when no track is.
   template <typename Price>
-  std::invoke_result_t<Price&, uint64_t, uint32_t> CheapestPartialTrack(
-      uint32_t live, uint32_t arm_cylinder, std::span<const common::Duration> seek_time,
-      Price price);
+  std::invoke_result_t<Price&, uint64_t> CheapestPartialTrack(uint32_t live, Price price) {
+    std::invoke_result_t<Price&, uint64_t> best;
+    ForEachPartialTrack(live, [&](uint64_t track) {
+      auto cand = price(track);
+      if (cand && (!best || cand->cost < best->cost)) {
+        best = std::move(cand);
+      }
+    });
+    return best;
+  }
 
   // Fraction of allocatable (non-system) blocks that are live.
   double Utilization() const;
@@ -115,61 +113,7 @@ class FreeSpaceMap {
   uint64_t TracksBelowFreeFraction(double frac) const;
 
  private:
-  static constexpr uint32_t kNoCylinder = std::numeric_limits<uint32_t>::max();
-
   uint64_t CylinderOfTrack(uint64_t track) const { return track / tracks_per_cylinder_; }
-  // Sets or clears `block`'s bit in its track's mask `bits` (free_bits_ or live_bits_).
-  void SetBit(std::vector<uint64_t>& bits, uint32_t block, bool on);
-  // The first slot at or after `from` (at most blocks_per_track_) whose bit is set in the
-  // track mask at `bits`, wrapping past the last slot. The mask must have a bit set.
-  uint32_t NextSlot(const uint64_t* bits, uint32_t from) const {
-    for (uint32_t w = from / 64; w < slot_words_; ++w) {
-      const uint64_t word = bits[w] & (w == from / 64 ? ~uint64_t{0} << (from % 64) : ~0ULL);
-      if (word != 0) {
-        return w * 64 + static_cast<uint32_t>(std::countr_zero(word));
-      }
-    }
-    for (uint32_t w = 0;; ++w) {
-      assert(w < slot_words_ && "NextSlot needs a set bit");
-      if (bits[w] != 0) {
-        return w * 64 + static_cast<uint32_t>(std::countr_zero(bits[w]));
-      }
-    }
-  }
-  // The cylinder of the first track at or after cylinder `from` in partial-track bucket
-  // `bucket`, and of the last track before cylinder `before`; kNoCylinder when there is none.
-  uint32_t NextCylinder(const uint64_t* bucket, uint32_t from) const {
-    const uint64_t first = uint64_t{from} * tracks_per_cylinder_;
-    for (size_t w = first / 64; w < track_words_; ++w) {
-      const uint64_t word = bucket[w] & (w == first / 64 ? ~uint64_t{0} << (first % 64) : ~0ULL);
-      if (word != 0) {
-        return static_cast<uint32_t>(w * 64 + std::countr_zero(word)) / tracks_per_cylinder_;
-      }
-    }
-    return kNoCylinder;
-  }
-  uint32_t PrevCylinder(const uint64_t* bucket, uint32_t before) const {
-    const uint64_t end = uint64_t{before} * tracks_per_cylinder_;
-    for (size_t w = (end + 63) / 64; w-- > 0;) {
-      const uint64_t word = bucket[w] & (w == end / 64 ? (uint64_t{1} << (end % 64)) - 1 : ~0ULL);
-      if (word != 0) {
-        return static_cast<uint32_t>(w * 64 + 63 - std::countl_zero(word)) /
-               tracks_per_cylinder_;
-      }
-    }
-    return kNoCylinder;
-  }
-  // The tracks of `cylinder` in `bucket`: bit h is set when the track under head h is in it.
-  uint64_t TracksInCylinder(const uint64_t* bucket, uint32_t cylinder) const {
-    const uint64_t first = uint64_t{cylinder} * tracks_per_cylinder_;
-    const size_t w = first / 64;
-    const uint32_t shift = first % 64;
-    uint64_t bits = bucket[w] >> shift;
-    if (shift + tracks_per_cylinder_ > 64) {
-      bits |= bucket[w + 1] << (64 - shift);
-    }
-    return tracks_per_cylinder_ == 64 ? bits : bits & ((uint64_t{1} << tracks_per_cylinder_) - 1);
-  }
   // Builds the partial-track index from the current counts unless it exists already.
   void BuildPartialIndex();
   // Adds `track` to (or removes it from) the bucket of its live count when it is partly
@@ -180,13 +124,7 @@ class FreeSpaceMap {
   uint32_t block_sectors_;
   uint32_t blocks_per_track_;
   uint32_t tracks_per_cylinder_;
-  // Each track's free and live blocks, one bit per slot in slot_words_ words; a system block
-  // is in neither mask. first_slot_at_[s] is the first slot whose block starts at or after
-  // sector s.
-  uint32_t slot_words_;
-  std::vector<uint32_t> first_slot_at_;
-  std::vector<uint64_t> free_bits_;
-  std::vector<uint64_t> live_bits_;
+  std::vector<BlockState> states_;
   std::vector<uint32_t> cyl_free_;
   std::vector<uint32_t> track_free_;
   std::vector<uint32_t> track_live_;
@@ -203,48 +141,6 @@ class FreeSpaceMap {
   uint64_t system_blocks_ = 0;
   uint64_t empty_tracks_ = 0;
 };
-
-template <typename Price>
-std::invoke_result_t<Price&, uint64_t, uint32_t> FreeSpaceMap::CheapestPartialTrack(
-    uint32_t live, uint32_t arm_cylinder, std::span<const common::Duration> seek_time,
-    Price price) {
-  std::invoke_result_t<Price&, uint64_t, uint32_t> best;
-  BuildPartialIndex();
-  if (live == 0 || live >= blocks_per_track_ || partial_in_bucket_[live] == 0) {
-    return best;
-  }
-  const uint64_t* bucket = partial_bits_.data() + live * track_words_;
-  // Two cursors walk away from the arm's cylinder, one up and one down, each at the nearest
-  // cylinder on its side holding a track of the bucket; the nearer one goes next, whole.
-  uint32_t up = NextCylinder(bucket, arm_cylinder);
-  uint32_t down = PrevCylinder(bucket, arm_cylinder);
-  uint64_t best_track = 0;
-  while (up != kNoCylinder || down != kNoCylinder) {
-    const uint32_t up_dist = up != kNoCylinder ? up - arm_cylinder : kNoCylinder;
-    const uint32_t down_dist = down != kNoCylinder ? arm_cylinder - down : kNoCylinder;
-    const bool take_up = up_dist <= down_dist;
-    if (best && seek_time[take_up ? up_dist : down_dist] > best->cost) {
-      break;
-    }
-    const uint32_t cylinder = take_up ? up : down;
-    const uint64_t first = uint64_t{cylinder} * tracks_per_cylinder_;
-    for (uint64_t heads = TracksInCylinder(bucket, cylinder); heads != 0; heads &= heads - 1) {
-      const uint64_t track = first + static_cast<uint64_t>(std::countr_zero(heads));
-      auto cand = price(track, cylinder);
-      if (cand && (!best || cand->cost < best->cost ||
-                   (cand->cost == best->cost && track < best_track))) {
-        best = std::move(cand);
-        best_track = track;
-      }
-    }
-    if (take_up) {
-      up = NextCylinder(bucket, cylinder + 1);
-    } else {
-      down = PrevCylinder(bucket, cylinder);
-    }
-  }
-  return best;
-}
 
 }  // namespace vlog::core
 

@@ -151,17 +151,21 @@ common::StatusOr<VldRecoveryInfo> Vld::Recover() {
   info.from_checkpoint = recovered.from_checkpoint;
   info.log_sectors_read = recovered.sectors_read;
   info.discarded_txn_sectors = recovered.discarded_txn_sectors;
-  // Every physical block the recovered map names must be free, allocatable and named once:
+  // Every physical block the recovered map names must be in range, allocatable and named once:
   // damaged or reordered media can map two logical blocks onto one, or a logical block onto
   // the block holding a live map sector. Each claim is checked before any is marked live, so
-  // a corrupt map leaves the free-space counts as Format's system blocks left them.
+  // a corrupt map leaves the free-space counts as Format's system blocks left them, and a
+  // block that is not free when claimed is a system block.
   const auto claim = [&](uint32_t block, const char* what) -> common::Status {
-    if (block >= space_.total_blocks() || space_.state(block) != BlockState::kFree ||
-        reverse_[block] != kUnmappedBlock) {
-      return common::Corruption("Vld::Recover: physical block " + std::to_string(block) +
-                                " is claimed again, by " + what);
+    const char* fault = block >= space_.total_blocks()              ? "is out of range"
+                        : space_.state(block) != BlockState::kFree  ? "is a system block"
+                        : reverse_[block] != kUnmappedBlock         ? "is claimed twice"
+                                                                    : nullptr;
+    if (fault == nullptr) {
+      return common::OkStatus();
     }
-    return common::OkStatus();
+    return common::Corruption("Vld::Recover: physical block " + std::to_string(block) +
+                              ", named by " + what + ", " + fault);
   };
   for (uint32_t k = 0; k < recovered.pieces.size(); ++k) {
     const auto& entries = recovered.pieces[k];
@@ -170,7 +174,7 @@ common::StatusOr<VldRecoveryInfo> Vld::Recover() {
       if (logical >= logical_blocks_ || entries[i] == kUnmappedBlock) {
         continue;
       }
-      RETURN_IF_ERROR(claim(entries[i], "a data block"));
+      RETURN_IF_ERROR(claim(entries[i], "a map entry"));
       map_[logical] = entries[i];
       reverse_[entries[i]] = static_cast<uint32_t>(logical);
       ++info.mapped_blocks;
@@ -188,7 +192,7 @@ common::StatusOr<VldRecoveryInfo> Vld::Recover() {
     map_blocks.insert(block);
   }
   for (const uint32_t block : map_blocks) {
-    RETURN_IF_ERROR(claim(block, "a map sector"));
+    RETURN_IF_ERROR(claim(block, "a live map sector"));
   }
   for (const uint32_t block : map_blocks) {
     space_.MarkLive(block);

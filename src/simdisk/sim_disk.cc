@@ -13,8 +13,6 @@ SimDisk::SimDisk(DiskParams params, common::Clock* clock)
     : params_(std::move(params)),
       clock_(clock),
       rotation_period_(params_.RotationPeriod()),
-      sectors_per_ns_(static_cast<double>(params_.geometry.sectors_per_track) /
-                      static_cast<double>(rotation_period_)),
       pages_((params_.geometry.TotalSectors() + kPageSectors - 1) / kPageSectors),
       zero_sector_(params_.geometry.sector_bytes),
       cache_(params_.cache) {
@@ -26,10 +24,6 @@ SimDisk::SimDisk(DiskParams params, common::Clock* clock)
   seek_time_.resize(params_.geometry.cylinders);
   for (uint32_t d = 0; d < seek_time_.size(); ++d) {
     seek_time_[d] = params_.seek.SeekTime(d);
-    // The allocator's and the compactor's nearest-track searches stop at the first distance
-    // whose seek alone costs more than their best candidate, which is exact only for a curve
-    // that never falls.
-    assert((d == 0 || seek_time_[d] >= seek_time_[d - 1]) && "seek time must not fall");
   }
 }
 

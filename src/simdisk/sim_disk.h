@@ -141,7 +141,8 @@ class SimDisk : public BlockDevice {
   uint32_t NextSectorAhead(common::Duration phase) const {
     const uint32_t n = params_.geometry.sectors_per_track;
     // The scaled phase lands on the answer or next to it; the sector starts settle which.
-    uint32_t s = static_cast<uint32_t>(static_cast<double>(phase) * sectors_per_ns_);
+    uint32_t s = static_cast<uint32_t>(static_cast<double>(phase) /
+                                       static_cast<double>(rotation_period_) * n);
     while (s > 0 && sector_start_[s - 1] >= phase) {
       --s;
     }
@@ -164,9 +165,7 @@ class SimDisk : public BlockDevice {
   }
 
   // Seek time for an arm move of `d` cylinders is SeekTimes()[d], for every d below the
-  // cylinder count: SeekCurve's values, tabulated with the disk. It never decreases with
-  // distance (asserted there), so SeekTimes()[d] bounds from below the cost of reaching any
-  // track d or more cylinders from the arm.
+  // cylinder count: SeekCurve's values, tabulated with the disk.
   std::span<const common::Duration> SeekTimes() const { return seek_time_; }
 
   // Seek + head-switch cost from the current arm position to `cylinder` and `head`, or to the
@@ -320,11 +319,9 @@ class SimDisk : public BlockDevice {
   common::Clock* clock_;
   // The mechanical timing the eager allocator and the compactor ask for on every candidate
   // track, computed once: the revolution, when each sector's leading edge passes the head
-  // within one, the sectors per nanosecond that guesses that sector, and the seek time for
-  // each distance in cylinders.
+  // within one, and the seek time for each distance in cylinders.
   common::Duration rotation_period_;
   std::vector<common::Duration> sector_start_;
-  double sectors_per_ns_;
   std::vector<common::Duration> seek_time_;
   // One page per kPageSectors sectors; null until the page is first written. A page is written
   // in place only while this disk is its sole owner.

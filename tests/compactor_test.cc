@@ -116,9 +116,9 @@ TEST_F(CompactorTest, ZeroBudgetDoesNothing) {
 // head reaches soonest: the arm move plus the rotational wait to the track's first live block,
 // the lowest track on ties. Random trims leave tracks with different live counts; an idle run
 // with a 1 ns budget starts exactly one victim (and finishes it), so the counts and the head
-// position taken just before the run are the ones the pick saw. The pick searches the
-// free-space map's partial-track buckets outward from the arm rather than scanning every track,
-// and must pick what a scan pricing every track would.
+// position taken just before the run are the ones the pick saw. The pick prices only the
+// tracks of the free-space map's partial-track buckets rather than every track, and must pick
+// what a scan pricing every track would.
 TEST_F(CompactorTest, VictimHasTheFewestLiveBlocks) {
   const uint32_t blocks = static_cast<uint32_t>(vld_->logical_blocks() * 0.9);
   for (uint32_t b = 0; b < blocks; ++b) {

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -108,47 +107,44 @@ struct Priced {
 // What CheapestPartialTrack must return: every partly filled track with `live` live blocks
 // priced, the cheapest kept, the lowest-numbered on ties.
 template <typename Price>
-std::optional<Priced> ScanCheapestPartial(const FreeSpaceMap& space, uint32_t live,
-                                          uint32_t tracks_per_cylinder, Price price) {
+std::optional<Priced> ScanCheapestPartial(const FreeSpaceMap& space, uint32_t live, Price price) {
   std::optional<Priced> best;
   for (uint64_t t = 0; t < space.total_tracks(); ++t) {
     if (space.LiveInTrack(t) != live || space.FreeInTrack(t) == 0) {
       continue;
     }
-    if (const auto p = price(t, static_cast<uint32_t>(t / tracks_per_cylinder));
-        p && (!best || p->cost < best->cost)) {
+    if (const auto p = price(t); p && (!best || p->cost < best->cost)) {
       best = p;
     }
   }
   return best;
 }
 
-// The bounded search visits a bucket's tracks outward from the arm and stops once the seek
-// alone exceeds the best cost found, so it must return what pricing every track returns, for
-// any price no lower than the seek to the track's cylinder. The prices here are the seek plus
-// a few coarse steps of "rotation", so ties are common, across cylinders too; one track per
+// The compactor's picks price the tracks of one partial-track bucket and keep the cheapest,
+// the lowest-numbered on ties, which must be what pricing every partly filled track with that
+// live count returns. The prices here take only four values, so ties are common; one track per
 // search is excluded (priced nullopt), as the victim is in a hole-plug pick.
 TEST(FreeSpace, CheapestPartialTrackMatchesExhaustiveScan) {
   // 50 cylinders of 3 tracks of 9 blocks: 150 tracks, so each bucket spans three bitmap words.
   const simdisk::DiskGeometry geom{.cylinders = 50, .tracks_per_cylinder = 3,
                                    .sectors_per_track = 72, .sector_bytes = 512};
-  // A seek curve with flat runs (equal seeks at neighbouring distances) and a jump.
-  std::vector<common::Duration> seek(geom.cylinders);
-  for (uint32_t d = 1; d < geom.cylinders; ++d) {
-    seek[d] = 1000 + 400 * (d / 4) + (d >= 30 ? 5000 : 0);
-  }
   for (const uint64_t seed : {1u, 42u, 31337u}) {
     // `space` is searched after every operation, so its index is built on an empty map and
     // kept up to date from then on; `late` sees the same history but is first searched after
     // a whole phase, so its index is built from a populated map.
     FreeSpaceMap space(geom, 8);
     FreeSpaceMap late(geom, 8);
+    // A system region that fills track 0 and part of track 1, plus a lone system block in a
+    // later track: system blocks count as neither live nor free.
     for (uint32_t b = 0; b < 13; ++b) {
-      space.MarkSystem(b);  // A system region that fills track 0 and part of track 1.
+      space.MarkSystem(b);
       late.MarkSystem(b);
     }
+    space.MarkSystem(9 * 77 + 4);
+    late.MarkSystem(9 * 77 + 4);
     common::Rng rng(seed);
     uint64_t searches_with_a_pick = 0;
+    // Phases that fill, churn and drain, so every bucket is visited and emptied again.
     for (const double live_bias : {0.8, 0.5, 0.2, 0.65}) {
       for (int op = 0; op < 1500; ++op) {
         const uint32_t block = static_cast<uint32_t>(rng.Below(space.total_blocks()));
@@ -159,25 +155,22 @@ TEST(FreeSpace, CheapestPartialTrackMatchesExhaustiveScan) {
           space.Free(block);
           late.Free(block);
         }
-        const uint32_t arm = static_cast<uint32_t>(rng.Below(geom.cylinders));
         const uint64_t excluded = rng.Below(space.total_tracks());
         const uint64_t salt = rng.Next();
-        const auto price = [&](uint64_t t, uint32_t cyl) -> std::optional<Priced> {
-          EXPECT_EQ(cyl, t / geom.tracks_per_cylinder);
+        const auto price = [&](uint64_t t) -> std::optional<Priced> {
           if (t == excluded) {
             return std::nullopt;
           }
-          const uint32_t d = cyl > arm ? cyl - arm : arm - cyl;
-          return Priced{t, seek[d] + 700 * static_cast<common::Duration>(
-                                               (t * 0x9e3779b97f4a7c15ULL ^ salt) % 4)};
+          return Priced{t, 700 * static_cast<common::Duration>(
+                                     (t * 0x9e3779b97f4a7c15ULL ^ salt) % 4)};
         };
         for (uint32_t live = 1; live < space.blocks_per_track(); ++live) {
-          const auto want = ScanCheapestPartial(space, live, geom.tracks_per_cylinder, price);
-          ASSERT_EQ(space.CheapestPartialTrack(live, arm, seek, price), want)
-              << "seed " << seed << " op " << op << " live " << live << " arm " << arm;
+          const auto want = ScanCheapestPartial(space, live, price);
+          ASSERT_EQ(space.CheapestPartialTrack(live, price), want)
+              << "seed " << seed << " op " << op << " live " << live;
           if (live_bias != 0.8) {
-            ASSERT_EQ(late.CheapestPartialTrack(live, arm, seek, price), want)
-                << "seed " << seed << " op " << op << " live " << live << " arm " << arm;
+            ASSERT_EQ(late.CheapestPartialTrack(live, price), want)
+                << "seed " << seed << " op " << op << " live " << live;
           }
           searches_with_a_pick += want ? 1 : 0;
         }
@@ -214,16 +207,8 @@ TEST(FreeSpace, PartialTracksByLiveCountMatchLinearScan) {
             scanned.push_back(t);
           }
         }
-        // A search that prices no track a candidate never stops early: it visits the whole
-        // bucket.
         std::vector<uint64_t> indexed;
-        const std::vector<common::Duration> seek(space.total_tracks() / 3, 0);
-        const auto none = [&](uint64_t t, uint32_t) -> std::optional<Priced> {
-          indexed.push_back(t);
-          return std::nullopt;
-        };
-        ASSERT_FALSE(space.CheapestPartialTrack(live, 17, seek, none).has_value());
-        std::sort(indexed.begin(), indexed.end());
+        space.ForEachPartialTrack(live, [&](uint64_t t) { indexed.push_back(t); });
         ASSERT_EQ(indexed, scanned) << "bias " << live_bias << " op " << op << " live " << live;
       }
     }

@@ -223,6 +223,8 @@ TEST_F(VldTest, RecoverRejectsAPhysicalBlockClaimedTwice) {
     EXPECT_NE(info.status().ToString().find("block " + std::to_string(claimed)),
               std::string::npos)
         << info.status().ToString();
+    EXPECT_NE(info.status().ToString().find("claimed twice"), std::string::npos)
+        << info.status().ToString();
     const FreeSpaceMap& recovered = vld_->space();
     EXPECT_EQ(recovered.live_blocks(), 0u) << "onto_map_block " << onto_map_block;
     EXPECT_EQ(recovered.free_blocks() + recovered.system_blocks(), recovered.total_blocks());
