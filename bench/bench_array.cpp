@@ -95,9 +95,9 @@ int main(int argc, char** argv) {
       timeline->AddSteadySeries("m0.vld.free_blocks");
       timeline->AddSteadySeries("m1.vld.free_blocks");
     }
-    const workload::ArraySweepResult r = bench::CheckOk(
-        workload::RunArrayRandomUpdates(array, kDepth, updates, warmup, kSeed, region_blocks,
-                                        timeline.get(), latency),
+    const workload::UpdateSweepResult r = bench::CheckOk(
+        workload::RunRandomUpdates(array, kDepth, updates, warmup, kSeed, region_blocks,
+                                   timeline.get(), latency),
         "striped sweep");
     if (timeline != nullptr) {
       timeline->Finish(array.now());
@@ -124,9 +124,9 @@ int main(int argc, char** argv) {
   {
     auto stacks = MakeStacks(1);
     bench::Check(stacks[0]->vld->Format(), "bare format");
-    const workload::ArraySweepResult r = bench::CheckOk(
-        workload::RunArrayRandomUpdates(*stacks[0]->vld, kDepth, updates, warmup, kSeed,
-                                        region_blocks),
+    const workload::UpdateSweepResult r = bench::CheckOk(
+        workload::RunRandomUpdates(*stacks[0]->vld, kDepth, updates, warmup, kSeed,
+                                   region_blocks),
         "bare sweep");
     bench::PrintPercentileRow("bare-vld", r.iops, r.latency_hist);
     report.AddRow("bare-vld", r.iops, r.latency_hist, obs::TimeBreakdown{},

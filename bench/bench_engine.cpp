@@ -164,8 +164,8 @@ int main(int argc, char** argv) {
     const uint32_t region_blocks =
         static_cast<uint32_t>(array.SectorCount() / array.block_sectors()) / 2;
     const auto t0 = std::chrono::steady_clock::now();
-    const workload::ArraySweepResult r = bench::CheckOk(
-        workload::RunArrayRandomUpdates(array, 16, updates, updates / 10, kSeed, region_blocks),
+    const workload::UpdateSweepResult r = bench::CheckOk(
+        workload::RunRandomUpdates(array, 16, updates, updates / 10, kSeed, region_blocks),
         "array leg");
     const double wall = Seconds(std::chrono::steady_clock::now() - t0);
     const double rate = wall > 0 ? static_cast<double>(r.updates) / wall : 0;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
+#include <limits>
 
 #include "src/core/map_sector.h"
 #include "src/obs/timeline.h"
@@ -36,7 +36,8 @@ VldArray::VldArray(std::vector<core::Vld*> members, VldArrayConfig config)
   chunks_per_member_ = min_sectors / chunk_sectors_;
   mirrored_sectors_ = min_sectors;
   failed_.assign(members_.size(), false);
-  member_hist_.resize(members_.size());
+  member_batch_.resize(members_.size());
+  member_done_.resize(members_.size());
 }
 
 uint64_t VldArray::SectorCount() const {
@@ -101,98 +102,51 @@ common::StatusOr<uint32_t> VldArray::PickReadMember() {
   return common::FailedPrecondition("array: every replica is failed");
 }
 
-std::vector<VldArray::Run> VldArray::SplitStriped(simdisk::Lba lba, uint64_t sectors) const {
-  std::vector<Run> runs;
+void VldArray::SplitStriped(size_t request, simdisk::Lba lba, uint64_t sectors) {
+  const size_t first = runs_.size();
   uint64_t done = 0;
   while (done < sectors) {
     const uint64_t s = lba + done;
     const uint64_t chunk = s / chunk_sectors_;
     const uint64_t within = s % chunk_sectors_;
     const uint64_t len = std::min(sectors - done, chunk_sectors_ - within);
-    Run run;
-    run.member = static_cast<uint32_t>(chunk % members_.size());
-    run.member_lba = (chunk / members_.size()) * chunk_sectors_ + within;
-    run.offset = done;
-    run.sectors = len;
-    // Merge with the previous run when the extent stays on the same member and lands on the
-    // member-contiguous next chunk (every members_.size()-th array chunk) — one member command
-    // instead of one per chunk.
-    if (!runs.empty() && runs.back().member == run.member &&
-        runs.back().member_lba + runs.back().sectors == run.member_lba) {
-      runs.back().sectors += len;
+    const Run run{.request = request,
+                  .member = static_cast<uint32_t>(chunk % members_.size()),
+                  .member_lba = (chunk / members_.size()) * chunk_sectors_ + within,
+                  .offset = done,
+                  .sectors = len};
+    // Merge with the request's previous run when the extent stays on the same member and lands
+    // on the member-contiguous next chunk (every members_.size()-th array chunk) — one member
+    // command instead of one per chunk.
+    if (runs_.size() > first && runs_.back().member == run.member &&
+        runs_.back().member_lba + runs_.back().sectors == run.member_lba) {
+      runs_.back().sectors += len;
     } else {
-      runs.push_back(run);
+      runs_.push_back(run);
     }
     done += len;
   }
-  return runs;
-}
-
-common::Status VldArray::CheckStriped(const std::vector<Run>& runs) const {
-  for (const Run& r : runs) {
-    if (failed_[r.member]) {
-      return common::FailedPrecondition("array: striped member failed, no redundancy");
-    }
-  }
-  return common::OkStatus();
 }
 
 common::Status VldArray::Write(simdisk::Lba lba, std::span<const std::byte> in) {
   RETURN_IF_ERROR(CheckRange(lba, in.size(), "array write"));
-  const uint64_t sectors = in.size() / SectorBytes();
-  common::Time barrier = now_;
-  if (config_.mode == ArrayMode::kStriped) {
-    const std::vector<Run> runs = SplitStriped(lba, sectors);
-    RETURN_IF_ERROR(CheckStriped(runs));
-    for (const Run& r : runs) {
-      EnterMember(r.member);
-      const common::Status st = members_[r.member]->Write(
-          r.member_lba, in.subspan(r.offset * SectorBytes(), r.sectors * SectorBytes()));
-      LeaveMember(r.member, &barrier);
-      RETURN_IF_ERROR(st);
-    }
-  } else {
-    if (healthy_members() == 0) {
-      return common::FailedPrecondition("array: every replica is failed");
-    }
-    for (uint32_t m = 0; m < members_.size(); ++m) {
-      if (failed_[m]) {
-        continue;
-      }
-      EnterMember(m);
-      const common::Status st = members_[m]->Write(lba, in);
-      LeaveMember(m, &barrier);
-      RETURN_IF_ERROR(st);
-    }
-  }
-  // The cross-disk barrier: the write is acknowledged only once every touched member finished.
-  now_ = barrier;
-  return common::OkStatus();
+  return ServiceNow(
+      Request{.lba = lba, .sectors = in.size() / SectorBytes(), .in = in, .submit_time = now_});
 }
 
 common::Status VldArray::Read(simdisk::Lba lba, std::span<std::byte> out) {
   RETURN_IF_ERROR(CheckRange(lba, out.size(), "array read"));
-  const uint64_t sectors = out.size() / SectorBytes();
-  common::Time barrier = now_;
-  if (config_.mode == ArrayMode::kStriped) {
-    const std::vector<Run> runs = SplitStriped(lba, sectors);
-    RETURN_IF_ERROR(CheckStriped(runs));
-    for (const Run& r : runs) {
-      EnterMember(r.member);
-      const common::Status st = members_[r.member]->Read(
-          r.member_lba, out.subspan(r.offset * SectorBytes(), r.sectors * SectorBytes()));
-      LeaveMember(r.member, &barrier);
-      RETURN_IF_ERROR(st);
-    }
-  } else {
-    ASSIGN_OR_RETURN(const uint32_t m, PickReadMember());
-    EnterMember(m);
-    const common::Status st = members_[m]->Read(lba, out);
-    LeaveMember(m, &barrier);
-    RETURN_IF_ERROR(st);
-  }
-  now_ = barrier;
-  return common::OkStatus();
+  return ServiceNow(Request{.is_write = false,
+                            .lba = lba,
+                            .sectors = out.size() / SectorBytes(),
+                            .out = out,
+                            .submit_time = now_});
+}
+
+common::Status VldArray::ServiceNow(const Request& req) {
+  QueuedCompletion done;
+  RETURN_IF_ERROR(ServiceBatch({&req, 1}, {&done, 1}));
+  return done.status;
 }
 
 common::Status VldArray::Flush() {
@@ -231,14 +185,11 @@ common::StatusOr<uint64_t> VldArray::SubmitWrite(simdisk::Lba lba,
     return common::FailedPrecondition("array queue: full");
   }
   RETURN_IF_ERROR(CheckRange(lba, in.size(), "array SubmitWrite"));
-  Pending p;
-  p.id = next_id_++;
-  p.is_write = true;
-  p.lba = lba;
-  p.sectors = in.size() / SectorBytes();
-  p.submit_time = now_;
-  p.data.assign(in.begin(), in.end());
-  queue_.push_back(std::move(p));
+  queue_.push_back(Request{.id = next_id_++,
+                           .lba = lba,
+                           .sectors = in.size() / SectorBytes(),
+                           .in = queue_bytes_.emplace_back(in.begin(), in.end()),
+                           .submit_time = now_});
   return queue_.back().id;
 }
 
@@ -249,146 +200,111 @@ common::StatusOr<uint64_t> VldArray::SubmitRead(simdisk::Lba lba, uint64_t secto
   if (sectors == 0 || !InRange(lba, sectors)) {
     return common::InvalidArgument("array: SubmitRead: bad range");
   }
-  Pending p;
-  p.id = next_id_++;
-  p.is_write = false;
-  p.lba = lba;
-  p.sectors = sectors;
-  p.submit_time = now_;
-  queue_.push_back(std::move(p));
+  queue_.push_back(Request{.id = next_id_++,
+                           .is_write = false,
+                           .lba = lba,
+                           .sectors = sectors,
+                           .out = queue_bytes_.emplace_back(sectors * SectorBytes()),
+                           .submit_time = now_});
   return queue_.back().id;
 }
 
 common::StatusOr<std::vector<VldArray::QueuedCompletion>> VldArray::FlushQueue() {
-  std::vector<QueuedCompletion> completions;
-  if (queue_.empty()) {
-    return completions;
-  }
-  std::vector<Pending> batch;
-  batch.swap(queue_);
+  return core::FlushRequests(
+      queue_, queue_bytes_,
+      [this](std::span<const Request> batch, std::span<QueuedCompletion> done) {
+        return ServiceBatch(batch, done);
+      });
+}
 
+common::Status VldArray::ServiceBatch(std::span<const Request> batch,
+                                      std::span<QueuedCompletion> done) {
   // Split every request into member runs. Health is evaluated here, not at submission, so a
   // member failed while requests were queued is already avoided (mirrored) or reported
   // (striped) before any member sees a command.
-  for (Pending& p : batch) {
+  runs_.clear();
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const Request& req = batch[i];
     if (config_.mode == ArrayMode::kStriped) {
-      p.runs = SplitStriped(p.lba, p.sectors);
-      RETURN_IF_ERROR(CheckStriped(p.runs));
-    } else if (p.is_write) {
+      SplitStriped(i, req.lba, req.sectors);
+    } else if (req.is_write) {
       if (healthy_members() == 0) {
         return common::FailedPrecondition("array: every replica is failed");
       }
       for (uint32_t m = 0; m < members_.size(); ++m) {
         if (!failed_[m]) {
-          p.runs.push_back({m, p.lba, 0, p.sectors});
+          runs_.push_back(
+              {.request = i, .member = m, .member_lba = req.lba, .sectors = req.sectors});
         }
       }
     } else {
       ASSIGN_OR_RETURN(const uint32_t m, PickReadMember());
-      p.runs.push_back({m, p.lba, 0, p.sectors});
+      runs_.push_back({.request = i, .member = m, .member_lba = req.lba, .sectors = req.sectors});
+    }
+  }
+  for (const Run& r : runs_) {
+    if (failed_[r.member]) {
+      return common::FailedPrecondition("array: striped member failed, no redundancy");
     }
   }
 
-  // Every run must find a free slot in its member's queue before the first is submitted: a
-  // member that refused a run halfway through the fan-out would keep the runs before it queued,
-  // and every later batch would meet its full queue. The refused batch is dropped whole.
-  std::vector<size_t> runs_on(members_.size(), 0);
-  for (const Pending& p : batch) {
-    for (const Run& r : p.runs) {
-      ++runs_on[r.member];
-    }
+  // Deal the runs to their members in array submission order, so every member's batch keeps
+  // the array's hazard and RAW-forwarding semantics. Each run's member request is opened here
+  // (submit time, trace span), before any member is serviced; that performs no media work.
+  for (std::vector<Request>& member_batch : member_batch_) {
+    member_batch.clear();
   }
-  for (uint32_t m = 0; m < members_.size(); ++m) {
-    if (members_[m]->QueuedRequests() + runs_on[m] > members_[m]->queue_depth()) {
-      return common::FailedPrecondition("array: batch overflows a member queue");
+  const uint32_t sector_bytes = SectorBytes();
+  for (Run& r : runs_) {
+    const Request& req = batch[r.request];
+    EnterMember(r.member);
+    Request run = members_[r.member]->OpenRequest(req.is_write, r.member_lba, r.sectors);
+    if (req.is_write) {
+      run.in = req.in.subspan(r.offset * sector_bytes, r.sectors * sector_bytes);
+    } else {
+      run.out = req.out.subspan(r.offset * sector_bytes, r.sectors * sector_bytes);
     }
-  }
-
-  // Submit member runs in array submission order, so every member's local batch preserves the
-  // array's hazard and RAW-forwarding semantics. Submission performs no media work.
-  for (Pending& p : batch) {
-    for (const Run& r : p.runs) {
-      EnterMember(r.member);
-      common::StatusOr<uint64_t> id =
-          p.is_write
-              ? members_[r.member]->SubmitWrite(
-                    r.member_lba,
-                    std::span<const std::byte>(p.data).subspan(r.offset * SectorBytes(),
-                                                               r.sectors * SectorBytes()))
-              : members_[r.member]->SubmitRead(r.member_lba, r.sectors);
-      if (obs::TraceRecorder* tracer = members_[r.member]->disk().tracer(); tracer != nullptr) {
-        tracer->set_disk_index(0);
-      }
-      RETURN_IF_ERROR(id.status());
-      p.run_ids.push_back(*id);
+    if (obs::TraceRecorder* tracer = members_[r.member]->disk().tracer(); tracer != nullptr) {
+      tracer->set_disk_index(0);
     }
+    r.slot = member_batch_[r.member].size();
+    member_batch_[r.member].push_back(run);
   }
 
-  // The cross-disk group commit: one FlushQueue — one queue batch, one packed virtual-log
-  // commit — per touched member, however many array requests fanned out to it.
-  std::vector<bool> touched(members_.size(), false);
-  for (const Pending& p : batch) {
-    for (const Run& r : p.runs) {
-      touched[r.member] = true;
-    }
-  }
-  std::vector<std::vector<core::Vld::QueuedCompletion>> member_done(members_.size());
+  // The cross-disk group commit: one member batch — one packed virtual-log commit — per
+  // touched member, however many array requests fanned out to it.
   common::Time barrier = now_;
   for (uint32_t m = 0; m < members_.size(); ++m) {
-    if (!touched[m]) {
+    if (member_batch_[m].empty()) {
       continue;
     }
+    member_done_[m].resize(member_batch_[m].size());
     EnterMember(m);
-    auto done = members_[m]->FlushQueue();
+    const common::Status st = members_[m]->ServiceBatch(member_batch_[m], member_done_[m]);
     LeaveMember(m, &barrier);
-    RETURN_IF_ERROR(done.status());
-    member_done[m] = std::move(*done);
+    RETURN_IF_ERROR(st);
   }
   now_ = barrier;
 
-  // Assemble array completions in submission order. A write acknowledges at the cross-disk
-  // barrier over the members it touched; a read completes when its last member run did.
-  completions.reserve(batch.size());
-  for (Pending& p : batch) {
-    QueuedCompletion c;
-    c.id = p.id;
-    c.is_write = p.is_write;
-    c.lba = p.lba;
-    c.submit_time = p.submit_time;
-    if (!p.is_write) {
-      c.data.resize(p.sectors * SectorBytes());
-    }
-    for (size_t j = 0; j < p.runs.size(); ++j) {
-      const Run& r = p.runs[j];
-      const core::Vld::QueuedCompletion* mc = nullptr;
-      for (const core::Vld::QueuedCompletion& cand : member_done[r.member]) {
-        if (cand.id == p.run_ids[j]) {
-          mc = &cand;
-          break;
-        }
-      }
-      if (mc == nullptr) {
-        return common::IoError("array: member completion missing");
-      }
-      c.complete_time = std::max(c.complete_time, mc->complete_time);
-      c.dispatch_time = j == 0 ? mc->dispatch_time : std::min(c.dispatch_time, mc->dispatch_time);
-      member_hist_[r.member].Record(mc->complete_time - mc->submit_time);
-      if (!mc->status.ok()) {
-        if (c.status.ok()) {
-          c.status = mc->status;
-        }
-      } else if (!p.is_write) {
-        std::memcpy(c.data.data() + r.offset * SectorBytes(), mc->data.data(),
-                    r.sectors * SectorBytes());
-      }
-    }
-    if (!c.status.ok()) {
-      c.data.clear();
-    }
-    latency_hist_.Record(c.Latency());
-    completions.push_back(std::move(c));
+  // A write acknowledges at the cross-disk barrier over the members it touched; a read
+  // completes when its last member run did.
+  for (size_t i = 0; i < batch.size(); ++i) {
+    done[i] = QueuedCompletion{.id = batch[i].id,
+                               .is_write = batch[i].is_write,
+                               .lba = batch[i].lba,
+                               .submit_time = batch[i].submit_time,
+                               .dispatch_time = std::numeric_limits<common::Time>::max()};
   }
-  return completions;
+  for (const Run& r : runs_) {
+    const QueuedCompletion& run = member_done_[r.member][r.slot];
+    QueuedCompletion& c = done[r.request];
+    c.complete_time = std::max(c.complete_time, run.complete_time);
+    c.dispatch_time = std::min(c.dispatch_time, run.dispatch_time);
+    if (!run.status.ok() && c.status.ok()) {
+      c.status = run.status;
+    }
+  }
+  return common::OkStatus();
 }
 
 common::StatusOr<ArrayRecoveryInfo> VldArray::Recover() {

@@ -17,13 +17,15 @@
 // the cross-disk completion barrier. An array write is acknowledged (and an array Flush is
 // durable) only when every member it touched has finished its part, while members the request
 // never touched contribute nothing. With N = 1 every AdvanceTo is a no-op and the array is
-// bit-, clock-, and breakdown-identical to its bare member VLD (asserted in tests).
+// bit-, clock-, and breakdown-identical to its bare member VLD.
 //
-// Queued I/O gives cross-disk group commit: FlushQueue splits every queued array request into
-// per-member runs, submits each member's runs in array submission order, and then flushes each
-// member once — so a multi-stripe write burst costs one queue batch (one packed virtual-log
-// commit) per member, not one commit per block. Per-member hazard and RAW-forwarding rules are
-// inherited from the member VLDs because submission order is preserved within each member.
+// Every array read and write is one array batch, which gives cross-disk group commit: the batch
+// splits each request into per-member runs and hands each touched member all its runs, in
+// array submission order, as one Vld::ServiceBatch — so a multi-stripe write burst costs one
+// packed virtual-log commit per member, not one commit per block. Per-member hazard and
+// RAW-forwarding rules are inherited from the member VLDs because submission order is
+// preserved within each member. Read and Write are batches of one on the caller's buffers;
+// FlushQueue is a batch of what the array queue holds. Members never queue array runs.
 //
 // Recovery enumerates every member's virtual log independently (Vld::Recover) and stitches the
 // per-member maps into one consistent array map. Striped arrays have no redundancy: each
@@ -45,7 +47,6 @@
 #include "src/common/status.h"
 #include "src/common/time.h"
 #include "src/core/vld.h"
-#include "src/obs/histogram.h"
 #include "src/simdisk/block_device.h"
 
 namespace vlog::array {
@@ -69,8 +70,7 @@ struct ArrayRecoveryInfo {
 class VldArray : public simdisk::BlockDevice {
  public:
   // Non-owning: the members (and their disks and clocks) outlive the array. All members must
-  // share block_sectors; member queue depths should be at least the array's total queue depth,
-  // since a whole array batch can land on one member (striped) or every member (mirrored).
+  // share block_sectors. The array queue is as deep as the shallowest member's.
   VldArray(std::vector<core::Vld*> members, VldArrayConfig config = {});
 
   common::Status Format();
@@ -87,27 +87,16 @@ class VldArray : public simdisk::BlockDevice {
 
   // --- Queued I/O (cross-disk group commit) ---
 
-  struct QueuedCompletion {
-    uint64_t id = 0;
-    bool is_write = true;
-    simdisk::Lba lba = 0;
-    common::Time submit_time = 0;
-    // Writes: the cross-disk barrier — when the *last* touched member's packed map commit
-    // reached its media. Reads: when the last member run's data was assembled.
-    common::Time complete_time = 0;
-    common::Time dispatch_time = 0;  // When the first member run's controller work finished.
-    // A read whose member run failed carries the first such error (and no data).
-    common::Status status;
-    std::vector<std::byte> data;     // Read payload (empty for writes).
-    common::Duration Latency() const { return complete_time - submit_time; }
-  };
+  // Array completions: a write's complete_time is the cross-disk barrier — when the *last*
+  // touched member's packed map commit reached its media — and a read's is when its last
+  // member run's data was assembled. dispatch_time is when the first member run's controller
+  // work finished, and a read whose member run failed carries the first such error (and no
+  // data). span_id is 0: trace spans belong to the member runs.
+  using QueuedCompletion = core::Vld::QueuedCompletion;
   common::StatusOr<uint64_t> SubmitWrite(simdisk::Lba lba, std::span<const std::byte> in);
   common::StatusOr<uint64_t> SubmitRead(simdisk::Lba lba, uint64_t sectors);
-  // Splits every queued request into member runs, submits them in array submission order, then
-  // flushes each touched member once — one queue batch (one packed group commit) per member.
-  // Completions are returned in array submission order. A batch with more runs for a member
-  // than that member's queue has free slots fails with kFailedPrecondition before any member
-  // sees a run, and is dropped.
+  // Services every queued request as one array batch (core::FlushRequests). Completions are
+  // returned in array submission order; a failed batch leaves the queue empty.
   common::StatusOr<std::vector<QueuedCompletion>> FlushQueue();
   size_t QueuedRequests() const { return queue_.size(); }
   uint32_t queue_depth() const { return queue_depth_; }
@@ -131,9 +120,6 @@ class VldArray : public simdisk::BlockDevice {
   uint32_t block_sectors() const { return block_sectors_; }
   uint64_t chunk_sectors() const { return chunk_sectors_; }
   common::Time now() const { return now_; }
-  // Latencies of completed queued array requests, and of the member runs they fanned out to.
-  const obs::LatencyHistogram& latency_hist() const { return latency_hist_; }
-  const obs::LatencyHistogram& member_hist(uint32_t i) const { return member_hist_[i]; }
 
   // Registers array-level gauges plus every member's VLD and disk probes, each member under
   // prefix "m<i>." — so a two-member array exposes m0.vld.free_blocks, m1.disk.sectors_written,
@@ -141,33 +127,31 @@ class VldArray : public simdisk::BlockDevice {
   void RegisterTimelineProbes(obs::Timeline& timeline) const;
 
  private:
-  // One contiguous piece of an array extent on a single member.
+  using Request = core::Vld::Request;
+  // One contiguous piece of an array request on a single member.
   struct Run {
+    size_t request = 0;  // Index of the array request in its batch.
     uint32_t member = 0;
     simdisk::Lba member_lba = 0;
-    uint64_t offset = 0;  // Sector offset into the array extent's buffer.
+    uint64_t offset = 0;  // Sector offset into the array request's buffer.
     uint64_t sectors = 0;
-  };
-  // An outstanding queued array request with the member runs it was split into.
-  struct Pending {
-    uint64_t id = 0;
-    bool is_write = true;
-    simdisk::Lba lba = 0;
-    uint64_t sectors = 0;
-    common::Time submit_time = 0;
-    std::vector<std::byte> data;  // Write payload.
-    std::vector<Run> runs;
-    std::vector<uint64_t> run_ids;  // Member completion id per run (filled by FlushQueue).
+    size_t slot = 0;  // Index of the run in its member's batch.
   };
 
-  std::vector<Run> SplitStriped(simdisk::Lba lba, uint64_t sectors) const;
+  // The array's batch routine: splits every request of `batch` into member runs (health is
+  // evaluated here), hands each touched member its runs as one Vld::ServiceBatch, and stamps
+  // done[i] for batch[i] (every field but `data`: a read lands in its `out` span).
+  common::Status ServiceBatch(std::span<const Request> batch, std::span<QueuedCompletion> done);
+  // A synchronous call: `req`, submitted at array time, as a batch of one.
+  common::Status ServiceNow(const Request& req);
+  // Appends request `request`'s runs over [lba, lba + sectors) to runs_.
+  void SplitStriped(size_t request, simdisk::Lba lba, uint64_t sectors);
   // Syncs member m's clock to the array's time and labels its tracer with the member index.
   void EnterMember(uint32_t m);
   // Folds member m's finish time into the fan-out barrier being accumulated in `barrier`.
   void LeaveMember(uint32_t m, common::Time* barrier);
   // The round-robin pick for a mirrored read; fails when no member is healthy.
   common::StatusOr<uint32_t> PickReadMember();
-  common::Status CheckStriped(const std::vector<Run>& runs) const;
 
   std::vector<core::Vld*> members_;
   VldArrayConfig config_;
@@ -178,11 +162,16 @@ class VldArray : public simdisk::BlockDevice {
   std::vector<bool> failed_;
   uint32_t read_rr_ = 0;  // Mirrored read round-robin cursor (deterministic).
   common::Time now_ = 0;  // Array time: the max finish time of any fan-out so far.
-  std::vector<Pending> queue_;
+  // Outstanding queued array requests and the bytes the queue owns for each, as in core::Vld.
+  std::vector<Request> queue_;
+  std::vector<std::vector<std::byte>> queue_bytes_;
   uint64_t next_id_ = 1;
   uint32_t queue_depth_ = 0;
-  obs::LatencyHistogram latency_hist_;
-  std::vector<obs::LatencyHistogram> member_hist_;
+  // ServiceBatch's scratch, kept between batches: the batch's runs, then per member its share
+  // of them as member requests and their completions.
+  std::vector<Run> runs_;
+  std::vector<std::vector<Request>> member_batch_;
+  std::vector<std::vector<QueuedCompletion>> member_done_;
 };
 
 }  // namespace vlog::array

@@ -210,15 +210,6 @@ common::StatusOr<VldRecoveryInfo> Vld::Recover() {
   return info;
 }
 
-common::Status Vld::Read(simdisk::Lba lba, std::span<std::byte> out) {
-  RETURN_IF_ERROR(CheckRange(lba, out.size(), "Vld::Read"));
-  obs::SpanScope span(disk_->tracer(), obs::Layer::kVld, lba, out.size() / disk_->SectorBytes(),
-                      obs::SpanKind::kRead);
-  disk_->ChargeHostCommand();
-  ++stats_.host_reads;
-  return ReadMapped(lba, out, {});
-}
-
 uint32_t Vld::PreBatchBlock(uint32_t logical_block, std::span<const StagedWrite> staged) const {
   for (const StagedWrite& s : staged) {
     if (s.logical_block == logical_block) {
@@ -392,26 +383,50 @@ common::Status Vld::StageHostWrite(simdisk::Lba lba, std::span<const std::byte> 
   return common::OkStatus();
 }
 
+common::Status Vld::Read(simdisk::Lba lba, std::span<std::byte> out) {
+  RETURN_IF_ERROR(CheckRange(lba, out.size(), "Vld::Read"));
+  return ServiceNow(
+      Request{.is_write = false, .lba = lba, .sectors = out.size() / SectorBytes(), .out = out});
+}
+
 common::Status Vld::Write(simdisk::Lba lba, std::span<const std::byte> in) {
   RETURN_IF_ERROR(CheckRange(lba, in.size(), "Vld::Write"));
-  obs::SpanScope span(disk_->tracer(), obs::Layer::kVld, lba, in.size() / disk_->SectorBytes(),
-                      obs::SpanKind::kWrite);
-  disk_->ChargeHostCommand();
-  ++stats_.host_writes;
-  std::vector<StagedWrite> staged;
-  if (const common::Status st = StageHostWrite(lba, in, &staged); !st.ok()) {
-    Unstage(staged);
-    return st;
-  }
-  return CommitStaged(staged);
+  return ServiceNow(Request{.lba = lba, .sectors = in.size() / SectorBytes(), .in = in});
+}
+
+common::Status Vld::ServiceNow(Request req) {
+  // The call's span (opened here, or the upper layer's it enters) is current for the whole
+  // batch, so its disk events and its commit land there and the request needs no span of its
+  // own. Requests already queued stay queued.
+  obs::SpanScope span(disk_->tracer(), obs::Layer::kVld, req.lba, req.sectors,
+                      req.is_write ? obs::SpanKind::kWrite : obs::SpanKind::kRead);
+  req.submit_time = disk_->clock()->Now();
+  QueuedCompletion done;
+  RETURN_IF_ERROR(ServiceBatch({&req, 1}, {&done, 1}));
+  return done.status;
 }
 
 size_t Vld::QueuedWrites() const {
   size_t n = 0;
-  for (const QueuedRequest& req : queue_) {
+  for (const Request& req : queue_) {
     n += req.is_write ? 1 : 0;
   }
   return n;
+}
+
+Vld::Request Vld::OpenRequest(bool is_write, simdisk::Lba lba, uint64_t sectors) {
+  Request req{.is_write = is_write,
+              .lba = lba,
+              .sectors = sectors,
+              .submit_time = disk_->clock()->Now()};
+  if (obs::TraceRecorder* tracer = disk_->tracer();
+      tracer != nullptr && tracer->current_span() == 0) {
+    // One span per submitted request, opened here and closed when ServiceBatch acknowledges
+    // it. (When an upper layer's span is current we leave span 0: ownership stays above.)
+    req.span = tracer->BeginSpanDetached(obs::Layer::kVld, lba, sectors,
+                                         is_write ? obs::SpanKind::kWrite : obs::SpanKind::kRead);
+  }
+  return req;
 }
 
 common::StatusOr<uint64_t> Vld::SubmitWrite(simdisk::Lba lba, std::span<const std::byte> in) {
@@ -419,23 +434,11 @@ common::StatusOr<uint64_t> Vld::SubmitWrite(simdisk::Lba lba, std::span<const st
   if (queue_.size() >= config_.queue_depth) {
     return common::FailedPrecondition("Vld::SubmitWrite: queue full");
   }
-  QueuedRequest req;
+  Request& req = queue_.emplace_back(OpenRequest(true, lba, in.size() / disk_->SectorBytes()));
   req.id = next_queued_id_++;
-  req.is_write = true;
-  req.lba = lba;
-  req.sectors = in.size() / disk_->SectorBytes();
-  req.data.assign(in.begin(), in.end());
-  req.submit_time = disk_->clock()->Now();
-  if (obs::TraceRecorder* tracer = disk_->tracer();
-      tracer != nullptr && tracer->current_span() == 0) {
-    // One span per submitted request, opened here and closed when FlushQueue acknowledges it.
-    // (When an upper layer's span is current we leave span 0: ownership stays above.)
-    req.span = tracer->BeginSpanDetached(obs::Layer::kVld, lba, req.sectors,
-                                         obs::SpanKind::kWrite);
-  }
-  queue_.push_back(std::move(req));
+  req.in = queue_bytes_.emplace_back(in.begin(), in.end());
   ++stats_.queued_writes;
-  return queue_.back().id;
+  return req.id;
 }
 
 common::StatusOr<uint64_t> Vld::SubmitRead(simdisk::Lba lba, uint64_t sectors) {
@@ -445,25 +448,17 @@ common::StatusOr<uint64_t> Vld::SubmitRead(simdisk::Lba lba, uint64_t sectors) {
   if (queue_.size() >= config_.queue_depth) {
     return common::FailedPrecondition("Vld::SubmitRead: queue full");
   }
-  QueuedRequest req;
+  Request& req = queue_.emplace_back(OpenRequest(false, lba, sectors));
   req.id = next_queued_id_++;
-  req.is_write = false;
-  req.lba = lba;
-  req.sectors = sectors;
-  req.submit_time = disk_->clock()->Now();
-  if (obs::TraceRecorder* tracer = disk_->tracer();
-      tracer != nullptr && tracer->current_span() == 0) {
-    req.span = tracer->BeginSpanDetached(obs::Layer::kVld, lba, sectors, obs::SpanKind::kRead);
-  }
-  queue_.push_back(std::move(req));
+  req.out = queue_bytes_.emplace_back(sectors * disk_->SectorBytes());
   ++stats_.queued_reads;
-  return queue_.back().id;
+  return req.id;
 }
 
-const Vld::QueuedRequest* Vld::CoveringWrite(const std::vector<QueuedRequest>& batch,
-                                             size_t index, simdisk::Lba sector) {
+const Vld::Request* Vld::CoveringWrite(std::span<const Request> batch, size_t index,
+                                       simdisk::Lba sector) {
   for (size_t j = index; j-- > 0;) {
-    const QueuedRequest& w = batch[j];
+    const Request& w = batch[j];
     if (w.is_write && sector >= w.lba && sector < w.lba + w.sectors) {
       return &w;
     }
@@ -471,19 +466,18 @@ const Vld::QueuedRequest* Vld::CoveringWrite(const std::vector<QueuedRequest>& b
   return nullptr;
 }
 
-common::Status Vld::ServiceQueuedRead(const std::vector<QueuedRequest>& batch, size_t index,
-                                      std::span<const StagedWrite> staged,
-                                      std::span<std::byte> out, uint64_t* forwarded_sectors) {
-  const QueuedRequest& req = batch[index];
+common::Status Vld::ServiceRead(std::span<const Request> batch, size_t index,
+                                uint64_t* forwarded_sectors) {
+  const Request& req = batch[index];
   const uint32_t sector_bytes = disk_->SectorBytes();
   *forwarded_sectors = 0;
   // Uncovered sectors come off the media through the pre-batch translation, so they read
   // pre-batch data whether the read is served before or after the batch's commit.
   uint64_t i = 0;
   while (i < req.sectors) {
-    if (const QueuedRequest* covering = CoveringWrite(batch, index, req.lba + i)) {
-      std::memcpy(out.data() + i * sector_bytes,
-                  covering->data.data() + (req.lba + i - covering->lba) * sector_bytes,
+    if (const Request* covering = CoveringWrite(batch, index, req.lba + i)) {
+      std::memcpy(req.out.data() + i * sector_bytes,
+                  covering->in.data() + (req.lba + i - covering->lba) * sector_bytes,
                   sector_bytes);
       ++*forwarded_sectors;
       ++i;
@@ -495,36 +489,34 @@ common::Status Vld::ServiceQueuedRead(const std::vector<QueuedRequest>& batch, s
       ++run;
     }
     RETURN_IF_ERROR(
-        ReadMapped(req.lba + i, out.subspan(i * sector_bytes, run * sector_bytes), staged));
+        ReadMapped(req.lba + i, req.out.subspan(i * sector_bytes, run * sector_bytes), staged_));
     i += run;
   }
   return common::OkStatus();
 }
 
-common::Duration Vld::QueuedReadCost(const std::vector<QueuedRequest>& batch, size_t index,
-                                     std::span<const StagedWrite> staged, common::Time now,
-                                     std::vector<MediaAccess>& first_media) const {
+common::Duration Vld::ReadCost(std::span<const Request> batch, size_t index, common::Time now) {
   // The first media access is a property of the batch, not of the dispatch: same-batch
   // coverage is fixed at submission order and the pre-batch translation does not change when
   // the batch commits, so the coverage/translation scan runs once per candidate and later
   // dispatches reuse it — only the disk's state (buffer, clock and arm) changes between them.
-  MediaAccess& access = first_media[index];
+  MediaAccess& access = first_media_[index];
   if (access.lba == kCostUnknown) {
     access.lba = kCostNoMedia;
-    const QueuedRequest& req = batch[index];
+    const Request& req = batch[index];
     // The physical LBA of logical sector i of the request, or nothing when the media does not
     // serve it: forwarded from an earlier batch write, or unmapped (no mechanical time).
     const auto media_lba = [&](uint64_t i) -> std::optional<simdisk::Lba> {
       const simdisk::Lba logical_sector = req.lba + i;
       const uint32_t block = PreBatchBlock(
-          static_cast<uint32_t>(logical_sector / config_.block_sectors), staged);
+          static_cast<uint32_t>(logical_sector / config_.block_sectors), staged_);
       if (CoveringWrite(batch, index, logical_sector) != nullptr || block == kUnmappedBlock) {
         return std::nullopt;
       }
       return space_.BlockToLba(block) + logical_sector % config_.block_sectors;
     };
-    // ServiceQueuedRead's first InternalRead: the first media-served sector, and the sectors
-    // after it that stay media-served and physically contiguous.
+    // ServiceRead's first InternalRead: the first media-served sector, and the sectors after
+    // it that stay media-served and physically contiguous.
     for (uint64_t i = 0; i < req.sectors; ++i) {
       const auto lba = media_lba(i);
       if (!lba) {
@@ -549,10 +541,7 @@ common::Duration Vld::QueuedReadCost(const std::vector<QueuedRequest>& batch, si
   return disk_->EstimatePosition(lba, now);
 }
 
-size_t Vld::PickNextQueued(const std::vector<QueuedRequest>& batch,
-                           const std::vector<bool>& serviced, size_t oldest,
-                           std::span<const StagedWrite> staged,
-                           std::vector<MediaAccess>& first_media) const {
+size_t Vld::PickNext(std::span<const Request> batch, size_t oldest) {
   if (config_.read_policy == SchedulerPolicy::kFcfs) {
     return oldest;
   }
@@ -566,16 +555,15 @@ size_t Vld::PickNextQueued(const std::vector<QueuedRequest>& batch,
   common::Duration best_cost = 0;
   bool write_seen = false;
   for (size_t i = oldest; i < batch.size(); ++i) {
-    if (serviced[i]) {
+    if (serviced_[i]) {
       continue;
     }
     if (batch[i].is_write && write_seen) {
       continue;
     }
     write_seen |= batch[i].is_write;
-    const common::Duration cost = batch[i].is_write
-                                      ? allocator_.EstimateLocate()
-                                      : QueuedReadCost(batch, i, staged, now, first_media);
+    const common::Duration cost =
+        batch[i].is_write ? allocator_.EstimateLocate() : ReadCost(batch, i, now);
     if (best == batch.size() || cost < best_cost) {
       best = i;
       best_cost = cost;
@@ -584,28 +572,20 @@ size_t Vld::PickNextQueued(const std::vector<QueuedRequest>& batch,
   return best;
 }
 
-common::StatusOr<std::vector<Vld::QueuedCompletion>> Vld::FlushQueue() {
-  std::vector<QueuedCompletion> completions;
-  if (queue_.empty()) {
-    return completions;
-  }
-  std::vector<QueuedRequest> batch;
-  batch.swap(queue_);
+common::Status Vld::ServiceBatch(std::span<const Request> batch,
+                                 std::span<QueuedCompletion> done) {
+  assert(done.size() == batch.size());
   obs::TraceRecorder* tracer = disk_->tracer();
   // Service the batch in scheduler order — each request's controller overhead (pipelined
   // against earlier media work), then its eager data-block writes or its media reads. Disk
   // events land on the request's own span. Reads complete at their own service time: they need
   // no map commit. The writes complete together at the batch's one group commit, which runs as
   // soon as the last of them is staged, so they do not wait out the reads served after it.
-  std::vector<StagedWrite> staged;
-  std::vector<common::Time> dispatch(batch.size());
-  std::vector<common::Time> read_done(batch.size(), 0);
-  std::vector<std::vector<std::byte>> read_data(batch.size());
-  std::vector<common::Status> read_status(batch.size());
-  std::vector<bool> serviced(batch.size(), false);
-  std::vector<MediaAccess> first_media(batch.size());
+  staged_.clear();
+  serviced_.assign(batch.size(), false);
+  first_media_.assign(batch.size(), MediaAccess{});
   const size_t writes =
-      std::count_if(batch.begin(), batch.end(), [](const QueuedRequest& r) { return r.is_write; });
+      std::count_if(batch.begin(), batch.end(), [](const Request& r) { return r.is_write; });
   // Writes service FIFO among themselves, so a batch without reads is plain FIFO.
   const bool has_reads = writes < batch.size();
   size_t oldest = 0;  // The oldest unserviced request.
@@ -616,51 +596,53 @@ common::StatusOr<std::vector<Vld::QueuedCompletion>> Vld::FlushQueue() {
   // with its error and the batch carries on.
   const auto drop_batch = [&](const common::Status& st) {
     if (tracer != nullptr) {
-      for (const QueuedRequest& req : batch) {
+      for (const Request& req : batch) {
         tracer->EndSpan(req.span);
       }
     }
-    batch.clear();
-    queue_.swap(batch);  // Keeps the storage, as below.
     return st;
   };
   size_t write_count = 0;
   common::Time commit_done = 0;
   [[maybe_unused]] uint64_t allocations_at_commit = 0;
   for (size_t n = 0; n < batch.size(); ++n) {
-    while (serviced[oldest]) {
+    while (serviced_[oldest]) {
       ++oldest;
     }
-    const size_t i =
-        has_reads ? PickNextQueued(batch, serviced, oldest, staged, first_media) : oldest;
-    serviced[i] = true;
-    const QueuedRequest& req = batch[i];
+    // The last unserviced request is the only candidate left.
+    const size_t i = has_reads && n + 1 < batch.size() ? PickNext(batch, oldest) : oldest;
+    serviced_[i] = true;
+    const Request& req = batch[i];
+    QueuedCompletion& c = done[i];
+    c.id = req.id;
+    c.is_write = req.is_write;
+    c.lba = req.lba;
+    c.submit_time = req.submit_time;
+    c.span_id = req.span;
+    c.status = common::OkStatus();
     {
       obs::SpanScope span(req.span != 0 ? tracer : nullptr, req.span);
       ctrl_free_ = disk_->ChargeQueuedCommand(ctrl_free_, req.submit_time);
-      dispatch[i] = disk_->clock()->Now();
+      c.dispatch_time = disk_->clock()->Now();
       if (req.is_write) {
         ++write_count;
         ++stats_.host_writes;
-        if (const common::Status st = StageHostWrite(req.lba, req.data, &staged); !st.ok()) {
-          Unstage(staged);
+        if (const common::Status st = StageHostWrite(req.lba, req.in, &staged_); !st.ok()) {
+          Unstage(staged_);
           return drop_batch(st);
         }
       } else {
         ++stats_.host_reads;
-        read_data[i].resize(req.sectors * disk_->SectorBytes());
         uint64_t forwarded = 0;
-        read_status[i] = ServiceQueuedRead(batch, i, staged, read_data[i], &forwarded);
-        if (!read_status[i].ok()) {
-          read_data[i].clear();
-        } else {
+        c.status = ServiceRead(batch, i, &forwarded);
+        if (c.status.ok()) {
           stats_.forwarded_read_sectors += forwarded;
           if (forwarded > 0 && tracer != nullptr) {
             tracer->Annotate(obs::EventType::kReadForward, obs::Layer::kVld, req.lba,
                              forwarded);
           }
         }
-        read_done[i] = disk_->clock()->Now();
+        c.complete_time = disk_->clock()->Now();
         if (tracer != nullptr && req.span != 0) {
           tracer->EndSpan(req.span);
         }
@@ -672,25 +654,24 @@ common::StatusOr<std::vector<Vld::QueuedCompletion>> Vld::FlushQueue() {
     // The last write is staged: one packed group commit covers every write's map entries, and
     // only once it reaches the media are the writes acknowledged — the commit is the atomicity
     // and durability point for all of them. A single write's commit is that request's own
-    // work (its span shows zero queueing, matching the sync path); a shared commit belongs to
-    // no single request, so its time shows up as queueing on every member and one
-    // kGroupCommit marker records it. A read-only batch never commits: read traffic leaves no
-    // VLD state behind.
+    // work (its span shows zero queueing); a shared commit belongs to no single request, so
+    // its time shows up as queueing on every member and one kGroupCommit marker records it. A
+    // read-only batch never commits: read traffic leaves no VLD state behind.
     {
       obs::SpanScope span(writes == 1 && req.span != 0 ? tracer : nullptr, req.span);
-      if (const common::Status st = CommitStaged(staged); !st.ok()) {
+      if (const common::Status st = CommitStaged(staged_); !st.ok()) {
         return drop_batch(st);
       }
     }
     if (writes > 1) {
       ++stats_.group_commits;
       if (tracer != nullptr) {
-        tracer->Annotate(obs::EventType::kGroupCommit, obs::Layer::kVld, writes, staged.size());
+        tracer->Annotate(obs::EventType::kGroupCommit, obs::Layer::kVld, writes, staged_.size());
       }
     }
     commit_done = disk_->clock()->Now();
     if (tracer != nullptr) {
-      for (const QueuedRequest& w : batch) {
+      for (const Request& w : batch) {
         if (w.is_write && w.span != 0) {
           tracer->EndSpan(w.span);
         }
@@ -701,26 +682,19 @@ common::StatusOr<std::vector<Vld::QueuedCompletion>> Vld::FlushQueue() {
   // The reads served after the commit translated through the blocks it freed; nothing
   // allocated since, so those blocks still held their pre-batch bytes.
   assert(writes == 0 || allocator_.stats().allocations == allocations_at_commit);
-  completions.reserve(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
-    QueuedRequest& req = batch[i];
-    QueuedCompletion c;
-    c.id = req.id;
-    c.is_write = req.is_write;
-    c.lba = req.lba;
-    c.submit_time = req.submit_time;
-    c.complete_time = req.is_write ? commit_done : read_done[i];
-    c.dispatch_time = dispatch[i];
-    c.span_id = req.span;
-    c.status = std::move(read_status[i]);
-    c.data = std::move(read_data[i]);
-    completions.push_back(std::move(c));
+    if (batch[i].is_write) {
+      done[i].complete_time = commit_done;
+    }
   }
-  // Hand the batch's storage back to the (still empty) queue, so the next batch does not
-  // regrow it from nothing.
-  batch.clear();
-  queue_.swap(batch);
-  return completions;
+  return common::OkStatus();
+}
+
+common::StatusOr<std::vector<Vld::QueuedCompletion>> Vld::FlushQueue() {
+  return FlushRequests(queue_, queue_bytes_,
+                       [this](std::span<const Request> batch, std::span<QueuedCompletion> done) {
+                         return ServiceBatch(batch, done);
+                       });
 }
 
 common::Status Vld::WriteAtomic(std::span<const AtomicWrite> writes) {

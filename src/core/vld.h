@@ -32,7 +32,7 @@
 
 namespace vlog::core {
 
-// How FlushQueue orders a batch's reads (VldConfig::read_policy).
+// How ServiceBatch orders a batch's reads (VldConfig::read_policy).
 enum class SchedulerPolicy : uint8_t {
   kFcfs,  // Submission order.
   kSptf,  // Shortest positioning time first, by the mechanical model's estimate.
@@ -46,7 +46,7 @@ struct VldConfig {
   uint32_t slack_blocks = 16;  // Physical blocks withheld from the logical size so eager
                                // writing always has somewhere to go.
   uint32_t queue_depth = 8;  // Maximum outstanding queued requests (SubmitRead/SubmitWrite).
-  // FlushQueue's read-scheduling policy. Writes always service FIFO among themselves — eager
+  // ServiceBatch's read-scheduling policy. Writes always service FIFO among themselves — eager
   // placement puts each one where the allocator finds a block, so reordering writes saves
   // nothing — but reads go where the data *is*, so SPTF orders a batch's reads by the
   // mechanical model's positioning estimate, against the oldest write's cost for its next
@@ -70,7 +70,7 @@ struct VldStats {
   uint64_t atomic_commits = 0;
   uint64_t queued_writes = 0;   // Host writes accepted through SubmitWrite.
   uint64_t queued_reads = 0;    // Host reads accepted through SubmitRead.
-  uint64_t group_commits = 0;   // FlushQueue calls that committed >1 write in one transaction.
+  uint64_t group_commits = 0;   // Batches that committed >1 write in one transaction.
   // Read sectors served from an earlier-submitted, same-batch write's pending payload instead
   // of the media (the RAW forwarding path).
   uint64_t forwarded_read_sectors = 0;
@@ -120,7 +120,8 @@ class Vld : public simdisk::BlockDevice, public CompactionBackend {
   // Format, and after Recover every piece but in the slot recovery loaded), then its header.
   common::Status Checkpoint();
 
-  // BlockDevice (the unmodified host interface; sizes in whole 512 B sectors).
+  // BlockDevice (the unmodified host interface; sizes in whole 512 B sectors). Each call is a
+  // batch of one for ServiceBatch, on the caller's buffers; it leaves the queue as it is.
   common::Status Read(simdisk::Lba lba, std::span<std::byte> out) override;
   common::Status Write(simdisk::Lba lba, std::span<const std::byte> in) override;
   // Every acknowledged VLD command is already durable (its map commit flushes the underlying
@@ -143,12 +144,28 @@ class Vld : public simdisk::BlockDevice, public CompactionBackend {
   // writes can share a single virtual-log commit; reads join the same queue so the positional
   // scheduler can order them) ---
 
-  // Per-request acknowledgement from FlushQueue, timestamped on the virtual clock.
+  // One host request. A write's payload and a read's destination are spans: the queue owns the
+  // bytes of what it holds, and a synchronous call's request points at the caller's buffers.
+  struct Request {
+    uint64_t id = 0;  // Completion id; 0 for a synchronous call or an array run.
+    bool is_write = true;
+    simdisk::Lba lba = 0;
+    uint64_t sectors = 0;
+    std::span<const std::byte> in{};  // Write payload, `sectors` whole sectors.
+    std::span<std::byte> out{};       // Read destination, the same size.
+    common::Time submit_time = 0;
+    uint64_t span = 0;  // Trace span opened at submission (0 = tracing off or inherited).
+  };
+  // A request for [lba, lba + sectors) submitted now: its trace span is a detached one when
+  // no span is current, and 0 (the current span owns its work) otherwise. No media work.
+  Request OpenRequest(bool is_write, simdisk::Lba lba, uint64_t sectors);
+
+  // Per-request acknowledgement, timestamped on the virtual clock.
   struct QueuedCompletion {
     uint64_t id = 0;
     bool is_write = true;
     simdisk::Lba lba = 0;
-    common::Time submit_time = 0;    // When SubmitRead/SubmitWrite accepted the request.
+    common::Time submit_time = 0;    // When the request was submitted.
     // Writes: when the batch's group commit reached the media, which is as soon as the batch's
     // last write was staged. Reads: when the data was assembled (reads need no commit, so they
     // complete at their own service time, before or after the commit).
@@ -157,34 +174,37 @@ class Vld : public simdisk::BlockDevice, public CompactionBackend {
     uint64_t span_id = 0;            // Trace span (0 when the disk has no tracer attached).
     // A read whose media access failed carries that error (and no data); the rest of its batch
     // is unaffected. Writes complete only with their batch's commit, so theirs is always OK.
-    common::Status status;
-    std::vector<std::byte> data;     // Read payload (empty for writes).
+    common::Status status{};
+    std::vector<std::byte> data{};   // Read payload from FlushQueue (empty for writes).
     common::Duration Latency() const { return complete_time - submit_time; }
     // Time the request spent behind other queue entries before its own controller work began.
     common::Duration QueueDelay() const { return dispatch_time - submit_time; }
   };
+  // Services `batch`, in submission order, and stamps done[i] for batch[i] (every field but
+  // `data`: a read lands in its `out` span). The one routine behind every host read and write.
+  // Writes go down eagerly in submission order (controller overhead pipelined with the media);
+  // under kSptf the oldest unserviced write competes with the reads, costed at the
+  // allocator's estimate for its next block (EstimateLocate), and each read at the positioning
+  // time to its first media sector (0 when the track buffer or the write-back cache will
+  // serve its first media access). As soon as the last write is staged, ALL the writes' map
+  // entries commit in one packed group transaction — one or two log writes instead of one per
+  // request — and the writes are acknowledged (complete_time stamped) at that commit, so each
+  // acknowledged write is individually all-or-nothing across a crash and none waits for the
+  // reads served after it. A read sees exactly the writes submitted before it: sectors an
+  // earlier-submitted write of the batch covers come from that write's pending payload (the
+  // RAW forwarding path), and every other sector is read through the block it mapped to when
+  // the batch began (PreBatchBlock), before or after the commit. Reads acknowledge at their
+  // own service time and leave no state behind; a read that fails completes with its own
+  // status. A write that fails to stage, or a failed commit, fails the whole call instead, no
+  // write of the batch is acknowledged, and every span the batch still holds open is ended.
+  common::Status ServiceBatch(std::span<const Request> batch, std::span<QueuedCompletion> done);
   // Enqueues a host write without any media work (the payload is copied); returns a completion
   // id. Fails with kFailedPrecondition when `queue_depth` requests are already outstanding.
   common::StatusOr<uint64_t> SubmitWrite(simdisk::Lba lba, std::span<const std::byte> in);
   // Enqueues a host read of `sectors` sectors; the data arrives in the FlushQueue completion.
   common::StatusOr<uint64_t> SubmitRead(simdisk::Lba lba, uint64_t sectors);
-  // Services every queued request. Writes go down eagerly in submission order (controller
-  // overhead pipelined with the media); under kSptf the oldest unserviced write competes with
-  // the reads, costed at the allocator's estimate for its next block (EstimateLocate), and
-  // each read at the positioning time to its first media sector (0 when the track buffer or
-  // the write-back cache will serve its first media access). As soon as the last write is
-  // staged, ALL the writes' map entries commit in one packed group transaction — one or two
-  // log writes instead of one per request — and the writes are acknowledged (complete_time
-  // stamped) at that commit, so each acknowledged write is individually all-or-nothing across
-  // a crash and none waits for the reads served after it. A read sees exactly the writes
-  // submitted before it: sectors an earlier-submitted write of the batch covers come from
-  // that write's pending payload (the RAW forwarding path), and every other sector is read
-  // through the block it mapped to when the batch began (PreBatchBlock), before or after the
-  // commit. Reads acknowledge at their own service time and leave no state behind; a read
-  // that fails completes with its own status. A write that fails to stage, or a failed
-  // commit, fails the whole call instead, and no write of the batch is acknowledged.
-  // Completions are returned in submission order. With a single queued request this is
-  // clock-identical to the synchronous path.
+  // Services every queued request as one ServiceBatch (FlushRequests). Completions are
+  // returned in submission order; a failed batch leaves the queue empty.
   common::StatusOr<std::vector<QueuedCompletion>> FlushQueue();
   size_t QueuedRequests() const { return queue_.size(); }
   size_t QueuedWrites() const;
@@ -260,13 +280,12 @@ class Vld : public simdisk::BlockDevice, public CompactionBackend {
   // entry points at one and the blocks they would have replaced stay live.
   void Unstage(const std::vector<StagedWrite>& staged);
   // Splits one host-write extent into block-granularity staged writes (read-modify-write for
-  // sub-block edges). Shared by Write and FlushQueue.
+  // sub-block edges).
   common::Status StageHostWrite(simdisk::Lba lba, std::span<const std::byte> in,
                                 std::vector<StagedWrite>* staged);
-  // The translate/coalesce/access core of Read: maps each sector through PreBatchBlock,
-  // zero-fills unmapped blocks, and issues one InternalRead per physically contiguous run. No
-  // span, no command charge — shared by the sync Read (no staged writes, so map_) and the
-  // queued read service path.
+  // The translate/coalesce/access core of a read's media sectors: maps each sector through
+  // PreBatchBlock, zero-fills unmapped blocks, and issues one InternalRead per physically
+  // contiguous run. No span, no command charge.
   common::Status ReadMapped(simdisk::Lba lba, std::span<std::byte> out,
                             std::span<const StagedWrite> staged);
   // The physical block `logical_block` mapped to before `staged` was staged: the old_phys of
@@ -290,31 +309,20 @@ class Vld : public simdisk::BlockDevice, public CompactionBackend {
   std::unique_ptr<Compactor> compactor_;
   std::vector<uint32_t> map_;      // logical block -> physical block (kUnmappedBlock if none).
   std::vector<uint32_t> reverse_;  // physical block -> logical block (data blocks only).
-  // Outstanding queued requests, in submission order.
-  struct QueuedRequest {
-    uint64_t id = 0;
-    bool is_write = true;
-    simdisk::Lba lba = 0;
-    uint64_t sectors = 0;         // Extent length (for writes, data.size()/sector bytes).
-    std::vector<std::byte> data;  // Write payload.
-    common::Time submit_time = 0;
-    uint64_t span = 0;  // Trace span opened at submission (0 = tracing off).
-  };
   // The same-batch visibility rule: the write a read at batch[index] sees for logical sector
   // `sector` is the LAST earlier-submitted write in the batch covering it (later writes
   // overwrite earlier ones); null when none does. Later-submitted writes are invisible.
-  static const QueuedRequest* CoveringWrite(const std::vector<QueuedRequest>& batch, size_t index,
-                                            simdisk::Lba sector);
-  // Serves batch[index] (a read): forwarded sectors come from their CoveringWrite's pending
-  // payload, everything else from the media through the pre-batch translation of `staged`
-  // (the batch's writes staged so far).
-  common::Status ServiceQueuedRead(const std::vector<QueuedRequest>& batch, size_t index,
-                                   std::span<const StagedWrite> staged, std::span<std::byte> out,
-                                   uint64_t* forwarded_sectors);
+  static const Request* CoveringWrite(std::span<const Request> batch, size_t index,
+                                      simdisk::Lba sector);
+  // Serves batch[index] (a read) into its `out`: forwarded sectors come from their
+  // CoveringWrite's pending payload, everything else from the media through the pre-batch
+  // translation of staged_ (the batch's writes staged so far).
+  common::Status ServiceRead(std::span<const Request> batch, size_t index,
+                             uint64_t* forwarded_sectors);
   // SPTF positioning cost of batch[index]'s first media access: 0 when every sector is
   // forwarded or unmapped (a pure controller-RAM service) or when the track buffer or the
   // write-back cache will serve that access, else the positioning time to its first sector.
-  // `first_media` caches that access per candidate across the batch's dispatches (lba
+  // first_media_ caches that access per candidate across the batch's dispatches (lba
   // kCostUnknown = not yet scanned, kCostNoMedia = fully forwarded/unmapped): batch coverage
   // and the pre-batch translation are both fixed for the whole batch, commit included, so the
   // scan runs once per candidate instead of once per dispatch.
@@ -324,20 +332,48 @@ class Vld : public simdisk::BlockDevice, public CompactionBackend {
     int64_t lba = kCostUnknown;
     uint64_t sectors = 0;
   };
-  common::Duration QueuedReadCost(const std::vector<QueuedRequest>& batch, size_t index,
-                                  std::span<const StagedWrite> staged, common::Time now,
-                                  std::vector<MediaAccess>& first_media) const;
+  common::Duration ReadCost(std::span<const Request> batch, size_t index, common::Time now);
   // The next unserviced batch index to service under config_.read_policy; `oldest` is the
   // first unserviced index.
-  size_t PickNextQueued(const std::vector<QueuedRequest>& batch,
-                        const std::vector<bool>& serviced, size_t oldest,
-                        std::span<const StagedWrite> staged,
-                        std::vector<MediaAccess>& first_media) const;
-  std::vector<QueuedRequest> queue_;
+  size_t PickNext(std::span<const Request> batch, size_t oldest);
+  // A synchronous call: `req`, submitted now, as a batch of one under the call's own span.
+  common::Status ServiceNow(Request req);
+
+  // Outstanding queued requests in submission order, and the bytes the queue owns for each
+  // (a write's payload, a read's result), which the requests' spans point into. Moving a
+  // vector keeps its buffer, so growing queue_bytes_ leaves those spans valid.
+  std::vector<Request> queue_;
+  std::vector<std::vector<std::byte>> queue_bytes_;
   uint64_t next_queued_id_ = 1;
-  common::Time ctrl_free_ = 0;  // Controller pipeline state for queued commands.
+  common::Time ctrl_free_ = 0;  // Controller pipeline state.
+  // ServiceBatch's scratch, kept between batches so a warm call allocates nothing.
+  std::vector<StagedWrite> staged_;
+  std::vector<bool> serviced_;
+  std::vector<MediaAccess> first_media_;
   VldStats stats_;
 };
+
+// FlushQueue's body for a Vld and a VldArray alike: services the queued `requests` (with
+// `bytes`, the bytes the queue owns for each) as one `service_batch` call, returns the
+// completions in submission order with each successful read's bytes moved in, and empties the
+// queue, keeping its storage, also when the batch fails.
+template <typename ServiceBatchFn>
+common::StatusOr<std::vector<Vld::QueuedCompletion>> FlushRequests(
+    std::vector<Vld::Request>& requests, std::vector<std::vector<std::byte>>& bytes,
+    ServiceBatchFn service_batch) {
+  std::vector<Vld::QueuedCompletion> completions(requests.size());
+  const common::Status st = service_batch(std::span<const Vld::Request>(requests),
+                                          std::span<Vld::QueuedCompletion>(completions));
+  for (size_t i = 0; st.ok() && i < requests.size(); ++i) {
+    if (!requests[i].is_write && completions[i].status.ok()) {
+      completions[i].data = std::move(bytes[i]);
+    }
+  }
+  requests.clear();
+  bytes.clear();
+  RETURN_IF_ERROR(st);
+  return completions;
+}
 
 }  // namespace vlog::core
 

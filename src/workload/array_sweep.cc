@@ -11,15 +11,17 @@ namespace vlog::workload {
 
 namespace {
 
-// The deterministic block payload both drivers agree on: byte j of block b is
-// (b * 131 + j * 7) & 0xFF — the same tag queue_sweep uses, so goldens stay familiar.
+// The deterministic block payload the update and read drivers agree on: byte j of block b is
+// (b * 131 + j * 7) & 0xFF.
 void FillPattern(uint32_t block, std::vector<std::byte>& payload) {
   FillAffinePayload(payload, block * 131u);
 }
 
+// Fills `result`'s rate and latency summary (an UpdateSweepResult or an ArrayReadResult) from
+// the measured latencies and the interval they span.
+template <typename Result>
 void Summarize(std::vector<common::Duration> latencies, common::Duration elapsed,
-               ArraySweepResult* result) {
-  result->updates = latencies.size();
+               Result* result) {
   result->iops =
       elapsed > 0 ? static_cast<double>(latencies.size()) / common::ToSeconds(elapsed) : 0;
   common::Duration total = 0;
@@ -36,33 +38,40 @@ void Summarize(std::vector<common::Duration> latencies, common::Duration elapsed
     };
     result->p50_latency = exact_pct(50);
     result->p99_latency = exact_pct(99);
-    result->max_latency = latencies.back();
   }
 }
 
-// The shared closed-loop driver. `Device` is VldArray or Vld: both expose SectorCount,
-// SectorBytes, block_sectors, queue_depth, SubmitWrite, and FlushQueue with Latency()-bearing
-// completions, and `now` reads the device's notion of current time (array barrier time for the
-// array, the member clock for a bare Vld) so elapsed — and therefore IOPS — is measured the
-// same way on both sides of the N = 1 identity gate.
-template <typename Device, typename NowFn>
-common::StatusOr<ArraySweepResult> RunUpdates(Device& dev, NowFn now, uint32_t depth,
-                                              int updates, int warmup, uint64_t seed,
-                                              uint32_t region_blocks,
-                                              obs::Timeline* timeline = nullptr,
-                                              obs::WindowedHistogram* window_latency = nullptr) {
+// The device's notion of current time: the member clock for a bare Vld, the array barrier
+// time for an array.
+common::Time Now(core::Vld& vld) { return vld.disk().clock()->Now(); }
+common::Time Now(array::VldArray& array) { return array.now(); }
+// Where the breakdown comes from: a bare Vld's recorder. An array's would need its members'.
+obs::TraceRecorder* Tracer(core::Vld& vld) { return vld.disk().tracer(); }
+obs::TraceRecorder* Tracer(array::VldArray&) { return nullptr; }
+
+}  // namespace
+
+template <typename Device>
+common::StatusOr<UpdateSweepResult> RunRandomUpdates(Device& dev, uint32_t depth, int updates,
+                                                     int warmup, uint64_t seed,
+                                                     uint32_t region_blocks,
+                                                     obs::Timeline* timeline,
+                                                     obs::WindowedHistogram* window_latency) {
   if (depth == 0 || depth > dev.queue_depth()) {
-    return common::InvalidArgument("array sweep: depth out of range");
+    return common::InvalidArgument("update sweep: depth out of range");
   }
   const uint32_t block_sectors = dev.block_sectors();
   const uint32_t device_blocks = static_cast<uint32_t>(dev.SectorCount() / block_sectors);
   const uint32_t blocks = region_blocks != 0 ? region_blocks : device_blocks / 2;
   if (blocks == 0 || blocks > device_blocks) {
-    return common::InvalidArgument("array sweep: region out of range");
+    return common::InvalidArgument("update sweep: region out of range");
   }
   common::Rng rng(seed);
   std::vector<std::byte> payload(static_cast<size_t>(block_sectors) * dev.SectorBytes());
 
+  common::Duration queue_delay_total = 0;
+  // One closed-loop round: every stream submits its next update (all streams became ready at
+  // the previous group commit, i.e. "now"), then the queue drains through one group commit.
   auto run_round = [&](int n, std::vector<common::Duration>* latencies) -> common::Status {
     for (int i = 0; i < n; ++i) {
       const uint32_t b = static_cast<uint32_t>(rng.Below(blocks));
@@ -70,18 +79,18 @@ common::StatusOr<ArraySweepResult> RunUpdates(Device& dev, NowFn now, uint32_t d
       RETURN_IF_ERROR(
           dev.SubmitWrite(static_cast<simdisk::Lba>(b) * block_sectors, payload).status());
     }
-    auto done = dev.FlushQueue();
-    RETURN_IF_ERROR(done.status());
+    ASSIGN_OR_RETURN(const std::vector<core::Vld::QueuedCompletion> done, dev.FlushQueue());
     if (latencies != nullptr) {
-      for (const auto& c : done.value()) {
+      for (const core::Vld::QueuedCompletion& c : done) {
         latencies->push_back(c.Latency());
+        queue_delay_total += c.QueueDelay();
         if (window_latency != nullptr) {
           window_latency->Record(c.Latency());
         }
       }
     }
     if (timeline != nullptr) {
-      timeline->Poll(now());
+      timeline->Poll(Now(dev));
     }
     return common::OkStatus();
   };
@@ -94,39 +103,35 @@ common::StatusOr<ArraySweepResult> RunUpdates(Device& dev, NowFn now, uint32_t d
 
   std::vector<common::Duration> latencies;
   latencies.reserve(static_cast<size_t>(updates));
-  const common::Time start = now();
+  obs::TraceRecorder* tracer = Tracer(dev);
+  const obs::TimeBreakdown totals_before =
+      tracer != nullptr ? tracer->totals() : obs::TimeBreakdown{};
+  const common::Time start = Now(dev);
   for (int remaining = updates; remaining > 0;) {
     const int n = std::min<int>(remaining, static_cast<int>(depth));
     RETURN_IF_ERROR(run_round(n, &latencies));
     remaining -= n;
   }
-  const common::Duration elapsed = now() - start;
+  const common::Duration elapsed = Now(dev) - start;
 
-  ArraySweepResult result;
+  UpdateSweepResult result;
   result.depth = depth;
+  result.updates = latencies.size();
+  result.mean_queue_delay =
+      latencies.empty() ? 0
+                        : queue_delay_total / static_cast<common::Duration>(latencies.size());
+  if (tracer != nullptr) {
+    result.breakdown = tracer->totals() - totals_before;
+  }
   Summarize(std::move(latencies), elapsed, &result);
   return result;
 }
 
-}  // namespace
-
-common::StatusOr<ArraySweepResult> RunArrayRandomUpdates(array::VldArray& array, uint32_t depth,
-                                                         int updates, int warmup, uint64_t seed,
-                                                         uint32_t region_blocks,
-                                                         obs::Timeline* timeline,
-                                                         obs::WindowedHistogram* latency) {
-  return RunUpdates(
-      array, [&] { return array.now(); }, depth, updates, warmup, seed, region_blocks, timeline,
-      latency);
-}
-
-common::StatusOr<ArraySweepResult> RunArrayRandomUpdates(core::Vld& vld, uint32_t depth,
-                                                         int updates, int warmup, uint64_t seed,
-                                                         uint32_t region_blocks) {
-  return RunUpdates(
-      vld, [&] { return vld.disk().clock()->Now(); }, depth, updates, warmup, seed,
-      region_blocks);
-}
+template common::StatusOr<UpdateSweepResult> RunRandomUpdates(
+    core::Vld&, uint32_t, int, int, uint64_t, uint32_t, obs::Timeline*, obs::WindowedHistogram*);
+template common::StatusOr<UpdateSweepResult> RunRandomUpdates(
+    array::VldArray&, uint32_t, int, int, uint64_t, uint32_t, obs::Timeline*,
+    obs::WindowedHistogram*);
 
 common::Status PrepopulateArray(array::VldArray& array, uint32_t region_blocks) {
   const uint32_t block_sectors = array.block_sectors();
@@ -168,25 +173,8 @@ common::StatusOr<ArrayReadResult> RunArrayRandomReads(array::VldArray& array, in
     result.payloads_ok &= got == want;
   }
   const common::Duration elapsed = array.now() - start;
-
   result.reads = latencies.size();
-  result.iops =
-      elapsed > 0 ? static_cast<double>(latencies.size()) / common::ToSeconds(elapsed) : 0;
-  common::Duration total = 0;
-  for (const common::Duration lat : latencies) {
-    total += lat;
-    result.latency_hist.Record(lat);
-  }
-  result.mean_latency =
-      latencies.empty() ? 0 : total / static_cast<common::Duration>(latencies.size());
-  std::sort(latencies.begin(), latencies.end());
-  if (!latencies.empty()) {
-    const auto exact_pct = [&](size_t pct) {
-      return latencies[std::min(latencies.size() - 1, latencies.size() * pct / 100)];
-    };
-    result.p50_latency = exact_pct(50);
-    result.p99_latency = exact_pct(99);
-  }
+  Summarize(std::move(latencies), elapsed, &result);
   return result;
 }
 

@@ -17,90 +17,6 @@ constexpr size_t kUpdateBytes = 4096;
 constexpr double kPi = 3.14159265358979323846;
 }  // namespace
 
-common::StatusOr<QueueDepthResult> RunQueuedRandomUpdates(core::Vld& vld, uint32_t depth,
-                                                          int updates, int warmup,
-                                                          uint64_t seed) {
-  if (depth == 0 || depth > vld.queue_depth()) {
-    return common::InvalidArgument("queue sweep: depth out of range");
-  }
-  common::Rng rng(seed);
-  const uint32_t block_sectors = kUpdateBytes / vld.SectorBytes();
-  const uint32_t blocks = vld.logical_blocks() / 2;
-  std::vector<std::byte> payload(kUpdateBytes);
-
-  common::Duration queue_delay_total = 0;
-  // One closed-loop round: every stream submits its next update (all streams became ready at
-  // the previous group commit, i.e. "now"), then the queue drains through one group commit.
-  auto run_round = [&](int n,
-                       std::vector<common::Duration>* latencies) -> common::Status {
-    for (int i = 0; i < n; ++i) {
-      const uint32_t b = static_cast<uint32_t>(rng.Below(blocks));
-      FillAffinePayload(payload, b * 131u);
-      RETURN_IF_ERROR(
-          vld.SubmitWrite(static_cast<simdisk::Lba>(b) * block_sectors, payload).status());
-    }
-    ASSIGN_OR_RETURN(std::vector<core::Vld::QueuedCompletion> done, vld.FlushQueue());
-    if (latencies != nullptr) {
-      for (const core::Vld::QueuedCompletion& c : done) {
-        latencies->push_back(c.Latency());
-        queue_delay_total += c.QueueDelay();
-      }
-    }
-    return common::OkStatus();
-  };
-
-  for (int remaining = warmup; remaining > 0;) {
-    const int n = std::min<int>(remaining, static_cast<int>(depth));
-    RETURN_IF_ERROR(run_round(n, nullptr));
-    remaining -= n;
-  }
-
-  std::vector<common::Duration> latencies;
-  latencies.reserve(static_cast<size_t>(updates));
-  obs::TraceRecorder* tracer = vld.disk().tracer();
-  const obs::TimeBreakdown totals_before =
-      tracer != nullptr ? tracer->totals() : obs::TimeBreakdown{};
-  const common::Time start = vld.disk().clock()->Now();
-  for (int remaining = updates; remaining > 0;) {
-    const int n = std::min<int>(remaining, static_cast<int>(depth));
-    RETURN_IF_ERROR(run_round(n, &latencies));
-    remaining -= n;
-  }
-  const common::Duration elapsed = vld.disk().clock()->Now() - start;
-
-  QueueDepthResult result;
-  result.depth = depth;
-  result.updates = latencies.size();
-  result.iops =
-      elapsed > 0 ? static_cast<double>(latencies.size()) / common::ToSeconds(elapsed) : 0;
-  common::Duration total = 0;
-  for (const common::Duration lat : latencies) {
-    total += lat;
-  }
-  result.mean_latency =
-      latencies.empty() ? 0 : total / static_cast<common::Duration>(latencies.size());
-  result.mean_queue_delay =
-      latencies.empty() ? 0
-                        : queue_delay_total / static_cast<common::Duration>(latencies.size());
-  for (const common::Duration lat : latencies) {
-    result.latency_hist.Record(lat);
-  }
-  std::sort(latencies.begin(), latencies.end());
-  if (!latencies.empty()) {
-    const auto exact_pct = [&](size_t pct) {
-      return latencies[std::min(latencies.size() - 1, latencies.size() * pct / 100)];
-    };
-    result.p50_latency = exact_pct(50);
-    result.p90_latency = exact_pct(90);
-    result.p99_latency = exact_pct(99);
-    result.max_latency = latencies.back();
-  }
-  if (tracer != nullptr) {
-    result.breakdown = tracer->totals() - totals_before;
-  }
-  return result;
-}
-
 ZipfSampler::ZipfSampler(uint32_t n, double theta) {
   cdf_.resize(n == 0 ? 1 : n);
   double sum = 0;

@@ -1,11 +1,7 @@
-// Closed-loop multi-stream random-update driver for the queued VLD write engine.
-//
-// Models `depth` independent streams, each keeping exactly one 4 KB random update
-// outstanding: the device accepts a queue's worth of requests, services them with the
-// controller pipelined against the media, and acknowledges the whole group when its single
-// packed map commit is durable — at which point every stream immediately submits its next
-// update (closed loop). Per-request latency is measured submit -> group-commit on the virtual
-// clock; IOPS over the measured interval. Depth 1 degenerates to the synchronous Write path.
+// Multi-stream drivers for the queued VLD engine: a closed-loop mixed read/write driver
+// (SubmitRead + SubmitWrite through one queue) and an open-loop arrival driver, bare or with
+// duty-cycled background compaction. The closed-loop random-update driver, which also runs an
+// array, is RunRandomUpdates in array_sweep.h.
 #ifndef SRC_WORKLOAD_QUEUE_SWEEP_H_
 #define SRC_WORKLOAD_QUEUE_SWEEP_H_
 
@@ -22,32 +18,6 @@
 #include "src/obs/trace.h"
 
 namespace vlog::workload {
-
-struct QueueDepthResult {
-  uint32_t depth = 0;
-  uint64_t updates = 0;           // Measured requests (excludes warmup).
-  double iops = 0;                // Measured requests per simulated second.
-  common::Duration mean_latency = 0;
-  common::Duration p50_latency = 0;
-  common::Duration p90_latency = 0;
-  common::Duration p99_latency = 0;
-  common::Duration max_latency = 0;
-  // Mean time a request waited behind earlier queue entries before its controller work began
-  // (FlushQueue services FIFO; placement is eager so service order cannot improve writes).
-  common::Duration mean_queue_delay = 0;
-  // Per-request latencies (ns) over the measured window, for mergeable percentile export.
-  obs::LatencyHistogram latency_hist;
-  // Sum over measured requests of where their time went; components add up to the total
-  // simulated request time. Zero unless a TraceRecorder is attached to the Vld's disk.
-  obs::TimeBreakdown breakdown;
-};
-
-// Runs `warmup` unmeasured then `updates` measured random 4 KB updates over the first half of
-// the device's logical space, `depth` streams closed-loop. The Vld must be freshly formatted
-// with queue_depth >= depth.
-common::StatusOr<QueueDepthResult> RunQueuedRandomUpdates(core::Vld& vld, uint32_t depth,
-                                                          int updates, int warmup,
-                                                          uint64_t seed = 2);
 
 // --- Mixed read/write multi-stream driver (SubmitRead + SubmitWrite through one queue) ---
 

@@ -204,7 +204,8 @@ TEST(VldArrayTest, QueuedBatchCommitsOncePerMember) {
   for (uint32_t m = 0; m < 2; ++m) {
     const core::VldStats& st = stacks[m]->vld->stats();
     EXPECT_EQ(st.group_commits, 1u) << "member " << m;
-    EXPECT_EQ(st.queued_writes, 8u) << "member " << m;
+    EXPECT_EQ(st.host_writes, 8u) << "member " << m;  // Eight runs, none through its queue.
+    EXPECT_EQ(st.queued_writes, 0u) << "member " << m;
   }
   // Every write acknowledges at the barrier: no earlier than either member's finish time for
   // its runs, and the data reads back.
@@ -244,29 +245,45 @@ TEST(VldArrayTest, QueuedReadCarriesAFailedMemberRunsStatus) {
   EXPECT_EQ(out, Pattern(chunk * 512, 2));
 }
 
-// A batch whose runs overflow a member's queue is refused before any member sees a run: no
-// member keeps a queued run, the next batch completes, and the refused writes never land.
-TEST(VldArrayTest, BatchOverflowingAMemberQueueLeavesNoRunQueued) {
+// Members never queue array runs, so their queue depth does not bound an array batch: four
+// 16 KB writes deal eight 4 KB runs to each of two depth-4 members, and the batch completes
+// with one group commit per member and reads back.
+TEST(VldArrayTest, BatchWithMoreRunsThanAMemberQueueCompletes) {
   auto stacks = MakeStacks(2, core::VldConfig{.queue_depth = 4});
   VldArray array(Members(stacks), {.mode = ArrayMode::kStriped, .stripe_blocks = 1});
   ASSERT_TRUE(array.Format().ok());
-  const auto old_bytes = Pattern(kBlockBytes, 7);
-  ASSERT_TRUE(array.Write(0, old_bytes).ok());
-  // Four 16 KB writes deal two 4 KB runs each to both members: eight per member, depth 4.
   for (uint32_t i = 0; i < 4; ++i) {
     ASSERT_TRUE(array.SubmitWrite(i * 32, Pattern(4 * kBlockBytes, 100 + i)).ok());
   }
-  EXPECT_FALSE(array.FlushQueue().ok());
-  for (const auto& s : stacks) {
-    EXPECT_EQ(s->vld->QueuedRequests(), 0u);
-  }
-  ASSERT_TRUE(array.SubmitWrite(64, Pattern(kBlockBytes, 9)).ok());
   auto done = array.FlushQueue();
   ASSERT_TRUE(done.ok()) << done.status().ToString();
-  EXPECT_EQ(done->size(), 1u);
-  std::vector<std::byte> out(kBlockBytes);
+  EXPECT_EQ(done->size(), 4u);
+  for (const auto& s : stacks) {
+    EXPECT_EQ(s->vld->QueuedRequests(), 0u);
+    EXPECT_EQ(s->vld->stats().group_commits, 1u);
+  }
+  for (uint32_t i = 0; i < 4; ++i) {
+    std::vector<std::byte> out(4 * kBlockBytes);
+    ASSERT_TRUE(array.Read(i * 32, out).ok());
+    EXPECT_EQ(out, Pattern(4 * kBlockBytes, 100 + i)) << "write " << i;
+  }
+}
+
+// A synchronous extent is a batch of one: twelve 4 KB chunks put six runs on each depth-4
+// member, which commit as one transaction per member and read back.
+TEST(VldArrayTest, SyncExtentWithMoreRunsThanAMemberQueueCommitsOncePerMember) {
+  auto stacks = MakeStacks(2, core::VldConfig{.queue_depth = 4});
+  VldArray array(Members(stacks), {.mode = ArrayMode::kStriped, .stripe_blocks = 1});
+  ASSERT_TRUE(array.Format().ok());
+  const auto data = Pattern(12 * kBlockBytes, 5);
+  ASSERT_TRUE(array.Write(0, data).ok());
+  for (const auto& s : stacks) {
+    EXPECT_EQ(s->vld->stats().host_writes, 6u);
+    EXPECT_EQ(s->vld->stats().group_commits, 1u);
+  }
+  std::vector<std::byte> out(data.size());
   ASSERT_TRUE(array.Read(0, out).ok());
-  EXPECT_EQ(out, old_bytes);
+  EXPECT_EQ(out, data);
 }
 
 TEST(VldArrayTest, MirroredWritesReachEveryReplica) {

