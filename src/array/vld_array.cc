@@ -209,7 +209,7 @@ common::StatusOr<uint64_t> VldArray::SubmitRead(simdisk::Lba lba, uint64_t secto
   return queue_.back().id;
 }
 
-common::StatusOr<std::vector<VldArray::QueuedCompletion>> VldArray::FlushQueue() {
+common::StatusOr<std::vector<core::Vld::QueuedCompletion>> VldArray::FlushQueue() {
   return core::FlushRequests(
       queue_, queue_bytes_,
       [this](std::span<const Request> batch, std::span<QueuedCompletion> done) {

@@ -87,17 +87,16 @@ class VldArray : public simdisk::BlockDevice {
 
   // --- Queued I/O (cross-disk group commit) ---
 
-  // Array completions: a write's complete_time is the cross-disk barrier — when the *last*
-  // touched member's packed map commit reached its media — and a read's is when its last
-  // member run's data was assembled. dispatch_time is when the first member run's controller
-  // work finished, and a read whose member run failed carries the first such error (and no
-  // data). span_id is 0: trace spans belong to the member runs.
-  using QueuedCompletion = core::Vld::QueuedCompletion;
   common::StatusOr<uint64_t> SubmitWrite(simdisk::Lba lba, std::span<const std::byte> in);
   common::StatusOr<uint64_t> SubmitRead(simdisk::Lba lba, uint64_t sectors);
   // Services every queued request as one array batch (core::FlushRequests). Completions are
-  // returned in array submission order; a failed batch leaves the queue empty.
-  common::StatusOr<std::vector<QueuedCompletion>> FlushQueue();
+  // returned in array submission order; a failed batch leaves the queue empty. A write's
+  // complete_time is the cross-disk barrier — when the *last* touched member's packed map
+  // commit reached its media — and a read's is when its last member run's data was assembled.
+  // dispatch_time is when the first member run's controller work finished, and a read whose
+  // member run failed carries the first such error (and no data). span_id is 0: trace spans
+  // belong to the member runs.
+  common::StatusOr<std::vector<core::Vld::QueuedCompletion>> FlushQueue();
   size_t QueuedRequests() const { return queue_.size(); }
   uint32_t queue_depth() const { return queue_depth_; }
 
@@ -128,6 +127,7 @@ class VldArray : public simdisk::BlockDevice {
 
  private:
   using Request = core::Vld::Request;
+  using QueuedCompletion = core::Vld::QueuedCompletion;
   // One contiguous piece of an array request on a single member.
   struct Run {
     size_t request = 0;  // Index of the array request in its batch.
