@@ -20,8 +20,8 @@ for preset in "${presets[@]}"; do
   ctest --preset "${preset}" -j"${jobs}"
 done
 
-# Bench smoke: a short queue-depth sweep whose acceptance gates (depth-1 == sync, monotone
-# IOPS, >= 2x at depth 16, breakdown sums to latency, the open-loop leg's timeline gates:
+# Bench smoke: a short queue-depth sweep whose acceptance gates (monotone IOPS, >= 2x at
+# depth 16, breakdown sums to latency, the open-loop leg's timeline gates:
 # >= 1 closed window, an SLO breach with recovery, exact window-merge, byte-identical rerun,
 # and the long-haul governed-compaction gates: steady-state fires, free-space floor holds,
 # breaches contained to the declared burst, governor-off control spirals) act as an
